@@ -8,15 +8,18 @@ weights:
 
        q(v*w) = (v*w)' A (v*w) + b' (v*w) + c,
        A = diag(alpha*y) K diag(alpha*y) / (2 lam),
-       b_i = loss(y_i, score_i) - alpha_i,
+       b_i = loss(y_i, score_i) + loss*(-alpha_i),
        c = (alpha*y)' K (alpha*y) / (2 lam),
 
    where lam is the regularization strength of the sum-form objective
-   (``Model.lam_abs``); with that pairing q(all-ones) vanishes at the
-   reference optimum.  The direct, normalized gap from
-   ``erm.evaluate_gap`` is kept alongside as a diagnostic; the two agree
-   for the hinge loss and differ for logistic only through the linear
-   coefficient, which the acceptance suite logs.
+   (``Model.lam_abs``) and loss* is the convex conjugate; with that
+   pairing q is the exact sum-form duality gap and q(all-ones) vanishes
+   at the reference optimum.  The paper publishes b_i = loss_i - alpha_i,
+   which is the same for the hinge loss (loss*(-a) = -a on [0, 1]) but not
+   for logistic, where loss*(-a) = a log a + (1 - a) log(1 - a).  There
+   the published q(1) does not vanish: on a 150-row ``synth`` task
+   (logistic, lam = 2, fold 0 of 5) it is 31.5 against 3.2e-7 for the
+   exact form.  It would inflate every gap and radius, so it is not used.
 2. ``maximize_on_ball`` maximizes q over the weight ball ||w - 1|| <= S
    (an eigenvalue problem plus a secular-equation root find).
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
@@ -86,27 +89,22 @@ class QuadraticGapForm:
         return At, g, const
 
 
-def quadratic_form(model_ref: Model, K, y, lam: float,
-                   exact_conjugate: bool = False) -> QuadraticGapForm:
+def quadratic_form(model_ref: Model, K, y, lam: float) -> QuadraticGapForm:
     """Build (A, b, c) from the reference dual solution.
 
     ``lam`` is the sum-form regularization strength; pass
     ``model_ref.lam_abs`` so that q(1) = 0 at the reference optimum.
 
-    The default linear coefficient is loss_i - alpha_i.  With
-    ``exact_conjugate`` it becomes loss_i + loss*(-alpha_i), which makes
-    q(v*w) the exact sum-form duality gap for both losses (the two
-    coincide for hinge); certificates use the exact variant.
+    The linear coefficient is loss_i + loss*(-alpha_i), which makes q(v*w)
+    the exact sum-form duality gap for both losses; for hinge it equals
+    the published loss_i - alpha_i.
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     s = model_ref.alpha * y
     A = (K * np.outer(s, s)) / (2.0 * lam)
     losses = _loss_vec(model_ref.loss, y, model_ref.train_scores)
-    if exact_conjugate:
-        b = losses + _conj_vec(model_ref.loss, model_ref.alpha)
-    else:
-        b = losses - model_ref.alpha
+    b = losses + _conj_vec(model_ref.loss, model_ref.alpha)
     c = float(s @ (K @ s)) / (2.0 * lam)
     return QuadraticGapForm(A=A, b=b, c=c)
 

@@ -53,7 +53,8 @@ def _common(fn):
         click.option("--bandwidth", type=float, default=None,
                      help="RBF bandwidth; defaults to the pooled-variance heuristic."),
         click.option("--kernel-file", type=click.Path(exists=True), default=None,
-                     help="Square CSV matrix for --kernel precomputed."),
+                     help="Symmetric PSD CSV matrix over all rows of "
+                          "--dataset, for --kernel precomputed."),
         click.option("--lambda-rule", default="cv-best", show_default=True,
                      help="'n', 'n*10^-1.5', 'n*10^-3', a number, or 'cv-best'."),
         click.option("--a", type=float, default=1.05, show_default=True,
@@ -119,8 +120,7 @@ def select_cmd(method, keep_fraction, fold, output_dir, **kwargs):
     """Select a coreset on one fold; writes trace JSON and kept indices."""
     config, ctx = _fold_context(kwargs, fold)
     n_tr = len(ctx.y_tr)
-    trace = run_selection(ctx, config, method, _n_del(keep_fraction, n_tr),
-                          kwargs["seed"])
+    trace = run_selection(ctx, config, method, _n_del(keep_fraction, n_tr))
     kept_local = trace.kept_indices()
     kept_original = ctx.tr_idx[kept_local]
     out = Path(output_dir)
@@ -136,7 +136,7 @@ def select_cmd(method, keep_fraction, fold, output_dir, **kwargs):
                f"(fold {fold}, method {method}); wrote {out / 'trace.json'}")
 
 
-def _coreset_mask(ctx, config, kwargs, method, keep_fraction, indices_file):
+def _coreset_mask(ctx, config, method, keep_fraction, indices_file):
     n_tr = len(ctx.y_tr)
     if indices_file:
         kept_original = np.loadtxt(indices_file, dtype=int, ndmin=1)
@@ -148,9 +148,8 @@ def _coreset_mask(ctx, config, kwargs, method, keep_fraction, indices_file):
         v = np.zeros(n_tr)
         v[[pos[int(i)] for i in kept_original]] = 1.0
         return v
-    trace = run_selection(ctx, config, method, _n_del(keep_fraction, n_tr),
-                          kwargs["seed"])
-    return trace.kept_mask()
+    return run_selection(ctx, config, method,
+                         _n_del(keep_fraction, n_tr)).kept_mask()
 
 
 @main.command("certify")
@@ -166,8 +165,8 @@ def _coreset_mask(ctx, config, kwargs, method, keep_fraction, indices_file):
 def certify_cmd(method, keep_fraction, fold, indices, output_dir, **kwargs):
     """Certificate (radius, zeta, error bound) for a coreset."""
     config, ctx = _fold_context(kwargs, fold)
-    v = _coreset_mask(ctx, config, kwargs, method, keep_fraction, indices)
-    report = bound.certificate(ctx.model, ctx.form, v, ctx.S, ctx.Q,
+    v = _coreset_mask(ctx, config, method, keep_fraction, indices)
+    report = bound.certificate(ctx.model, ctx.form_cert, v, ctx.S, ctx.Q,
                                ctx.K_cross, ctx.k_diag, ctx.y_va, ctx.lam_abs)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,7 +191,7 @@ def certify_cmd(method, keep_fraction, fold, indices, output_dir, **kwargs):
 def evaluate_cmd(method, keep_fraction, fold, indices, **kwargs):
     """Retrain on a coreset and print worst-case weighted validation accuracy."""
     config, ctx = _fold_context(kwargs, fold)
-    v = _coreset_mask(ctx, config, kwargs, method, keep_fraction, indices)
+    v = _coreset_mask(ctx, config, method, keep_fraction, indices)
     kept = np.flatnonzero(v > 0)
     sub_model = train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
                       lam=ctx.lam_abs / kept.size, kind=config.loss,

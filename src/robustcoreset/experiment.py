@@ -159,7 +159,8 @@ def lambda_cv(ds: Dataset, grid, folds: int = 5, seed: int = 0, *,
     if config is None:
         config = ExperimentConfig(dataset="<in-memory>", loss=loss)
     plan = cv_split(ds, folds, seed)
-    K_full = load_precomputed(config.kernel_file) if config.kernel == "precomputed" else None
+    K_full = (load_precomputed(config.kernel_file, ds.n)
+              if config.kernel == "precomputed" else None)
     best_lam, best_acc = None, -1.0
     for lam_abs in grid:
         accs = []
@@ -205,7 +206,6 @@ class FoldContext:
     Q: float
     lam_abs: float
     model: object
-    form: bound.QuadraticGapForm
     form_cert: bound.QuadraticGapForm
     valset: select.ValidationSet
 
@@ -226,7 +226,7 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
     tr, va = ds.subset(tr_idx), ds.subset(va_idx)
     if config.kernel == "precomputed" and K_full is None:
-        K_full = load_precomputed(config.kernel_file)
+        K_full = load_precomputed(config.kernel_file, ds.n)
     K, Kx, kdiag = _fold_kernel(config, tr.features, va.features,
                                 tr_idx, va_idx, K_full)
     if lam_abs is None:
@@ -235,17 +235,12 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     Q = shift_radius(va.n_plus, config.q_shift)
     model = train(K, tr.labels, lam=lam_abs / tr.n, kind=config.loss,
                   tol=config.tol)
-    # the pipeline (selection and certificates) runs on the exact-conjugate
-    # quadratic; the published linear coefficient coincides with it for the
-    # hinge loss and is kept only as a logged diagnostic
-    form = bound.quadratic_form(model, K, tr.labels, lam_abs)
-    form_cert = bound.quadratic_form(model, K, tr.labels, lam_abs,
-                                     exact_conjugate=True)
+    form_cert = bound.quadratic_form(model, K, tr.labels, lam_abs)
     valset = select.ValidationSet(Kx, kdiag, va.labels)
     return FoldContext(fold=fold, tr_idx=tr_idx, va_idx=va_idx,
                        y_tr=tr.labels, y_va=va.labels, K=K, K_cross=Kx,
                        k_diag=kdiag, S=S, Q=Q, lam_abs=lam_abs, model=model,
-                       form=form, form_cert=form_cert, valset=valset)
+                       form_cert=form_cert, valset=valset)
 
 
 def _method_seed(base_seed: int, fold: int, method_index: int) -> int:
@@ -260,7 +255,11 @@ def _pick_algorithm(config: ExperimentConfig, n_tr: int) -> int:
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
-                  n_del: int, seed: int) -> select.SelectionTrace:
+                  n_del: int) -> select.SelectionTrace:
+    """The method's trace on one fold; its seed depends only on the run
+    seed, the fold and the method, so every entry point picks the same
+    coreset."""
+    seed = _method_seed(config.seed, ctx.fold, ALL_METHODS.index(method))
     if method == ROBUST_METHOD:
         algorithm = _pick_algorithm(config, len(ctx.y_tr))
         fn = {1: select.greedy_exact, 2: select.greedy_fixed_w,
@@ -281,19 +280,16 @@ class RunReport:
 
 
 def _gap_diagnostics(ctx: FoldContext):
-    """Published vs exact-conjugate quadratic vs scaled direct gap, at the
-    full set and the worst-case weight; logged per fold."""
-    w_star = bound.maximize_on_ball(ctx.form_cert, np.ones(ctx.form.n), ctx.S).w_star
-    vw = w_star
-    direct = evaluate_gap(ctx.model, np.ones(ctx.form.n), w_star)
-    E = float(w_star.sum())
+    """Gap quadratic at the full set and at the worst-case weight, next to
+    the scaled direct gap at that weight; logged per fold."""
+    ones = np.ones(ctx.form_cert.n)
+    w_star = bound.maximize_on_ball(ctx.form_cert, ones, ctx.S).w_star
+    direct = evaluate_gap(ctx.model, ones, w_star)
     return {
         "fold": ctx.fold,
-        "q_published_full": ctx.form.value(np.ones(ctx.form.n)),
-        "q_exact_full": ctx.form_cert.value(np.ones(ctx.form.n)),
-        "q_published_worst_w": ctx.form.value(vw),
-        "q_exact_worst_w": ctx.form_cert.value(vw),
-        "scaled_direct_gap_worst_w": E * direct.gap,
+        "q_exact_full": ctx.form_cert.value(ones),
+        "q_exact_worst_w": ctx.form_cert.value(w_star),
+        "scaled_direct_gap_worst_w": float(w_star.sum()) * direct.gap,
     }
 
 
@@ -356,7 +352,8 @@ def run_experiment(config: ExperimentConfig, ds: Dataset | None = None) -> RunRe
         ds = load_dataset(config.dataset, config.min_max_scale)
     lam_abs = _resolve_lambda(config, ds)
     report = RunReport(lam_abs=lam_abs)
-    K_full = load_precomputed(config.kernel_file) if config.kernel == "precomputed" else None
+    K_full = (load_precomputed(config.kernel_file, ds.n)
+              if config.kernel == "precomputed" else None)
     try:
         for fold in range(config.folds):
             ctx = prepare_fold(ds, config, fold, lam_abs=lam_abs, K_full=K_full)
@@ -365,9 +362,8 @@ def run_experiment(config: ExperimentConfig, ds: Dataset | None = None) -> RunRe
             n_del_grid = [min(int(round(f * n_tr)), n_tr - 1)
                           for f in config.removal_grid]
             n_del_max = max(n_del_grid, default=0)
-            for mi, method in enumerate(config.methods):
-                seed = _method_seed(config.seed, fold, mi)
-                trace = run_selection(ctx, config, method, n_del_max, seed)
+            for method in config.methods:
+                trace = run_selection(ctx, config, method, n_del_max)
                 for frac, n_del in zip(config.removal_grid, n_del_grid):
                     t0 = time.perf_counter()
                     v = trace.kept_mask(n_del)

@@ -70,9 +70,24 @@ def gram(X1: np.ndarray, X2: np.ndarray, spec: KernelSpec) -> np.ndarray:
     raise ValueError("precomputed kernels are loaded, not evaluated")
 
 
-def load_precomputed(path) -> np.ndarray:
-    """Read a square, header-free, row-major CSV kernel matrix."""
+def load_precomputed(path, n: int) -> np.ndarray:
+    """Read a header-free, row-major CSV kernel matrix for n instances.
+
+    The bound needs a valid kernel: the matrix must be n x n, finite,
+    symmetric and positive semidefinite (min eigenvalue >= -1e-8 *
+    max(1, max eigenvalue)), since the ball maximization puts its maximum
+    on the boundary only for a PSD quadratic.  Anything else raises
+    ValueError.
+    """
     K = np.loadtxt(path, delimiter=",", ndmin=2)
-    if K.shape[0] != K.shape[1]:
-        raise ValueError(f"precomputed kernel must be square, got {K.shape}")
+    if K.shape != (n, n):
+        raise ValueError(f"precomputed kernel must be {n}x{n} for {n} rows, "
+                         f"got {K.shape[0]}x{K.shape[1]}")
+    if (not np.isfinite(K).all()
+            or np.abs(K - K.T).max() > 1e-8 * max(1.0, np.abs(K).max())):
+        raise ValueError("precomputed kernel is not a finite symmetric matrix")
+    eig = np.linalg.eigvalsh(K)
+    if eig[0] < -1e-8 * max(1.0, eig[-1]):
+        raise ValueError(f"precomputed kernel is not positive semidefinite "
+                         f"(min eigenvalue {eig[0]:.3g})")
     return K

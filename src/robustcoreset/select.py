@@ -1,17 +1,18 @@
-"""Greedy coreset selection driven by the gap certificate, plus baselines.
+"""Coreset selection: orderings, one class-guarded filter, one greedy loop.
 
-Three ways to shrink the training set by n_del instances:
+Every selector removes n_del training instances in some order:
 
-* ``greedy_exact``      re-maximizes the gap over the weight ball for every
-                        candidate removal at every step (costly, exact);
-* ``greedy_fixed_w``    maximizes once at the full set, then scores
-                        candidates by the quadratic at that fixed weight;
-* ``greedy_oneshot``    same fixed weight, but ranks all single-removal
-                        scores once and removes the n_del smallest.
-
-Baselines (``baseline_select``): random, margin (largest |score| removed
-first), k-center-greedy cover and kernel herding, all operating in the
-kernel feature space of the trained model.
+* the baselines (``baseline_select``) and ``greedy_oneshot`` compute a
+  removal order up front -- random permutation, margin (largest |score|
+  first), the reverse of a k-center-greedy or kernel-herding keep order,
+  or the single-removal gap at the fixed worst-case weight -- and pass it
+  through ``_filtered_removals``, which skips an instance whose removal
+  would empty its class when classes are preserved;
+* ``greedy_exact`` and ``greedy_fixed_w`` run ``_greedy``, which removes
+  the eligible instance with the smallest score one step at a time.  The
+  exact scorer re-maximizes the gap over the weight ball per candidate;
+  the fixed-w scorer evaluates the quadratic at the full-set worst-case
+  weight for all candidates in one numpy expression.
 """
 
 import math
@@ -86,26 +87,57 @@ def _check_budget(n, n_del):
         raise ValueError(f"n_del must be in [0, n), got {n_del} for n={n}")
 
 
-def _class_guard(y, preserve_classes):
-    """Returns removable(i, kept_counts) respecting the preserve flag."""
-    y = np.asarray(y)
-
-    def removable(i, counts):
-        if not preserve_classes:
-            return True
-        key = 1 if y[i] > 0 else -1
-        return counts[key] > 1
-
+def _filtered_removals(order, n_del, y, preserve_classes):
+    """The first n_del indices of ``order``, skipping any whose removal would
+    empty its class when ``preserve_classes`` is set."""
     counts = {1: int(np.sum(y > 0)), -1: int(np.sum(y <= 0))}
-    return removable, counts
+    removal = []
+    for i in order:
+        if len(removal) == n_del:
+            break
+        key = 1 if y[i] > 0 else -1
+        if preserve_classes and counts[key] <= 1:
+            continue
+        counts[key] -= 1
+        removal.append(int(i))
+    if len(removal) < n_del:
+        raise ValueError("class preservation exhausted the candidate pool")
+    return removal
 
 
-def _step_ub(model_ref, val, Q, dg, lam_abs):
+def _step_ub(model_ref, val, Q, dg):
     if val is None or model_ref is None:
         return math.nan
-    R = bound.radius(max(dg, 0.0), lam_abs)
+    R = bound.radius(max(dg, 0.0), model_ref.lam_abs)
     zeta, _ = bound.certify(model_ref, val.K_cross, val.k_diag, val.y, R)
     return bound.worst_case_error_ub(zeta, Q)
+
+
+def _greedy(method, scores, y, Q, n_del, model_ref, val, preserve_classes,
+            seed, on_remove=None):
+    """Remove n_del instances one at a time, each the eligible candidate with
+    the smallest ``scores(candidates, kept_mask)`` (ties to the smallest
+    index); ``on_remove(i)`` updates the scorer's state after a removal."""
+    y = np.asarray(y)
+    pos = y > 0
+    v = np.ones(y.shape[0])
+    trace = SelectionTrace(method=method, seed=seed, n=y.shape[0])
+    for _ in range(n_del):
+        cand = np.flatnonzero(v > 0)
+        if preserve_classes:
+            n_pos = int(np.count_nonzero(pos[cand]))
+            cand = cand[np.where(pos[cand], n_pos > 1, cand.size - n_pos > 1)]
+        if cand.size == 0:
+            raise ValueError("no removable candidate left")
+        values = scores(cand, v)
+        k = int(np.argmin(values))
+        best_i, best_dg = int(cand[k]), values[k]
+        v[best_i] = 0.0
+        if on_remove is not None:
+            on_remove(best_i)
+        trace.removal_order.append(best_i)
+        trace.per_step.append((best_dg, _step_ub(model_ref, val, Q, best_dg)))
+    return trace
 
 
 def greedy_exact(form, y, S, Q, n_del, *, model_ref: Model | None = None,
@@ -114,43 +146,35 @@ def greedy_exact(form, y, S, Q, n_del, *, model_ref: Model | None = None,
     """Remove one instance at a time, re-solving the ball maximization for
     every candidate and keeping the removal with the smallest worst-case
     gap (ties to the smallest index)."""
-    n = form.n
-    _check_budget(n, n_del)
-    lam_abs = model_ref.lam_abs if model_ref is not None else 1.0
-    removable, counts = _class_guard(y, preserve_classes)
-    v = np.ones(n)
-    trace = SelectionTrace(method="robust-exact", seed=seed, n=n)
-    for _ in range(n_del):
-        best_dg, best_i = math.inf, -1
-        for i in np.flatnonzero(v > 0):
-            if not removable(i, counts):
-                continue
+    _check_budget(form.n, n_del)
+
+    def scores(cand, v):
+        out = np.empty(cand.size)
+        for k, i in enumerate(cand):
             v[i] = 0.0
-            dg = bound.maximize_on_ball(form, v, S).dg_max
+            out[k] = bound.maximize_on_ball(form, v, S).dg_max
             v[i] = 1.0
-            if dg < best_dg:
-                best_dg, best_i = dg, int(i)
-        if best_i < 0:
-            raise ValueError("no removable candidate left")
-        v[best_i] = 0.0
-        counts[1 if y[best_i] > 0 else -1] -= 1
-        trace.removal_order.append(best_i)
-        trace.per_step.append((best_dg, _step_ub(model_ref, val, Q, best_dg, lam_abs)))
-    return trace
+        return out
+
+    return _greedy("robust-exact", scores, y, Q, n_del, model_ref, val,
+                   preserve_classes, seed)
 
 
 class _QuadState:
-    """Incremental evaluation of the gap quadratic under coordinate zeroing."""
+    """The gap quadratic at the full-set worst-case weight, evaluated
+    incrementally under coordinate zeroing."""
 
-    def __init__(self, form, z):
+    def __init__(self, form, S):
         self.form = form
-        self.z = z.copy()
+        self.z = bound.maximize_on_ball(form, np.ones(form.n), S).w_star
         self.Az = form.A @ self.z
+        self.A_diag = np.diag(form.A)
         self.value = float(self.z @ self.Az + form.b @ self.z + form.c)
 
     def removal_value(self, i):
+        """Value after zeroing coordinate i; ``i`` may be an index array."""
         zi = self.z[i]
-        return self.value - 2.0 * zi * self.Az[i] + zi * zi * self.form.A[i, i] \
+        return self.value - 2.0 * zi * self.Az[i] + zi * zi * self.A_diag[i] \
             - self.form.b[i] * zi
 
     def remove(self, i):
@@ -161,39 +185,16 @@ class _QuadState:
             self.z[i] = 0.0
 
 
-def _fixed_w_state(form, S):
-    res = bound.maximize_on_ball(form, np.ones(form.n), S)
-    return res.w_star, _QuadState(form, res.w_star)
-
-
 def greedy_fixed_w(form, y, S, Q, n_del, *, model_ref: Model | None = None,
                    val: ValidationSet | None = None,
                    preserve_classes: bool = False, seed: int = 0) -> SelectionTrace:
     """One ball maximization at the full set; then greedy removals scored by
     the quadratic at that fixed worst-case weight, re-evaluated per step."""
-    n = form.n
-    _check_budget(n, n_del)
-    lam_abs = model_ref.lam_abs if model_ref is not None else 1.0
-    removable, counts = _class_guard(y, preserve_classes)
-    _, state = _fixed_w_state(form, S)
-    active = np.ones(n, dtype=bool)
-    trace = SelectionTrace(method="robust-fixed-w", seed=seed, n=n)
-    for _ in range(n_del):
-        best_dg, best_i = math.inf, -1
-        for i in np.flatnonzero(active):
-            if not removable(i, counts):
-                continue
-            dg = state.removal_value(i)
-            if dg < best_dg:
-                best_dg, best_i = dg, int(i)
-        if best_i < 0:
-            raise ValueError("no removable candidate left")
-        state.remove(best_i)
-        active[best_i] = False
-        counts[1 if y[best_i] > 0 else -1] -= 1
-        trace.removal_order.append(best_i)
-        trace.per_step.append((best_dg, _step_ub(model_ref, val, Q, best_dg, lam_abs)))
-    return trace
+    _check_budget(form.n, n_del)
+    state = _QuadState(form, S)
+    return _greedy("robust-fixed-w", lambda cand, v: state.removal_value(cand),
+                   y, Q, n_del, model_ref, val, preserve_classes, seed,
+                   on_remove=state.remove)
 
 
 def greedy_oneshot(form, y, S, Q, n_del, *, model_ref: Model | None = None,
@@ -203,24 +204,14 @@ def greedy_oneshot(form, y, S, Q, n_del, *, model_ref: Model | None = None,
     worst-case weight and drop the n_del smallest in one pass."""
     n = form.n
     _check_budget(n, n_del)
-    lam_abs = model_ref.lam_abs if model_ref is not None else 1.0
-    removable, counts = _class_guard(y, preserve_classes)
-    _, state = _fixed_w_state(form, S)
-    scores = np.array([state.removal_value(i) for i in range(n)])
-    ranking = np.argsort(scores, kind="stable")
+    state = _QuadState(form, S)
+    ranking = np.argsort(state.removal_value(np.arange(n)), kind="stable")
     trace = SelectionTrace(method="robust-oneshot", seed=seed, n=n)
-    for i in ranking:
-        if len(trace.removal_order) == n_del:
-            break
-        if not removable(i, counts):
-            continue
-        state.remove(int(i))
-        counts[1 if y[i] > 0 else -1] -= 1
-        trace.removal_order.append(int(i))
-        dg = state.value
-        trace.per_step.append((dg, _step_ub(model_ref, val, Q, dg, lam_abs)))
-    if len(trace.removal_order) < n_del:
-        raise ValueError("class preservation exhausted the candidate pool")
+    trace.removal_order = _filtered_removals(ranking, n_del, np.asarray(y),
+                                             preserve_classes)
+    for i in trace.removal_order:
+        state.remove(i)
+        trace.per_step.append((state.value, _step_ub(model_ref, val, Q, state.value)))
     return trace
 
 
@@ -262,19 +253,19 @@ def _herding_order(K):
     return order
 
 
-def _removals_from_keep_order(order, n_del, y, preserve_classes):
-    removable, counts = _class_guard(y, preserve_classes)
-    removal = []
-    for i in reversed(order):
-        if len(removal) == n_del:
-            break
-        if not removable(i, counts):
-            continue
-        counts[1 if y[i] > 0 else -1] -= 1
-        removal.append(int(i))
-    if len(removal) < n_del:
-        raise ValueError("class preservation exhausted the candidate pool")
-    return removal
+def _baseline_order(method, K, model_ref, seed):
+    """Removal order of a baseline, first removal first."""
+    if method == "random":
+        return np.random.default_rng(seed).permutation(K.shape[0])
+    if method == "margin":
+        if model_ref is None:
+            raise ValueError("margin baseline needs the reference model")
+        return np.argsort(-np.abs(model_ref.train_scores), kind="stable")
+    if method == "kcenter":
+        return reversed(_kcenter_order(K))
+    if method == "herding":
+        return reversed(_herding_order(K))
+    raise ValueError(f"unknown baseline method {method!r}")
 
 
 def baseline_select(method: str, K, y, model_ref: Model | None, n_del: int,
@@ -287,47 +278,11 @@ def baseline_select(method: str, K, y, model_ref: Model | None, n_del: int,
     redundant points first.
     """
     K = np.asarray(K, dtype=float)
-    y = np.asarray(y)
     n = K.shape[0]
     _check_budget(n, n_del)
-    if method == "random":
-        rng = np.random.default_rng(seed)
-        candidates = list(rng.permutation(n))
-        removable, counts = _class_guard(y, preserve_classes)
-        removal = []
-        for i in candidates:
-            if len(removal) == n_del:
-                break
-            if not removable(i, counts):
-                continue
-            counts[1 if y[i] > 0 else -1] -= 1
-            removal.append(int(i))
-        if len(removal) < n_del:
-            raise ValueError("class preservation exhausted the candidate pool")
-    elif method == "margin":
-        if model_ref is None:
-            raise ValueError("margin baseline needs the reference model")
-        order = np.argsort(-np.abs(model_ref.train_scores), kind="stable")
-        removable, counts = _class_guard(y, preserve_classes)
-        removal = []
-        for i in order:
-            if len(removal) == n_del:
-                break
-            if not removable(i, counts):
-                continue
-            counts[1 if y[i] > 0 else -1] -= 1
-            removal.append(int(i))
-        if len(removal) < n_del:
-            raise ValueError("class preservation exhausted the candidate pool")
-    elif method == "kcenter":
-        removal = _removals_from_keep_order(_kcenter_order(K), n_del, y,
-                                            preserve_classes)
-    elif method == "herding":
-        removal = _removals_from_keep_order(_herding_order(K), n_del, y,
-                                            preserve_classes)
-    else:
-        raise ValueError(f"unknown baseline method {method!r}")
+    order = _baseline_order(method, K, model_ref, seed)
     trace = SelectionTrace(method=method, seed=seed, n=n)
-    trace.removal_order = removal
-    trace.per_step = [(math.nan, math.nan)] * len(removal)
+    trace.removal_order = _filtered_removals(order, n_del, np.asarray(y),
+                                             preserve_classes)
+    trace.per_step = [(math.nan, math.nan)] * n_del
     return trace

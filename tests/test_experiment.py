@@ -156,6 +156,17 @@ def test_run_experiment_deterministic_csv(synth_file, tmp_path):
                        "gap_diagnostics"}
 
 
+def test_run_experiment_method_rows_independent_of_method_list(synth_file):
+    rows = {}
+    for methods in (("random",), ("robust", "random")):
+        config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
+                                  methods=methods, removal_grid=(0.3, 0.5),
+                                  folds=2, seed=3, algorithm=2)
+        rows[methods] = [r for r in run_experiment(config).rows
+                         if r["method"] == "random"]
+    assert rows[("random",)] and rows[("random",)] == rows[("robust", "random")]
+
+
 def test_config_validation(synth_file):
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=synth_file, removal_grid=(1.0,))
@@ -216,6 +227,36 @@ def test_cli_select_certify_evaluate(tmp_path):
     assert 0.0 <= result["wc_accuracy"] <= 1.0
 
 
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+@pytest.mark.parametrize("method", ["robust", "random"])
+def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
+    runner = CliRunner()
+    data = tmp_path / "task.svm"
+    runner.invoke(cli_main, ["synth", "--n", "60", "--d", "3", "--seed", "9",
+                             "--out", str(data)])
+    common = ["--dataset", str(data), "--loss", loss, "--lambda-rule", "2.0",
+              "--folds", "3", "--seed", "4"]
+    res = runner.invoke(cli_main, ["sweep", *common, "--methods", method,
+                                   "--removal-grid", "0.5",
+                                   "--output-dir", str(tmp_path / "sweep")])
+    assert res.exit_code == 0, res.output
+    rows = json.loads((tmp_path / "sweep" / "report.json").read_text())["rows"]
+    row = next(r for r in rows if r["fold"] == 0)
+    res = runner.invoke(cli_main, ["select", *common, "--method", method,
+                                   "--keep-fraction", "0.5",
+                                   "--output-dir", str(tmp_path / "sel")])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(cli_main, [
+        "certify", *common, "--indices",
+        str(tmp_path / "sel" / "selected_indices.txt"),
+        "--output-dir", str(tmp_path / "cert")])
+    assert res.exit_code == 0, res.output
+    cert = json.loads((tmp_path / "cert" / "bound_report.json").read_text())
+    assert cert["m"] == row["m"]
+    assert cert["certified_lb"] == pytest.approx(row["certified_lb"], abs=1e-9)
+    assert cert["dg_max"] == pytest.approx(row["dg_max"], abs=1e-9)
+
+
 def test_cli_lambda_cv(tmp_path):
     runner = CliRunner()
     data = tmp_path / "task.svm"
@@ -238,6 +279,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert res.exit_code == 2
     res = runner.invoke(cli_main, ["sweep", "--dataset", str(tmp_path / "no")])
     assert res.exit_code == 2
+    non_psd = np.eye(30)
+    non_psd[0, 1] = non_psd[1, 0] = 1.3
+    asymmetric = np.eye(30)
+    asymmetric[0, 1] = 0.5
+    for k, bad_K in enumerate([np.eye(25), np.eye(35), asymmetric, non_psd]):
+        kernel_file = tmp_path / f"k{k}.csv"
+        np.savetxt(kernel_file, bad_K, delimiter=",")
+        res = runner.invoke(cli_main, [
+            "sweep", "--dataset", str(data), "--lambda-rule", "1.0",
+            "--kernel", "precomputed", "--kernel-file", str(kernel_file),
+            "--output-dir", str(tmp_path / "out")])
+        assert res.exit_code == 2, (k, res.output)
 
 
 def test_cli_numerical_error_exit_code(tmp_path):

@@ -83,8 +83,17 @@ def test_load_precomputed(tmp_path):
     K = np.array([[1.0, 0.25], [0.25, 1.0]])
     path = tmp_path / "k.csv"
     np.savetxt(path, K, delimiter=",")
-    np.testing.assert_allclose(load_precomputed(path), K)
-    bad = tmp_path / "bad.csv"
-    np.savetxt(bad, np.ones((2, 3)), delimiter=",")
-    with pytest.raises(ValueError):
-        load_precomputed(bad)
+    np.testing.assert_allclose(load_precomputed(path, 2), K)
+    bad_inputs = [
+        (np.ones((2, 3)), 2),                        # not square
+        (np.eye(2), 3),                              # fewer rows than the data
+        (np.eye(4), 3),                              # more rows than the data
+        (np.array([[1.0, 0.25], [0.3, 1.0]]), 2),    # not symmetric
+        (np.array([[1.0, 1.3], [1.3, 1.0]]), 2),     # min eigenvalue -0.3
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), 2),
+    ]
+    for k, (bad_K, n) in enumerate(bad_inputs):
+        bad = tmp_path / f"bad{k}.csv"
+        np.savetxt(bad, bad_K, delimiter=",")
+        with pytest.raises(ValueError):
+            load_precomputed(bad, n)

@@ -120,8 +120,9 @@ def test_greedy_oneshot_first_removal_matches_fixed_w():
 
 def test_greedy_oneshot_tie_breaks_by_index():
     form = rc.QuadraticGapForm(A=np.zeros((5, 5)), b=np.ones(5) * 2.0, c=0.0)
-    trace = rc.greedy_oneshot(form, labels(5), 0.0, 0.0, 3)
-    assert trace.removal_order == [0, 1, 2]
+    for fn in (rc.greedy_exact, rc.greedy_fixed_w, rc.greedy_oneshot):
+        trace = fn(form, labels(5), 0.0, 0.0, 3)
+        assert trace.removal_order == [0, 1, 2], fn.__name__
 
 
 def test_greedy_oneshot_removes_bottom_scores():
@@ -194,14 +195,20 @@ def test_unknown_baseline_rejected():
         baseline_select("glister", np.eye(3), labels(3), None, 1)
 
 
-@pytest.mark.parametrize("method", ["random", "kcenter", "herding"])
+@pytest.mark.parametrize("method", ["random", "kcenter", "herding", "margin"])
 def test_preserve_classes(method):
     rng = np.random.default_rng(11)
     X = rng.standard_normal((8, 2))
     y = np.array([1.0] + [-1.0] * 7)
     K = rc.gram(X, X, rc.KernelSpec("rbf", 2.0))
+    # margin would remove the lone positive (largest |score|) first
+    scores = np.arange(8.0, 0.0, -1.0)
+    dummy = rc.Model(alpha=np.zeros(8), lam=1.0, loss=rc.HINGE, v=np.ones(8),
+                     w=np.ones(8), E=8.0, gram_ref=K, certified_gap=0.0,
+                     y=y, rep_coef=np.zeros(8), train_scores=scores,
+                     beta_sq=0.0)
     for seed in range(5):
-        trace = baseline_select(method, K, y, None, 6, seed=seed,
+        trace = baseline_select(method, K, y, dummy, 6, seed=seed,
                                 preserve_classes=True)
         kept = trace.kept_indices()
         assert (y[kept] > 0).any() and (y[kept] < 0).any()
