@@ -4,11 +4,11 @@ perturbations."""
 
 from .bound import (BoundReport, QuadraticGapForm, certificate, certify,
                     maximize_on_ball, min_weighted_indicator, quadratic_form,
-                    radius, score_interval, worst_case_error_ub)
-from .data import (Dataset, SplitPlan, WeightBall, cv_split, gaussian_task,
-                   parse_libsvm, shift_radius, to_libsvm)
+                    radius, worst_case_error_ub)
+from .data import (Dataset, SplitPlan, cv_split, gaussian_task, parse_libsvm,
+                   shift_radius, to_libsvm)
 from .erm import (HINGE, LOGISTIC, Model, Objectives, conjugate_eval,
-                  decision_scores, evaluate_gap, loss_eval, predict, train)
+                  decision_scores, evaluate_gap, loss_eval, train)
 from .experiment import (ExperimentConfig, RunReport,
                          evaluate_worst_case_accuracy, lambda_cv,
                          run_experiment)
@@ -21,11 +21,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "QuadraticGapForm", "certificate", "certify",
     "maximize_on_ball", "min_weighted_indicator", "quadratic_form", "radius",
-    "score_interval", "worst_case_error_ub",
-    "Dataset", "SplitPlan", "WeightBall", "cv_split", "gaussian_task",
+    "worst_case_error_ub",
+    "Dataset", "SplitPlan", "cv_split", "gaussian_task",
     "parse_libsvm", "shift_radius", "to_libsvm",
     "HINGE", "LOGISTIC", "Model", "Objectives", "conjugate_eval",
-    "decision_scores", "evaluate_gap", "loss_eval", "predict", "train",
+    "decision_scores", "evaluate_gap", "loss_eval", "train",
     "ExperimentConfig", "RunReport", "evaluate_worst_case_accuracy",
     "lambda_cv", "run_experiment",
     "KernelSpec", "bandwidth_heuristic", "gram",

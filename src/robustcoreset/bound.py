@@ -47,7 +47,6 @@ __all__ = [
     "quadratic_form",
     "maximize_on_ball",
     "radius",
-    "score_interval",
     "certify",
     "min_weighted_indicator",
     "worst_case_error_ub",
@@ -209,16 +208,6 @@ def radius(dg_max: float, lam: float) -> float:
     if dg_max < -1e-10:
         raise ValueError(f"negative gap {dg_max} beyond tolerance")
     return math.sqrt(2.0 * max(dg_max, 0.0) / lam)
-
-
-def score_interval(score_center: float, k_self: float, R: float):
-    """Reach of y'*score over the parameter ball: center +/- sqrt(k_self)*R."""
-    if k_self < 0:
-        raise ValueError("k_self must be nonnegative")
-    if R < 0:
-        raise ValueError("R must be nonnegative")
-    half = math.sqrt(k_self) * R
-    return score_center - half, score_center + half
 
 
 class Counts(NamedTuple):

@@ -6,6 +6,11 @@ validation accuracy), ``sweep`` (full experiment grid to CSV/JSON),
 ``lambda-cv`` (cross-validated regularization pick) and ``synth``
 (generate a LIBSVM-format demo dataset).
 
+Each command reads the dataset and any ``--kernel-file`` once and
+resolves lambda once.  ``select``, ``certify`` and ``evaluate`` build a
+fold, size the coreset (``--removal-fraction``) and score it through the
+same ``experiment`` calls as ``sweep``, so they match its rows.
+
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures.
 """
@@ -18,12 +23,13 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import bound, select as select_mod
+from . import bound
 from .data import ParseError, SplitError, gaussian_task, to_libsvm
-from .erm import TrainingError, train
-from .experiment import (ALL_METHODS, ExperimentConfig, evaluate_worst_case_accuracy,
-                         default_lambda_grid, lambda_cv, load_dataset,
-                         prepare_fold, run_experiment, run_selection)
+from .erm import TrainingError
+from .experiment import (ALL_METHODS, ExperimentConfig, certify_coreset,
+                         default_lambda_grid, lambda_cv, load_inputs,
+                         prepare_fold, resolve_lambda, retrained_accuracy,
+                         run_experiment, run_selection)
 
 _NUMERICAL = (TrainingError, bound.BallMaximizationError, SplitError,
               np.linalg.LinAlgError, FloatingPointError)
@@ -42,65 +48,78 @@ def _guard(fn):
     return wrapped
 
 
-def _common(fn):
-    opts = [
-        click.option("--dataset", required=True, type=click.Path(exists=True),
-                     help="LIBSVM-format data file."),
-        click.option("--loss", type=click.Choice(["logistic", "hinge"]),
-                     default="logistic", show_default=True),
-        click.option("--kernel", type=click.Choice(["rbf", "linear", "precomputed"]),
-                     default="rbf", show_default=True),
-        click.option("--bandwidth", type=float, default=None,
-                     help="RBF bandwidth; defaults to the pooled-variance heuristic."),
-        click.option("--kernel-file", type=click.Path(exists=True), default=None,
-                     help="Symmetric PSD CSV matrix over all rows of "
-                          "--dataset, for --kernel precomputed."),
-        click.option("--lambda-rule", default="cv-best", show_default=True,
-                     help="'n', 'n*10^-1.5', 'n*10^-3', a number, or 'cv-best'."),
-        click.option("--a", type=float, default=1.05, show_default=True,
-                     help="Training-side shift factor; sets S."),
-        click.option("--q-factor", type=float, default=None,
-                     help="Validation-side shift factor; defaults to --a."),
-        click.option("--folds", type=int, default=5, show_default=True),
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--algorithm", type=click.Choice(["0", "1", "2", "3"]),
-                     default="0", show_default=True,
-                     help="Greedy variant; 0 picks 1 for n<=400, else 2."),
-        click.option("--preserve-classes", is_flag=True,
-                     help="Never remove the last instance of a class."),
-        click.option("--min-max-scale", is_flag=True,
-                     help="Scale features to [0,1] before splitting."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+def _options(*opts):
+    def apply(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+    return apply
+
+
+_common = _options(
+    click.option("--dataset", required=True, type=click.Path(exists=True),
+                 help="LIBSVM-format data file."),
+    click.option("--loss", type=click.Choice(["logistic", "hinge"]),
+                 default="logistic", show_default=True),
+    click.option("--kernel", type=click.Choice(["rbf", "linear", "precomputed"]),
+                 default="rbf", show_default=True),
+    click.option("--bandwidth", type=float, default=None,
+                 help="RBF bandwidth; defaults to the pooled-variance heuristic."),
+    click.option("--kernel-file", type=click.Path(exists=True), default=None,
+                 help="Symmetric PSD CSV matrix over all rows of "
+                      "--dataset, for --kernel precomputed."),
+    click.option("--lambda-rule", default="cv-best", show_default=True,
+                 help="'n', 'n*10^-1.5', 'n*10^-3', a number, or 'cv-best'."),
+    click.option("--a", type=float, default=1.05, show_default=True,
+                 help="Training-side shift factor; sets S."),
+    click.option("--q-factor", type=float, default=None,
+                 help="Validation-side shift factor; defaults to --a."),
+    click.option("--folds", type=int, default=5, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--algorithm", type=click.Choice(["0", "1", "2", "3"]),
+                 default="0", show_default=True,
+                 help="Greedy variant; 0 picks 1 for n<=400, else 2."),
+    click.option("--preserve-classes", is_flag=True,
+                 help="Never remove the last instance of a class."),
+    click.option("--min-max-scale", is_flag=True,
+                 help="Scale features to [0,1] before splitting."))
+
+_fold_options = _options(
+    click.option("--method", type=click.Choice(ALL_METHODS), default="robust",
+                 show_default=True),
+    click.option("--removal-fraction", type=float, default=0.5,
+                 show_default=True,
+                 help="Fraction of the fold's training instances to remove, "
+                      "in [0, 1); like a --removal-grid entry of sweep, it "
+                      "removes min(round(f*n_tr), n_tr - 1)."),
+    click.option("--fold", type=int, default=0, show_default=True))
+
+_indices = click.option(
+    "--indices", type=click.Path(exists=True), default=None,
+    help="File of kept original indices, one per line, each at most once; "
+         "replaces selection by --method.")
 
 
 def _config(kwargs, **extra) -> ExperimentConfig:
-    return ExperimentConfig(
-        dataset=kwargs["dataset"], loss=kwargs["loss"], kernel=kwargs["kernel"],
-        bandwidth=kwargs["bandwidth"], kernel_file=kwargs["kernel_file"],
-        lambda_rule=kwargs["lambda_rule"], a=kwargs["a"],
-        q_factor=kwargs["q_factor"], folds=kwargs["folds"],
-        seed=kwargs["seed"], algorithm=int(kwargs["algorithm"]),
-        preserve_classes=kwargs["preserve_classes"],
-        min_max_scale=kwargs["min_max_scale"], **extra)
+    """Config from the ``_common`` options, which share the field names."""
+    return ExperimentConfig(**{**kwargs, "algorithm": int(kwargs["algorithm"])},
+                            **extra)
 
 
-def _fold_context(kwargs, fold):
-    config = _config(kwargs)
-    ds = load_dataset(config.dataset, config.min_max_scale)
-    ctx = prepare_fold(ds, config, fold)
-    if ctx.S > 1.0:
+def _fold_context(kwargs, fold, removal_fraction):
+    config = _config(kwargs, removal_grid=(removal_fraction,))
+    ds, K_full = load_inputs(config)
+    ctx = prepare_fold(ds, config, fold, resolve_lambda(config, ds, K_full),
+                       K_full)
+    if ctx.weights_may_be_negative:
         click.echo(f"warning: training ball radius S={ctx.S:.4g} exceeds 1; "
                    "weights may leave the nonnegative orthant", err=True)
     return config, ctx
 
 
-def _n_del(keep_fraction, n_tr):
-    if not 0.0 < keep_fraction <= 1.0:
-        raise click.UsageError("--keep-fraction must be in (0, 1]")
-    return n_tr - max(1, int(round(keep_fraction * n_tr)))
+def _selection(ctx, config, method):
+    (n_del,) = config.removal_counts(len(ctx.y_tr))
+    return run_selection(ctx, config, method, n_del)
 
 
 @click.group()
@@ -110,64 +129,56 @@ def main():
 
 @main.command("select")
 @_common
-@click.option("--method", type=click.Choice(ALL_METHODS), default="robust",
-              show_default=True)
-@click.option("--keep-fraction", type=float, default=0.5, show_default=True)
-@click.option("--fold", type=int, default=0, show_default=True)
+@_fold_options
 @click.option("--output-dir", type=click.Path(), default=".", show_default=True)
 @_guard
-def select_cmd(method, keep_fraction, fold, output_dir, **kwargs):
+def select_cmd(method, removal_fraction, fold, output_dir, **kwargs):
     """Select a coreset on one fold; writes trace JSON and kept indices."""
-    config, ctx = _fold_context(kwargs, fold)
-    n_tr = len(ctx.y_tr)
-    trace = run_selection(ctx, config, method, _n_del(keep_fraction, n_tr))
+    config, ctx = _fold_context(kwargs, fold, removal_fraction)
+    trace = _selection(ctx, config, method)
     kept_local = trace.kept_indices()
     kept_original = ctx.tr_idx[kept_local]
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = trace.to_dict()
-    payload["fold"] = fold
-    payload["train_index_map"] = ctx.tr_idx.tolist()
-    payload["kept_original_indices"] = kept_original.tolist()
+    payload = {**trace.to_dict(), "fold": fold,
+               "train_index_map": ctx.tr_idx.tolist(),
+               "kept_original_indices": kept_original.tolist()}
     (out / "trace.json").write_text(json.dumps(payload, indent=2) + "\n")
     (out / "selected_indices.txt").write_text(
         "".join(f"{i}\n" for i in kept_original))
-    click.echo(f"kept {kept_local.size}/{n_tr} training instances "
+    click.echo(f"kept {kept_local.size}/{len(ctx.y_tr)} training instances "
                f"(fold {fold}, method {method}); wrote {out / 'trace.json'}")
 
 
-def _coreset_mask(ctx, config, method, keep_fraction, indices_file):
-    n_tr = len(ctx.y_tr)
-    if indices_file:
-        kept_original = np.loadtxt(indices_file, dtype=int, ndmin=1)
-        pos = {orig: local for local, orig in enumerate(ctx.tr_idx)}
-        missing = [int(i) for i in kept_original if int(i) not in pos]
-        if missing:
-            raise click.UsageError(
-                f"indices not in this fold's training part: {missing[:5]}")
-        v = np.zeros(n_tr)
-        v[[pos[int(i)] for i in kept_original]] = 1.0
-        return v
-    return run_selection(ctx, config, method,
-                         _n_del(keep_fraction, n_tr)).kept_mask()
+def _coreset_mask(ctx, config, method, indices_file):
+    if not indices_file:
+        return _selection(ctx, config, method).kept_mask()
+    kept_original = [int(tok) for tok in Path(indices_file).read_text().split()]
+    if not kept_original:
+        raise click.UsageError("--indices lists no instances")
+    if len(set(kept_original)) < len(kept_original):
+        raise click.UsageError("--indices lists an instance more than once")
+    pos = {orig: local for local, orig in enumerate(ctx.tr_idx)}
+    missing = [i for i in kept_original if i not in pos]
+    if missing:
+        raise click.UsageError(
+            f"indices not in this fold's training part: {missing[:5]}")
+    v = np.zeros(len(ctx.y_tr))
+    v[[pos[i] for i in kept_original]] = 1.0
+    return v
 
 
 @main.command("certify")
 @_common
-@click.option("--method", type=click.Choice(ALL_METHODS), default="robust",
-              show_default=True)
-@click.option("--keep-fraction", type=float, default=0.5, show_default=True)
-@click.option("--fold", type=int, default=0, show_default=True)
-@click.option("--indices", type=click.Path(exists=True), default=None,
-              help="File of kept original indices (one per line).")
+@_fold_options
+@_indices
 @click.option("--output-dir", type=click.Path(), default=".", show_default=True)
 @_guard
-def certify_cmd(method, keep_fraction, fold, indices, output_dir, **kwargs):
+def certify_cmd(method, removal_fraction, fold, indices, output_dir, **kwargs):
     """Certificate (radius, zeta, error bound) for a coreset."""
-    config, ctx = _fold_context(kwargs, fold)
-    v = _coreset_mask(ctx, config, method, keep_fraction, indices)
-    report = bound.certificate(ctx.model, ctx.form_cert, v, ctx.S, ctx.Q,
-                               ctx.K_cross, ctx.k_diag, ctx.y_va, ctx.lam_abs)
+    config, ctx = _fold_context(kwargs, fold, removal_fraction)
+    v = _coreset_mask(ctx, config, method, indices)
+    report = certify_coreset(ctx, v)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
@@ -182,23 +193,15 @@ def certify_cmd(method, keep_fraction, fold, indices, output_dir, **kwargs):
 
 @main.command("evaluate")
 @_common
-@click.option("--method", type=click.Choice(ALL_METHODS), default="robust",
-              show_default=True)
-@click.option("--keep-fraction", type=float, default=0.5, show_default=True)
-@click.option("--fold", type=int, default=0, show_default=True)
-@click.option("--indices", type=click.Path(exists=True), default=None)
+@_fold_options
+@_indices
 @_guard
-def evaluate_cmd(method, keep_fraction, fold, indices, **kwargs):
+def evaluate_cmd(method, removal_fraction, fold, indices, **kwargs):
     """Retrain on a coreset and print worst-case weighted validation accuracy."""
-    config, ctx = _fold_context(kwargs, fold)
-    v = _coreset_mask(ctx, config, method, keep_fraction, indices)
-    kept = np.flatnonzero(v > 0)
-    sub_model = train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
-                      lam=ctx.lam_abs / kept.size, kind=config.loss,
-                      tol=config.tol)
-    wc = evaluate_worst_case_accuracy(sub_model, ctx.K_cross[kept, :],
-                                      ctx.y_va, ctx.Q)
-    click.echo(json.dumps({"fold": fold, "method": method, "m": int(kept.size),
+    config, ctx = _fold_context(kwargs, fold, removal_fraction)
+    v = _coreset_mask(ctx, config, method, indices)
+    wc = retrained_accuracy(ctx, config, v)
+    click.echo(json.dumps({"fold": fold, "method": method, "m": int(v.sum()),
                            "wc_accuracy": wc, "Q": ctx.Q}, indent=2))
 
 
@@ -238,14 +241,12 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 def lambda_cv_cmd(grid, **kwargs):
     """Print the cross-validated regularization strength."""
     config = _config(kwargs)
-    ds = load_dataset(config.dataset, config.min_max_scale)
+    ds, K_full = load_inputs(config)
     if grid:
         values = [float(x) for x in grid.split(",")]
     else:
         values = default_lambda_grid(ds.n - ds.n // config.folds)
-    best = lambda_cv(ds, values, config.folds, config.seed, loss=config.loss,
-                     config=config, tol=config.tol)
-    click.echo(f"{best:.10g}")
+    click.echo(f"{lambda_cv(ds, values, config, K_full):.10g}")
 
 
 @main.command("synth")

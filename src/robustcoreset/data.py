@@ -12,7 +12,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "WeightBall",
     "SplitPlan",
     "ParseError",
     "SplitError",
@@ -77,29 +76,6 @@ class Dataset:
         X = np.asarray(X, dtype=float)
         ones = np.ones((X.shape[0], 1))
         return Dataset(np.hstack([X, ones]), np.asarray(y))
-
-
-@dataclass(frozen=True)
-class WeightBall:
-    """L2 ball of the given radius around the all-ones weight vector."""
-
-    radius: float
-    dimension: int
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-
-    def contains(self, w, tol: float = 1e-12) -> bool:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.dimension,):
-            raise ValueError("weight vector has wrong dimension")
-        return float(np.linalg.norm(w - 1.0)) <= self.radius + tol
-
-    def center(self) -> np.ndarray:
-        return np.ones(self.dimension)
 
 
 @dataclass(frozen=True)

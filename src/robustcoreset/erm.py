@@ -34,7 +34,6 @@ __all__ = [
     "train",
     "evaluate_gap",
     "decision_scores",
-    "predict",
 ]
 
 LOGISTIC = "logistic"
@@ -299,8 +298,3 @@ def decision_scores(model: Model, K_cross) -> np.ndarray:
     if K_cross.ndim != 2 or K_cross.shape[0] != model.n:
         raise ValueError("cross-Gram must have one row per training instance")
     return K_cross.T @ model.rep_coef
-
-
-def predict(model: Model, K_cross) -> np.ndarray:
-    """Labels: -1 for negative score, +1 otherwise."""
-    return np.where(decision_scores(model, K_cross) < 0.0, -1, 1)

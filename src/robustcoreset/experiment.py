@@ -40,9 +40,13 @@ __all__ = [
     "lambda_cv",
     "evaluate_worst_case_accuracy",
     "load_dataset",
+    "load_inputs",
     "min_max_scaled",
+    "resolve_lambda",
     "prepare_fold",
     "run_selection",
+    "retrained_accuracy",
+    "certify_coreset",
     "run_experiment",
 ]
 
@@ -91,6 +95,11 @@ class ExperimentConfig:
     def q_shift(self) -> float:
         return self.a if self.q_factor is None else self.q_factor
 
+    def removal_counts(self, n_tr: int) -> list:
+        """Removals per grid fraction, min(round(f*n_tr), n_tr - 1); the
+        sweep rows and the single-fold CLI commands share this rule."""
+        return [min(int(round(f * n_tr)), n_tr - 1) for f in self.removal_grid]
+
 
 def min_max_scaled(ds: Dataset) -> Dataset:
     """Scale non-intercept columns to [0, 1]; constant columns collapse to 0."""
@@ -104,6 +113,15 @@ def min_max_scaled(ds: Dataset) -> Dataset:
 def load_dataset(path, min_max: bool = False) -> Dataset:
     ds = parse_libsvm(Path(path).read_text())
     return min_max_scaled(ds) if min_max else ds
+
+
+def load_inputs(config: ExperimentConfig):
+    """The dataset and, for the precomputed kernel, its validated Gram
+    matrix over all rows (None otherwise); read once per command."""
+    ds = load_dataset(config.dataset, config.min_max_scale)
+    K_full = (load_precomputed(config.kernel_file, ds.n)
+              if config.kernel == "precomputed" else None)
+    return ds, K_full
 
 
 _RULE_RE = re.compile(r"^n(\*10\^(?P<exp>-?\d+(\.\d+)?))?$")
@@ -134,48 +152,40 @@ def default_lambda_grid(n: int):
 
 
 def _fold_kernel(config: ExperimentConfig, X_tr, X_va, tr_idx, va_idx, K_full):
+    """Training Gram, training-by-validation Gram and validation diagonal."""
     if config.kernel == "precomputed":
-        K = K_full[np.ix_(tr_idx, tr_idx)]
-        Kx = K_full[np.ix_(tr_idx, va_idx)]
-        kdiag = np.diag(K_full)[va_idx]
-        return K, Kx, kdiag
+        return (K_full[np.ix_(tr_idx, tr_idx)], K_full[np.ix_(tr_idx, va_idx)],
+                np.diag(K_full)[va_idx])
     if config.kernel == "rbf":
-        bw = config.bandwidth or bandwidth_heuristic(X_tr)
-        spec = KernelSpec("rbf", bw)
-        return gram(X_tr, X_tr, spec), gram(X_tr, X_va, spec), np.ones(len(va_idx))
-    spec = KernelSpec("linear")
-    kdiag = np.einsum("ij,ij->i", X_va, X_va)
+        spec = KernelSpec("rbf", config.bandwidth or bandwidth_heuristic(X_tr))
+        kdiag = np.ones(len(va_idx))
+    else:
+        spec = KernelSpec("linear")
+        kdiag = np.einsum("ij,ij->i", X_va, X_va)
     return gram(X_tr, X_tr, spec), gram(X_tr, X_va, spec), kdiag
 
 
-def lambda_cv(ds: Dataset, grid, folds: int = 5, seed: int = 0, *,
-              loss: str = LOGISTIC, config: ExperimentConfig | None = None,
-              tol: float = 1e-8) -> float:
-    """Grid value maximizing mean unweighted validation accuracy; ties break
-    toward the smaller lambda."""
+def lambda_cv(ds: Dataset, grid, config: ExperimentConfig, K_full) -> float:
+    """Grid value maximizing mean unweighted validation accuracy over the
+    config's folds; ties break toward the smaller lambda.  ``K_full`` is
+    the precomputed Gram matrix from ``load_inputs`` (None otherwise)."""
     grid = sorted(grid)
     if not grid:
         raise ValueError("empty lambda grid")
-    if config is None:
-        config = ExperimentConfig(dataset="<in-memory>", loss=loss)
-    plan = cv_split(ds, folds, seed)
-    K_full = (load_precomputed(config.kernel_file, ds.n)
-              if config.kernel == "precomputed" else None)
-    best_lam, best_acc = None, -1.0
-    for lam_abs in grid:
-        accs = []
-        for k in range(folds):
-            tr_idx, va_idx = plan.train_indices(k), plan.val_indices(k)
-            tr, va = ds.subset(tr_idx), ds.subset(va_idx)
-            K, Kx, _ = _fold_kernel(config, tr.features, va.features,
-                                    tr_idx, va_idx, K_full)
-            model = train(K, tr.labels, lam=lam_abs / tr.n, kind=loss, tol=tol)
+    plan = cv_split(ds, config.folds, config.seed)
+    accs = [[] for _ in grid]
+    for k in range(config.folds):
+        tr_idx, va_idx = plan.train_indices(k), plan.val_indices(k)
+        tr, va = ds.subset(tr_idx), ds.subset(va_idx)
+        K, Kx, _ = _fold_kernel(config, tr.features, va.features,
+                                tr_idx, va_idx, K_full)
+        for lam_abs, fold_accs in zip(grid, accs):
+            model = train(K, tr.labels, lam=lam_abs / tr.n, kind=config.loss,
+                          tol=config.tol)
             scores = decision_scores(model, Kx)
-            accs.append(float(np.mean(va.labels * scores > 0)))
-        mean_acc = float(np.mean(accs))
-        if mean_acc > best_acc:
-            best_lam, best_acc = lam_abs, mean_acc
-    return best_lam
+            fold_accs.append(float(np.mean(va.labels * scores > 0)))
+    means = [float(np.mean(fold_accs)) for fold_accs in accs]
+    return grid[means.index(max(means))]
 
 
 def evaluate_worst_case_accuracy(model, K_val_cross, y_val, Q: float) -> float:
@@ -192,16 +202,13 @@ def evaluate_worst_case_accuracy(model, K_val_cross, y_val, Q: float) -> float:
 
 @dataclass
 class FoldContext:
-    """Everything a fold needs: data, kernels, radii, model and quadratic."""
+    """Everything a fold needs: data, kernels, radii, model and quadratic;
+    the validation side is kept in ``valset`` only."""
 
     fold: int
     tr_idx: np.ndarray
-    va_idx: np.ndarray
     y_tr: np.ndarray
-    y_va: np.ndarray
     K: np.ndarray
-    K_cross: np.ndarray
-    k_diag: np.ndarray
     S: float
     Q: float
     lam_abs: float
@@ -209,49 +216,39 @@ class FoldContext:
     form_cert: bound.QuadraticGapForm
     valset: select.ValidationSet
 
+    @property
+    def weights_may_be_negative(self) -> bool:
+        """The training ball ||w - 1|| <= S holds a negative weight iff S > 1."""
+        return self.S > 1.0
 
-def _resolve_lambda(config: ExperimentConfig, ds: Dataset) -> float:
-    if config.lambda_rule.strip() == "cv-best":
-        n_tr = ds.n - ds.n // config.folds
-        return lambda_cv(ds, default_lambda_grid(n_tr), config.folds,
-                         config.seed, loss=config.loss, config=config,
-                         tol=config.tol)
+
+def resolve_lambda(config: ExperimentConfig, ds: Dataset, K_full) -> float:
+    """Sum-form lambda of the config's rule at the training-fold size; for
+    "cv-best", the ``lambda_cv`` pick over ``default_lambda_grid``."""
     n_tr = ds.n - ds.n // config.folds
+    if config.lambda_rule.strip() == "cv-best":
+        return lambda_cv(ds, default_lambda_grid(n_tr), config, K_full)
     return resolve_lambda_rule(config.lambda_rule, n_tr)
 
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
-                 lam_abs: float | None = None, K_full=None) -> FoldContext:
+                 lam_abs: float, K_full) -> FoldContext:
+    """Split, kernels, radii, reference model and gap quadratic of one
+    fold; ``lam_abs`` and ``K_full`` come from ``resolve_lambda`` and
+    ``load_inputs``."""
     plan = cv_split(ds, config.folds, config.seed)
     tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
     tr, va = ds.subset(tr_idx), ds.subset(va_idx)
-    if config.kernel == "precomputed" and K_full is None:
-        K_full = load_precomputed(config.kernel_file, ds.n)
     K, Kx, kdiag = _fold_kernel(config, tr.features, va.features,
                                 tr_idx, va_idx, K_full)
-    if lam_abs is None:
-        lam_abs = _resolve_lambda(config, ds)
     S = shift_radius(tr.n_plus, config.a)
     Q = shift_radius(va.n_plus, config.q_shift)
     model = train(K, tr.labels, lam=lam_abs / tr.n, kind=config.loss,
                   tol=config.tol)
     form_cert = bound.quadratic_form(model, K, tr.labels, lam_abs)
-    valset = select.ValidationSet(Kx, kdiag, va.labels)
-    return FoldContext(fold=fold, tr_idx=tr_idx, va_idx=va_idx,
-                       y_tr=tr.labels, y_va=va.labels, K=K, K_cross=Kx,
-                       k_diag=kdiag, S=S, Q=Q, lam_abs=lam_abs, model=model,
-                       form_cert=form_cert, valset=valset)
-
-
-def _method_seed(base_seed: int, fold: int, method_index: int) -> int:
-    return int(np.random.SeedSequence([base_seed, fold, method_index])
-               .generate_state(1)[0])
-
-
-def _pick_algorithm(config: ExperimentConfig, n_tr: int) -> int:
-    if config.algorithm:
-        return config.algorithm
-    return 1 if n_tr <= 400 else 2
+    return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=tr.labels, K=K, S=S,
+                       Q=Q, lam_abs=lam_abs, model=model, form_cert=form_cert,
+                       valset=select.ValidationSet(Kx, kdiag, va.labels))
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
@@ -259,9 +256,10 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
     """The method's trace on one fold; its seed depends only on the run
     seed, the fold and the method, so every entry point picks the same
     coreset."""
-    seed = _method_seed(config.seed, ctx.fold, ALL_METHODS.index(method))
+    seed = int(np.random.SeedSequence(
+        [config.seed, ctx.fold, ALL_METHODS.index(method)]).generate_state(1)[0])
     if method == ROBUST_METHOD:
-        algorithm = _pick_algorithm(config, len(ctx.y_tr))
+        algorithm = config.algorithm or (1 if len(ctx.y_tr) <= 400 else 2)
         fn = {1: select.greedy_exact, 2: select.greedy_fixed_w,
               3: select.greedy_oneshot}[algorithm]
         return fn(ctx.form_cert, ctx.y_tr, ctx.S, ctx.Q, n_del,
@@ -269,6 +267,24 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
                   preserve_classes=config.preserve_classes, seed=seed)
     return select.baseline_select(method, ctx.K, ctx.y_tr, ctx.model, n_del,
                                   seed, preserve_classes=config.preserve_classes)
+
+
+def retrained_accuracy(ctx: FoldContext, config: ExperimentConfig, v) -> float:
+    """Retrain on the kept mask ``v`` with uniform weights at the fold's
+    absolute lambda and score its worst-case validation accuracy."""
+    kept = np.flatnonzero(v > 0)
+    sub_model = train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
+                      lam=ctx.lam_abs / kept.size, kind=config.loss,
+                      tol=config.tol)
+    return evaluate_worst_case_accuracy(sub_model, ctx.valset.K_cross[kept, :],
+                                        ctx.valset.y, ctx.Q)
+
+
+def certify_coreset(ctx: FoldContext, v) -> bound.BoundReport:
+    """Certificate of the kept mask ``v`` against the fold's reference model."""
+    val = ctx.valset
+    return bound.certificate(ctx.model, ctx.form_cert, v, ctx.S, ctx.Q,
+                             val.K_cross, val.k_diag, val.y, ctx.lam_abs)
 
 
 @dataclass
@@ -290,6 +306,8 @@ def _gap_diagnostics(ctx: FoldContext):
         "q_exact_full": ctx.form_cert.value(ones),
         "q_exact_worst_w": ctx.form_cert.value(w_star),
         "scaled_direct_gap_worst_w": float(w_star.sum()) * direct.gap,
+        "S": ctx.S,
+        "weights_may_be_negative": ctx.weights_may_be_negative,
     }
 
 
@@ -342,53 +360,34 @@ def _aggregate(rows):
     return agg
 
 
-def run_experiment(config: ExperimentConfig, ds: Dataset | None = None) -> RunReport:
+def run_experiment(config: ExperimentConfig) -> RunReport:
     """Full sweep; writes report.csv / report.json when output_dir is set.
 
     On error, rows computed so far are flushed with a trailing status row
     before the exception propagates.
     """
-    if ds is None:
-        ds = load_dataset(config.dataset, config.min_max_scale)
-    lam_abs = _resolve_lambda(config, ds)
+    ds, K_full = load_inputs(config)
+    lam_abs = resolve_lambda(config, ds, K_full)
     report = RunReport(lam_abs=lam_abs)
-    K_full = (load_precomputed(config.kernel_file, ds.n)
-              if config.kernel == "precomputed" else None)
     try:
         for fold in range(config.folds):
-            ctx = prepare_fold(ds, config, fold, lam_abs=lam_abs, K_full=K_full)
+            ctx = prepare_fold(ds, config, fold, lam_abs, K_full)
             report.gap_diagnostics.append(_gap_diagnostics(ctx))
-            n_tr = len(ctx.y_tr)
-            n_del_grid = [min(int(round(f * n_tr)), n_tr - 1)
-                          for f in config.removal_grid]
-            n_del_max = max(n_del_grid, default=0)
+            n_del_grid = config.removal_counts(len(ctx.y_tr))
             for method in config.methods:
-                trace = run_selection(ctx, config, method, n_del_max)
+                trace = run_selection(ctx, config, method,
+                                      max(n_del_grid, default=0))
                 for frac, n_del in zip(config.removal_grid, n_del_grid):
                     t0 = time.perf_counter()
                     v = trace.kept_mask(n_del)
-                    kept = np.flatnonzero(v > 0)
-                    m = kept.size
-                    sub_model = train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
-                                      lam=lam_abs / m, kind=config.loss,
-                                      tol=config.tol)
-                    wc_acc = evaluate_worst_case_accuracy(
-                        sub_model, ctx.K_cross[kept, :], ctx.y_va, ctx.Q)
-                    cert = bound.certificate(ctx.model, ctx.form_cert, v,
-                                             ctx.S, ctx.Q, ctx.K_cross,
-                                             ctx.k_diag, ctx.y_va, lam_abs)
+                    wc_acc = retrained_accuracy(ctx, config, v)
+                    cert = certify_coreset(ctx, v)
                     wall_ms = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
-                    report.rows.append({
-                        "fold": fold,
-                        "method": method,
-                        "m": m,
-                        "fraction_removed": float(frac),
-                        "wc_accuracy": wc_acc,
-                        "certified_lb": 1.0 - cert.ub,
-                        "dg_max": cert.dg_max,
-                        "wall_ms": wall_ms,
-                        "status": "ok",
-                    })
+                    report.rows.append(dict(
+                        fold=fold, method=method, m=int(v.sum()),
+                        fraction_removed=float(frac), wc_accuracy=wc_acc,
+                        certified_lb=1.0 - cert.ub, dg_max=cert.dg_max,
+                        wall_ms=wall_ms, status="ok"))
     except Exception as exc:
         report.rows.append({
             "fold": -1, "method": "-", "m": 0, "fraction_removed": math.nan,
@@ -396,9 +395,8 @@ def run_experiment(config: ExperimentConfig, ds: Dataset | None = None) -> RunRe
             "dg_max": math.nan, "wall_ms": 0.0,
             "status": f"error: {exc}",
         })
+        raise
+    finally:
         report.aggregates = _aggregate(report.rows)
         _write_reports(config, report)
-        raise
-    report.aggregates = _aggregate(report.rows)
-    _write_reports(config, report)
     return report

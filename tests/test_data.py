@@ -149,23 +149,6 @@ def test_shift_radius_validates():
         rc.shift_radius(5, -0.1)
 
 
-def test_weight_ball_membership():
-    ball = rc.WeightBall(radius=0.5, dimension=3)
-    assert ball.contains(np.ones(3))
-    assert ball.contains(np.array([1.5, 1.0, 1.0]))
-    assert ball.contains(np.array([1.5 + 1e-13, 1.0, 1.0]))
-    assert not ball.contains(np.array([1.6, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        ball.contains(np.ones(4))
-
-
-def test_weight_ball_validates():
-    with pytest.raises(ValueError):
-        rc.WeightBall(radius=-0.1, dimension=2)
-    with pytest.raises(ValueError):
-        rc.WeightBall(radius=0.1, dimension=0)
-
-
 def test_gaussian_task_shape():
     ds = rc.gaussian_task(50, 4, seed=9, n_plus=20)
     assert (ds.n, ds.d, ds.n_plus) == (50, 5, 20)

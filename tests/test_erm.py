@@ -234,17 +234,6 @@ def test_decision_scores_single_point():
         rc.decision_scores(model, np.ones((3, 2)))
 
 
-def test_predict_sign_convention():
-    K = np.array([[1.0]])
-    model = rc.Model(alpha=np.array([0.5]), lam=1.0, loss=rc.HINGE,
-                     v=np.ones(1), w=np.ones(1), E=1.0, gram_ref=K,
-                     certified_gap=0.0, y=np.array([1.0]),
-                     rep_coef=np.array([0.5]),
-                     train_scores=np.array([0.5]), beta_sq=0.25)
-    K_cross = np.array([[2.0, -2.0, 0.0]])
-    np.testing.assert_array_equal(rc.predict(model, K_cross), [1, -1, 1])
-
-
 def test_normalized_and_sum_form_share_optimum(rbf_task):
     """Training at lam/n equals the sum-form problem at lam: same alpha."""
     ds, K, lam_abs = rbf_task

@@ -61,15 +61,19 @@ def test_default_lambda_grid():
     assert list(grid) == sorted(grid)
 
 
+def cv_config(folds, seed):
+    return ExperimentConfig(dataset="<in-memory>", folds=folds, seed=seed)
+
+
 def test_lambda_cv_single_element():
     ds = rc.gaussian_task(40, 3, seed=0)
-    assert rc.lambda_cv(ds, [2.5], folds=4, seed=0) == 2.5
+    assert rc.lambda_cv(ds, [2.5], cv_config(4, 0), None) == 2.5
 
 
 def test_lambda_cv_prefers_better_lambda():
     ds = rc.gaussian_task(80, 3, seed=1, separation=4.0)
     grid = [80 * 1e-3, 80.0]
-    best = rc.lambda_cv(ds, grid, folds=4, seed=0)
+    best = rc.lambda_cv(ds, grid, cv_config(4, 0), None)
     accs = {}
     plan = rc.cv_split(ds, 4, 0)
     for lam in grid:
@@ -90,7 +94,8 @@ def test_lambda_cv_prefers_better_lambda():
 def test_lambda_cv_deterministic():
     ds = rc.gaussian_task(50, 3, seed=2)
     grid = [0.05, 5.0]
-    assert rc.lambda_cv(ds, grid, 5, 7) == rc.lambda_cv(ds, grid, 5, 7)
+    config = cv_config(5, 7)
+    assert rc.lambda_cv(ds, grid, config, None) == rc.lambda_cv(ds, grid, config, None)
 
 
 def test_min_max_scaled():
@@ -110,11 +115,14 @@ def synth_file(tmp_path_factory):
 
 
 def test_run_experiment_row_count(synth_file, tmp_path):
-    config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
+    config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0", a=1.5,
                               methods=("random",), removal_grid=(0.5,),
                               folds=2, seed=0, output_dir=str(tmp_path))
     report = run_experiment(config)
     assert len(report.rows) == 2
+    # S = sqrt(n_plus) * 0.5 > 1: the training ball reaches negative weights
+    assert [d["weights_may_be_negative"] for d in report.gap_diagnostics] == [True] * 2
+    assert all(d["S"] > 1.0 for d in report.gap_diagnostics)
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0] == ("fold,method,m,fraction_removed,wc_accuracy,"
@@ -140,6 +148,8 @@ def test_run_experiment_soundness_and_sanity(synth_file):
     for fold, values in by_fold_frac0.items():
         assert len(values) == 1
     assert report.gap_diagnostics and "q_exact_full" in report.gap_diagnostics[0]
+    for diag in report.gap_diagnostics:
+        assert diag["S"] < 1.0 and diag["weights_may_be_negative"] is False
 
 
 def test_run_experiment_deterministic_csv(synth_file, tmp_path):
@@ -201,7 +211,7 @@ def test_cli_select_certify_evaluate(tmp_path):
     out = tmp_path / "sel"
     res = runner.invoke(cli_main, [
         "select", "--dataset", str(data), "--lambda-rule", "2.0",
-        "--method", "robust", "--algorithm", "2", "--keep-fraction", "0.6",
+        "--method", "robust", "--algorithm", "2", "--removal-fraction", "0.4",
         "--folds", "3", "--output-dir", str(out)])
     assert res.exit_code == 0, res.output
     indices = out / "selected_indices.txt"
@@ -231,30 +241,63 @@ def test_cli_select_certify_evaluate(tmp_path):
 @pytest.mark.parametrize("method", ["robust", "random"])
 def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
     runner = CliRunner()
-    data = tmp_path / "task.svm"
-    runner.invoke(cli_main, ["synth", "--n", "60", "--d", "3", "--seed", "9",
-                             "--out", str(data)])
-    common = ["--dataset", str(data), "--loss", loss, "--lambda-rule", "2.0",
-              "--folds", "3", "--seed", "4"]
-    res = runner.invoke(cli_main, ["sweep", *common, "--methods", method,
-                                   "--removal-grid", "0.5",
-                                   "--output-dir", str(tmp_path / "sweep")])
-    assert res.exit_code == 0, res.output
-    rows = json.loads((tmp_path / "sweep" / "report.json").read_text())["rows"]
-    row = next(r for r in rows if r["fold"] == 0)
-    res = runner.invoke(cli_main, ["select", *common, "--method", method,
-                                   "--keep-fraction", "0.5",
-                                   "--output-dir", str(tmp_path / "sel")])
-    assert res.exit_code == 0, res.output
-    res = runner.invoke(cli_main, [
-        "certify", *common, "--indices",
-        str(tmp_path / "sel" / "selected_indices.txt"),
-        "--output-dir", str(tmp_path / "cert")])
-    assert res.exit_code == 0, res.output
-    cert = json.loads((tmp_path / "cert" / "bound_report.json").read_text())
-    assert cert["m"] == row["m"]
-    assert cert["certified_lb"] == pytest.approx(row["certified_lb"], abs=1e-9)
-    assert cert["dg_max"] == pytest.approx(row["dg_max"], abs=1e-9)
+    # n_tr = 40 and 45 on fold 0; at the odd size round(0.5 * 45) = 22
+    # removals must hold for the CLI as for the sweep row
+    for n in (60, 68):
+        work = tmp_path / str(n)
+        data = work / "task.svm"
+        work.mkdir()
+        runner.invoke(cli_main, ["synth", "--n", str(n), "--d", "3",
+                                 "--seed", "9", "--out", str(data)])
+        common = ["--dataset", str(data), "--loss", loss, "--lambda-rule",
+                  "2.0", "--folds", "3", "--seed", "4"]
+        res = runner.invoke(cli_main, ["sweep", *common, "--methods", method,
+                                       "--removal-grid", "0.5",
+                                       "--output-dir", str(work / "sweep")])
+        assert res.exit_code == 0, res.output
+        rows = json.loads((work / "sweep" / "report.json").read_text())["rows"]
+        row = next(r for r in rows if r["fold"] == 0)
+        res = runner.invoke(cli_main, ["select", *common, "--method", method,
+                                       "--removal-fraction", "0.5",
+                                       "--output-dir", str(work / "sel")])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(cli_main, [
+            "certify", *common, "--indices",
+            str(work / "sel" / "selected_indices.txt"),
+            "--output-dir", str(work / "cert")])
+        assert res.exit_code == 0, res.output
+        cert = json.loads((work / "cert" / "bound_report.json").read_text())
+        assert cert["m"] == row["m"], n
+        assert cert["certified_lb"] == pytest.approx(row["certified_lb"], abs=1e-9)
+        assert cert["dg_max"] == pytest.approx(row["dg_max"], abs=1e-9)
+
+
+def test_cli_precomputed_cv_best_reads_kernel_once(tmp_path, monkeypatch):
+    import robustcoreset.experiment as experiment
+    load, calls = experiment.load_precomputed, []
+
+    def counting_load(path, n):
+        calls.append(path)
+        return load(path, n)
+
+    monkeypatch.setattr(experiment, "load_precomputed", counting_load)
+    ds = rc.gaussian_task(45, 3, seed=5, separation=2.5)
+    data, kernel_file = tmp_path / "task.svm", tmp_path / "gram.csv"
+    data.write_text(rc.to_libsvm(ds))
+    spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds.features))
+    np.savetxt(kernel_file, rc.gram(ds.features, ds.features, spec),
+               delimiter=",")
+    common = ["--dataset", str(data), "--kernel", "precomputed",
+              "--kernel-file", str(kernel_file), "--lambda-rule", "cv-best",
+              "--folds", "3"]
+    runner = CliRunner()
+    for command in (["sweep", "--methods", "random", "--removal-grid", "0.5"],
+                    ["certify", "--method", "random"]):
+        calls.clear()
+        res = runner.invoke(cli_main, [*command, *common,
+                                       "--output-dir", str(tmp_path / "out")])
+        assert res.exit_code == 0, res.output
+        assert calls == [str(kernel_file)], command[0]
 
 
 def test_cli_lambda_cv(tmp_path):
@@ -291,6 +334,16 @@ def test_cli_config_error_exit_code(tmp_path):
             "--kernel", "precomputed", "--kernel-file", str(kernel_file),
             "--output-dir", str(tmp_path / "out")])
         assert res.exit_code == 2, (k, res.output)
+    fold0_train = rc.cv_split(load_dataset(str(data)), 5, 0).train_indices(0)
+    empty, repeated = tmp_path / "empty.txt", tmp_path / "repeated.txt"
+    empty.write_text("")
+    repeated.write_text("".join(f"{i}\n" for i in list(fold0_train[:3]) * 2))
+    for command in ("certify", "evaluate"):
+        for indices in (empty, repeated):
+            res = runner.invoke(cli_main, [
+                command, "--dataset", str(data), "--lambda-rule", "1.0",
+                "--indices", str(indices)], catch_exceptions=False)
+            assert res.exit_code == 2, (command, indices.name, res.output)
 
 
 def test_cli_numerical_error_exit_code(tmp_path):
