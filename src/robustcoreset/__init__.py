@@ -13,8 +13,8 @@ from .experiment import (ExperimentConfig, RunReport,
                          evaluate_worst_case_accuracy, lambda_cv,
                          run_experiment)
 from .kernel import KernelSpec, bandwidth_heuristic, gram
-from .select import (SelectionTrace, ValidationSet, baseline_select,
-                     greedy_exact, greedy_fixed_w, greedy_oneshot)
+from .select import (SelectionTrace, baseline_select, greedy_exact,
+                     greedy_fixed_w, greedy_oneshot)
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "ExperimentConfig", "RunReport", "evaluate_worst_case_accuracy",
     "lambda_cv", "run_experiment",
     "KernelSpec", "bandwidth_heuristic", "gram",
-    "SelectionTrace", "ValidationSet", "baseline_select", "greedy_exact",
-    "greedy_fixed_w", "greedy_oneshot",
+    "SelectionTrace", "baseline_select", "greedy_exact", "greedy_fixed_w",
+    "greedy_oneshot",
 ]

@@ -305,11 +305,8 @@ class BoundReport:
 
 
 def certificate(model_ref: Model, form: QuadraticGapForm, v, S: float, Q: float,
-                K_val_cross, k_val_diag, y_val,
-                lam_abs: float | None = None) -> BoundReport:
+                K_val_cross, k_val_diag, y_val, lam_abs: float) -> BoundReport:
     """Full bound pipeline for a kept mask v: gap max, radius, zeta, ub."""
-    if lam_abs is None:
-        lam_abs = model_ref.lam_abs
     res = maximize_on_ball(form, v, S)
     R = radius(res.dg_max, lam_abs)
     zeta, counts = certify(model_ref, K_val_cross, k_val_diag, y_val, R)

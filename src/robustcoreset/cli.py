@@ -9,7 +9,8 @@ validation accuracy), ``sweep`` (full experiment grid to CSV/JSON),
 Each command reads the dataset and any ``--kernel-file`` once and
 resolves lambda once.  ``select``, ``certify`` and ``evaluate`` build a
 fold, size the coreset (``--removal-fraction``) and score it through the
-same ``experiment`` calls as ``sweep``, so they match its rows.
+same ``experiment`` calls as ``sweep``, so they match its rows; trace
+``gaps`` are the selector's objective, and bounds come from ``certify``.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures.
@@ -97,7 +98,7 @@ _fold_options = _options(
 _indices = click.option(
     "--indices", type=click.Path(exists=True), default=None,
     help="File of kept original indices, one per line, each at most once; "
-         "replaces selection by --method.")
+         "replaces selection, so method is reported as null.")
 
 
 def _config(kwargs, **extra) -> ExperimentConfig:
@@ -152,7 +153,7 @@ def select_cmd(method, removal_fraction, fold, output_dir, **kwargs):
 
 def _coreset_mask(ctx, config, method, indices_file):
     if not indices_file:
-        return _selection(ctx, config, method).kept_mask()
+        return _selection(ctx, config, method).kept_mask(), method
     kept_original = [int(tok) for tok in Path(indices_file).read_text().split()]
     if not kept_original:
         raise click.UsageError("--indices lists no instances")
@@ -165,7 +166,7 @@ def _coreset_mask(ctx, config, method, indices_file):
             f"indices not in this fold's training part: {missing[:5]}")
     v = np.zeros(len(ctx.y_tr))
     v[[pos[i] for i in kept_original]] = 1.0
-    return v
+    return v, None
 
 
 @main.command("certify")
@@ -177,7 +178,7 @@ def _coreset_mask(ctx, config, method, indices_file):
 def certify_cmd(method, removal_fraction, fold, indices, output_dir, **kwargs):
     """Certificate (radius, zeta, error bound) for a coreset."""
     config, ctx = _fold_context(kwargs, fold, removal_fraction)
-    v = _coreset_mask(ctx, config, method, indices)
+    v, method = _coreset_mask(ctx, config, method, indices)
     report = certify_coreset(ctx, v)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,7 +200,7 @@ def certify_cmd(method, removal_fraction, fold, indices, output_dir, **kwargs):
 def evaluate_cmd(method, removal_fraction, fold, indices, **kwargs):
     """Retrain on a coreset and print worst-case weighted validation accuracy."""
     config, ctx = _fold_context(kwargs, fold, removal_fraction)
-    v = _coreset_mask(ctx, config, method, indices)
+    v, method = _coreset_mask(ctx, config, method, indices)
     wc = retrained_accuracy(ctx, config, v)
     click.echo(json.dumps({"fold": fold, "method": method, "m": int(v.sum()),
                            "wc_accuracy": wc, "Q": ctx.Q}, indent=2))

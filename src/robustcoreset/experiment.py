@@ -14,12 +14,14 @@ fixed as instances are removed.
 """
 
 import csv
+import functools
 import json
 import math
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,6 +202,13 @@ def evaluate_worst_case_accuracy(model, K_val_cross, y_val, Q: float) -> float:
     return min(1.0, max(0.0, value / y_val.size))
 
 
+class ValidationSet(NamedTuple):
+    """Validation side of a fold: cross-Gram, kernel diagonal, labels."""
+    K_cross: np.ndarray
+    k_diag: np.ndarray
+    y: np.ndarray
+
+
 @dataclass
 class FoldContext:
     """Everything a fold needs: data, kernels, radii, model and quadratic;
@@ -214,7 +223,13 @@ class FoldContext:
     lam_abs: float
     model: object
     form_cert: bound.QuadraticGapForm
-    valset: select.ValidationSet
+    valset: ValidationSet
+
+    @functools.cached_property
+    def w_worst(self) -> np.ndarray:
+        """The full-set worst-case weight; one ball solve, on first use."""
+        return bound.maximize_on_ball(self.form_cert, np.ones(self.form_cert.n),
+                                      self.S).w_star
 
     @property
     def weights_may_be_negative(self) -> bool:
@@ -248,7 +263,7 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     form_cert = bound.quadratic_form(model, K, tr.labels, lam_abs)
     return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=tr.labels, K=K, S=S,
                        Q=Q, lam_abs=lam_abs, model=model, form_cert=form_cert,
-                       valset=select.ValidationSet(Kx, kdiag, va.labels))
+                       valset=ValidationSet(Kx, kdiag, va.labels))
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
@@ -262,8 +277,8 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
         algorithm = config.algorithm or (1 if len(ctx.y_tr) <= 400 else 2)
         fn = {1: select.greedy_exact, 2: select.greedy_fixed_w,
               3: select.greedy_oneshot}[algorithm]
-        return fn(ctx.form_cert, ctx.y_tr, ctx.S, ctx.Q, n_del,
-                  model_ref=ctx.model, val=ctx.valset,
+        ball = ctx.S if algorithm == 1 else ctx.w_worst
+        return fn(ctx.form_cert, ctx.y_tr, ball, n_del,
                   preserve_classes=config.preserve_classes, seed=seed)
     return select.baseline_select(method, ctx.K, ctx.y_tr, ctx.model, n_del,
                                   seed, preserve_classes=config.preserve_classes)
@@ -299,13 +314,12 @@ def _gap_diagnostics(ctx: FoldContext):
     """Gap quadratic at the full set and at the worst-case weight, next to
     the scaled direct gap at that weight; logged per fold."""
     ones = np.ones(ctx.form_cert.n)
-    w_star = bound.maximize_on_ball(ctx.form_cert, ones, ctx.S).w_star
-    direct = evaluate_gap(ctx.model, ones, w_star)
+    direct = evaluate_gap(ctx.model, ones, ctx.w_worst)
     return {
         "fold": ctx.fold,
         "q_exact_full": ctx.form_cert.value(ones),
-        "q_exact_worst_w": ctx.form_cert.value(w_star),
-        "scaled_direct_gap_worst_w": float(w_star.sum()) * direct.gap,
+        "q_exact_worst_w": ctx.form_cert.value(ctx.w_worst),
+        "scaled_direct_gap_worst_w": float(ctx.w_worst.sum()) * direct.gap,
         "S": ctx.S,
         "weights_may_be_negative": ctx.weights_may_be_negative,
     }

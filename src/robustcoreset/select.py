@@ -12,12 +12,14 @@ Every selector removes n_del training instances in some order:
   the eligible instance with the smallest score one step at a time.  The
   exact scorer re-maximizes the gap over the weight ball per candidate;
   the fixed-w scorer evaluates the quadratic at the full-set worst-case
-  weight for all candidates in one numpy expression.
+  weight ``w_worst`` for all candidates in one numpy expression.
+
+Selectors only select: a robust trace keeps the gap its scorer gave each
+removal, which is no bound (fixed-w and one-shot score one feasible weight,
+below the ball maximum); bounds come from ``bound.certificate``.
 """
 
-import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .erm import Model
 
 __all__ = [
     "SelectionTrace",
-    "ValidationSet",
     "greedy_exact",
     "greedy_fixed_w",
     "greedy_oneshot",
@@ -37,23 +38,15 @@ __all__ = [
 BASELINE_METHODS = ("random", "herding", "kcenter", "margin")
 
 
-class ValidationSet(NamedTuple):
-    """Validation-side inputs needed to record per-step bound values."""
-
-    K_cross: np.ndarray
-    k_diag: np.ndarray
-    y: np.ndarray
-
-
 @dataclass
 class SelectionTrace:
-    """Ordered removals with per-step (gap, error-bound) values."""
+    """Ordered removals; ``gaps`` has the robust scorer's gap per removal."""
 
     method: str
     seed: int
     n: int
     removal_order: list = field(default_factory=list)
-    per_step: list = field(default_factory=list)
+    gaps: list = field(default_factory=list)
 
     @property
     def n_del(self) -> int:
@@ -78,7 +71,7 @@ class SelectionTrace:
             "seed": self.seed,
             "n": self.n,
             "removal_order": [int(i) for i in self.removal_order],
-            "per_step": [[float(a), float(b)] for a, b in self.per_step],
+            "gaps": [float(g) for g in self.gaps],
         }
 
 
@@ -105,16 +98,7 @@ def _filtered_removals(order, n_del, y, preserve_classes):
     return removal
 
 
-def _step_ub(model_ref, val, Q, dg):
-    if val is None or model_ref is None:
-        return math.nan
-    R = bound.radius(max(dg, 0.0), model_ref.lam_abs)
-    zeta, _ = bound.certify(model_ref, val.K_cross, val.k_diag, val.y, R)
-    return bound.worst_case_error_ub(zeta, Q)
-
-
-def _greedy(method, scores, y, Q, n_del, model_ref, val, preserve_classes,
-            seed, on_remove=None):
+def _greedy(method, scores, y, n_del, preserve_classes, seed, on_remove=None):
     """Remove n_del instances one at a time, each the eligible candidate with
     the smallest ``scores(candidates, kept_mask)`` (ties to the smallest
     index); ``on_remove(i)`` updates the scorer's state after a removal."""
@@ -131,18 +115,17 @@ def _greedy(method, scores, y, Q, n_del, model_ref, val, preserve_classes,
             raise ValueError("no removable candidate left")
         values = scores(cand, v)
         k = int(np.argmin(values))
-        best_i, best_dg = int(cand[k]), values[k]
+        best_i = int(cand[k])
         v[best_i] = 0.0
         if on_remove is not None:
             on_remove(best_i)
         trace.removal_order.append(best_i)
-        trace.per_step.append((best_dg, _step_ub(model_ref, val, Q, best_dg)))
+        trace.gaps.append(values[k])
     return trace
 
 
-def greedy_exact(form, y, S, Q, n_del, *, model_ref: Model | None = None,
-                 val: ValidationSet | None = None,
-                 preserve_classes: bool = False, seed: int = 0) -> SelectionTrace:
+def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
+                 seed: int = 0) -> SelectionTrace:
     """Remove one instance at a time, re-solving the ball maximization for
     every candidate and keeping the removal with the smallest worst-case
     gap (ties to the smallest index)."""
@@ -156,17 +139,16 @@ def greedy_exact(form, y, S, Q, n_del, *, model_ref: Model | None = None,
             v[i] = 1.0
         return out
 
-    return _greedy("robust-exact", scores, y, Q, n_del, model_ref, val,
-                   preserve_classes, seed)
+    return _greedy("robust-exact", scores, y, n_del, preserve_classes, seed)
 
 
 class _QuadState:
-    """The gap quadratic at the full-set worst-case weight, evaluated
-    incrementally under coordinate zeroing."""
+    """The gap quadratic at a fixed weight ``z`` (the full-set worst case),
+    evaluated incrementally under coordinate zeroing of a private copy."""
 
-    def __init__(self, form, S):
+    def __init__(self, form, z):
         self.form = form
-        self.z = bound.maximize_on_ball(form, np.ones(form.n), S).w_star
+        self.z = np.array(z, dtype=float)
         self.Az = form.A @ self.z
         self.A_diag = np.diag(form.A)
         self.value = float(self.z @ self.Az + form.b @ self.z + form.c)
@@ -185,33 +167,30 @@ class _QuadState:
             self.z[i] = 0.0
 
 
-def greedy_fixed_w(form, y, S, Q, n_del, *, model_ref: Model | None = None,
-                   val: ValidationSet | None = None,
-                   preserve_classes: bool = False, seed: int = 0) -> SelectionTrace:
-    """One ball maximization at the full set; then greedy removals scored by
-    the quadratic at that fixed worst-case weight, re-evaluated per step."""
+def greedy_fixed_w(form, y, w_worst, n_del, *, preserve_classes: bool = False,
+                   seed: int = 0) -> SelectionTrace:
+    """Greedy removals scored by the quadratic at the full-set worst-case
+    weight ``w_worst``, held fixed and re-evaluated per step."""
     _check_budget(form.n, n_del)
-    state = _QuadState(form, S)
+    state = _QuadState(form, w_worst)
     return _greedy("robust-fixed-w", lambda cand, v: state.removal_value(cand),
-                   y, Q, n_del, model_ref, val, preserve_classes, seed,
-                   on_remove=state.remove)
+                   y, n_del, preserve_classes, seed, on_remove=state.remove)
 
 
-def greedy_oneshot(form, y, S, Q, n_del, *, model_ref: Model | None = None,
-                   val: ValidationSet | None = None,
-                   preserve_classes: bool = False, seed: int = 0) -> SelectionTrace:
+def greedy_oneshot(form, y, w_worst, n_del, *, preserve_classes: bool = False,
+                   seed: int = 0) -> SelectionTrace:
     """Rank every instance once by its single-removal gap at the fixed
     worst-case weight and drop the n_del smallest in one pass."""
     n = form.n
     _check_budget(n, n_del)
-    state = _QuadState(form, S)
+    state = _QuadState(form, w_worst)
     ranking = np.argsort(state.removal_value(np.arange(n)), kind="stable")
     trace = SelectionTrace(method="robust-oneshot", seed=seed, n=n)
     trace.removal_order = _filtered_removals(ranking, n_del, np.asarray(y),
                                              preserve_classes)
     for i in trace.removal_order:
         state.remove(i)
-        trace.per_step.append((state.value, _step_ub(model_ref, val, Q, state.value)))
+        trace.gaps.append(state.value)
     return trace
 
 
@@ -284,5 +263,4 @@ def baseline_select(method: str, K, y, model_ref: Model | None, n_del: int,
     trace = SelectionTrace(method=method, seed=seed, n=n)
     trace.removal_order = _filtered_removals(order, n_del, np.asarray(y),
                                              preserve_classes)
-    trace.per_step = [(math.nan, math.nan)] * n_del
     return trace

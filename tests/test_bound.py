@@ -370,7 +370,7 @@ def test_certificate_pipeline_report(rbf_task, hinge_model):
     v = np.ones(ds.n)
     v[:6] = 0.0
     report = rc.certificate(hinge_model, form, v, 0.4, 0.3, K_cross,
-                            np.ones(va.n), va.labels)
+                            np.ones(va.n), va.labels, lam_abs)
     d = report.to_dict()
     assert set(d) == {"dg_max", "radius", "ub", "counts", "zeta", "w_star"}
     assert sum(d["counts"].values()) == va.n

@@ -7,10 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 import robustcoreset as rc
+from robustcoreset import bound
 from robustcoreset.cli import main as cli_main
 from robustcoreset.experiment import (ExperimentConfig, default_lambda_grid,
-                                      load_dataset, min_max_scaled,
-                                      resolve_lambda_rule, run_experiment)
+                                      load_dataset, load_inputs,
+                                      min_max_scaled, prepare_fold,
+                                      resolve_lambda_rule, run_experiment,
+                                      run_selection)
 
 
 def dummy_model(scores):
@@ -228,6 +231,8 @@ def test_cli_select_certify_evaluate(tmp_path):
     payload = json.loads((tmp_path / "cert" / "bound_report.json").read_text())
     assert 0.0 <= payload["ub"] <= 1.0
     assert payload["certified_lb"] == pytest.approx(1.0 - payload["ub"])
+    # an --indices coreset is not attributed to the --method default
+    assert payload["method"] is None
 
     res = runner.invoke(cli_main, [
         "evaluate", "--dataset", str(data), "--lambda-rule", "2.0",
@@ -235,6 +240,63 @@ def test_cli_select_certify_evaluate(tmp_path):
     assert res.exit_code == 0, res.output
     result = json.loads(res.output)
     assert 0.0 <= result["wc_accuracy"] <= 1.0
+    assert result["method"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_trace_json_is_strict(tmp_path):
+    runner = CliRunner()
+    data = tmp_path / "task.svm"
+    runner.invoke(cli_main, ["synth", "--n", "60", "--d", "3", "--seed", "9",
+                             "--out", str(data)])
+    for method, algorithm in (("random", "0"), ("robust", "2")):
+        out = tmp_path / method
+        res = runner.invoke(cli_main, [
+            "select", "--dataset", str(data), "--lambda-rule", "2.0",
+            "--method", method, "--algorithm", algorithm,
+            "--removal-fraction", "0.4", "--folds", "3",
+            "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        trace = json.loads((out / "trace.json").read_text(),
+                           parse_constant=_reject_constant)
+        assert "per_step" not in trace
+        assert trace["removal_order"]
+        if method == "robust":
+            assert len(trace["gaps"]) == len(trace["removal_order"])
+        else:
+            assert trace["gaps"] == []
+
+
+def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
+    config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
+                              methods=("robust", "random"),
+                              removal_grid=(0.3, 0.5), folds=2, seed=3,
+                              algorithm=2)
+    full_set_solves = []
+    orig = bound.maximize_on_ball
+
+    def counting(form, v, S, *args, **kwargs):
+        if np.all(np.asarray(v) == 1.0):
+            full_set_solves.append(form.n)
+        return orig(form, v, S, *args, **kwargs)
+
+    monkeypatch.setattr(bound, "maximize_on_ball", counting)
+    run_experiment(config)
+    assert len(full_set_solves) == config.folds
+    monkeypatch.undo()
+    # the selectors must not zero the cached worst-case weight in place
+    for algorithm in (2, 3):
+        cfg = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
+                               folds=2, algorithm=algorithm)
+        ds, K_full = load_inputs(cfg)
+        ctx = prepare_fold(ds, cfg, 0, 2.0, K_full)
+        run_selection(ctx, cfg, "robust", 20)
+        fresh = bound.maximize_on_ball(ctx.form_cert, np.ones(len(ctx.y_tr)),
+                                       ctx.S).w_star
+        np.testing.assert_array_equal(ctx.w_worst, fresh)
 
 
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -23,18 +21,23 @@ def labels(n):
     return y
 
 
+def worst(form, S):
+    """Full-set worst-case weight, the fixed-w and one-shot selectors' input."""
+    return rc.maximize_on_ball(form, np.ones(form.n), S).w_star
+
+
 def test_greedy_exact_zero_deletions():
     rng = np.random.default_rng(0)
     form = random_psd_form(rng, 4)
-    trace = rc.greedy_exact(form, labels(4), 0.5, 0.3, 0)
-    assert trace.removal_order == [] and trace.per_step == []
+    trace = rc.greedy_exact(form, labels(4), 0.5, 0)
+    assert trace.removal_order == [] and trace.gaps == []
     np.testing.assert_array_equal(trace.kept_mask(), np.ones(4))
 
 
 def test_greedy_exact_retained_count():
     rng = np.random.default_rng(1)
     form = random_psd_form(rng, 7)
-    trace = rc.greedy_exact(form, labels(7), 0.4, 0.3, 3)
+    trace = rc.greedy_exact(form, labels(7), 0.4, 3)
     assert trace.kept_mask().sum() == 4
     assert len(set(trace.removal_order)) == 3
 
@@ -43,7 +46,7 @@ def test_greedy_exact_first_removal_matches_bruteforce():
     rng = np.random.default_rng(2)
     form = random_psd_form(rng, 4)
     S = 0.6
-    trace = rc.greedy_exact(form, labels(4), S, 0.3, 2)
+    trace = rc.greedy_exact(form, labels(4), S, 2)
     dg_values = []
     for i in range(4):
         active = np.ones(4, dtype=bool)
@@ -54,7 +57,7 @@ def test_greedy_exact_first_removal_matches_bruteforce():
                                           polish_iters=20_000)
         dg_values.append(best)
     assert trace.removal_order[0] == int(np.argmin(dg_values))
-    assert trace.per_step[0][0] == pytest.approx(min(dg_values), abs=1e-6)
+    assert trace.gaps[0] == pytest.approx(min(dg_values), abs=1e-6)
 
 
 def test_greedy_exact_step_is_minimal():
@@ -62,14 +65,14 @@ def test_greedy_exact_step_is_minimal():
     form = random_psd_form(rng, 6)
     S = 0.5
     y = labels(6)
-    trace = rc.greedy_exact(form, y, S, 0.3, 3)
+    trace = rc.greedy_exact(form, y, S, 3)
     v = np.ones(6)
     for step, chosen in enumerate(trace.removal_order):
         for j in np.flatnonzero(v > 0):
             v[j] = 0.0
             dg_j = rc.maximize_on_ball(form, v, S).dg_max
             v[j] = 1.0
-            assert trace.per_step[step][0] <= dg_j + 1e-9
+            assert trace.gaps[step] <= dg_j + 1e-9
         v[chosen] = 0.0
 
 
@@ -77,10 +80,10 @@ def test_greedy_exact_and_fixed_w_agree_without_shift():
     rng = np.random.default_rng(4)
     form = random_psd_form(rng, 6)
     y = labels(6)
-    exact = rc.greedy_exact(form, y, 0.0, 0.0, 3)
-    fixed = rc.greedy_fixed_w(form, y, 0.0, 0.0, 3)
+    exact = rc.greedy_exact(form, y, 0.0, 3)
+    fixed = rc.greedy_fixed_w(form, y, worst(form, 0.0), 3)
     assert exact.removal_order == fixed.removal_order
-    for (dg_a, _), (dg_b, _) in zip(exact.per_step, fixed.per_step):
+    for dg_a, dg_b in zip(exact.gaps, fixed.gaps):
         assert dg_a == pytest.approx(dg_b, abs=1e-10)
 
 
@@ -89,39 +92,40 @@ def test_greedy_fixed_w_values_match_loop_evaluator():
     form = random_psd_form(rng, 6)
     y = labels(6)
     S = 0.7
-    trace = rc.greedy_fixed_w(form, y, S, 0.3, 3)
-    w_worst = rc.maximize_on_ball(form, np.ones(6), S).w_star
+    w_worst = worst(form, S)
+    trace = rc.greedy_fixed_w(form, y, w_worst, 3)
     v = np.ones(6)
     for step, chosen in enumerate(trace.removal_order):
         v[chosen] = 0.0
         vw = v * w_worst
         loop = oracles.quad_value(form.A.tolist(), form.b.tolist(), form.c, vw)
-        assert trace.per_step[step][0] == pytest.approx(loop, abs=1e-9)
+        assert trace.gaps[step] == pytest.approx(loop, abs=1e-9)
 
 
 def test_greedy_fixed_w_degenerate_ball_uses_unit_weights():
     rng = np.random.default_rng(6)
     form = random_psd_form(rng, 5)
     y = labels(5)
-    trace = rc.greedy_fixed_w(form, y, 0.0, 0.0, 2)
+    trace = rc.greedy_fixed_w(form, y, worst(form, 0.0), 2)
     v = np.ones(5)
     v[trace.removal_order[0]] = 0.0
-    assert trace.per_step[0][0] == pytest.approx(form.value(v), abs=1e-10)
+    assert trace.gaps[0] == pytest.approx(form.value(v), abs=1e-10)
 
 
 def test_greedy_oneshot_first_removal_matches_fixed_w():
     rng = np.random.default_rng(7)
     form = random_psd_form(rng, 6)
     y = labels(6)
-    one = rc.greedy_oneshot(form, y, 0.5, 0.3, 1)
-    fixed = rc.greedy_fixed_w(form, y, 0.5, 0.3, 1)
+    one = rc.greedy_oneshot(form, y, worst(form, 0.5), 1)
+    fixed = rc.greedy_fixed_w(form, y, worst(form, 0.5), 1)
     assert one.removal_order == fixed.removal_order
 
 
 def test_greedy_oneshot_tie_breaks_by_index():
     form = rc.QuadraticGapForm(A=np.zeros((5, 5)), b=np.ones(5) * 2.0, c=0.0)
-    for fn in (rc.greedy_exact, rc.greedy_fixed_w, rc.greedy_oneshot):
-        trace = fn(form, labels(5), 0.0, 0.0, 3)
+    for fn, ball in ((rc.greedy_exact, 0.0), (rc.greedy_fixed_w, np.ones(5)),
+                     (rc.greedy_oneshot, np.ones(5))):
+        trace = fn(form, labels(5), ball, 3)
         assert trace.removal_order == [0, 1, 2], fn.__name__
 
 
@@ -130,8 +134,8 @@ def test_greedy_oneshot_removes_bottom_scores():
     form = random_psd_form(rng, 7)
     y = labels(7)
     S = 0.4
-    trace = rc.greedy_oneshot(form, y, S, 0.3, 3)
-    w_worst = rc.maximize_on_ball(form, np.ones(7), S).w_star
+    w_worst = worst(form, S)
+    trace = rc.greedy_oneshot(form, y, w_worst, 3)
     scores = []
     for i in range(7):
         v = np.ones(7)
@@ -219,34 +223,35 @@ def test_preserve_classes_greedy():
     rng = np.random.default_rng(12)
     form = random_psd_form(rng, 6)
     y = np.array([1.0] + [-1.0] * 5)
-    for fn in (rc.greedy_exact, rc.greedy_fixed_w, rc.greedy_oneshot):
-        trace = fn(form, y, 0.3, 0.2, 4, preserve_classes=True)
+    for fn, ball in ((rc.greedy_exact, 0.3), (rc.greedy_fixed_w, worst(form, 0.3)),
+                     (rc.greedy_oneshot, worst(form, 0.3))):
+        trace = fn(form, y, ball, 4, preserve_classes=True)
         kept = trace.kept_indices()
         assert (y[kept] > 0).any() and (y[kept] < 0).any()
 
 
-def test_selection_records_ub_with_validation(rbf_task, hinge_model):
+def test_fixed_w_gaps_never_exceed_ball_max(rbf_task, hinge_model):
+    # the fixed weight restricted to the kept set is feasible for the kept
+    # set's ball problem, so these gaps are lower estimates, not bounds
     ds, K, lam_abs = rbf_task
     form = rc.quadratic_form(hinge_model, K, ds.labels, lam_abs)
-    va = rc.gaussian_task(15, ds.d - 1, seed=3)
-    spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds.features))
-    valset = rc.ValidationSet(rc.gram(ds.features, va.features, spec),
-                              np.ones(va.n), va.labels)
-    trace = rc.greedy_fixed_w(form, ds.labels, 0.4, 0.3, 5,
-                              model_ref=hinge_model, val=valset)
-    for dg, ub in trace.per_step:
-        assert math.isfinite(ub) and 0.0 <= ub <= 1.0
-    trace2 = rc.greedy_fixed_w(form, ds.labels, 0.4, 0.3, 5)
-    assert all(math.isnan(ub) for _, ub in trace2.per_step)
+    S = 0.4
+    w_worst = worst(form, S)
+    for fn in (rc.greedy_fixed_w, rc.greedy_oneshot):
+        trace = fn(form, ds.labels, w_worst, 20)
+        assert len(trace.gaps) == 20
+        for k in range(1, 21):
+            dg_max = rc.maximize_on_ball(form, trace.kept_mask(k), S).dg_max
+            assert trace.gaps[k - 1] <= dg_max + 1e-9, (fn.__name__, k)
 
 
 def test_trace_serialization_roundtrip():
     rng = np.random.default_rng(13)
     form = random_psd_form(rng, 5)
-    trace = rc.greedy_oneshot(form, labels(5), 0.2, 0.1, 2)
+    trace = rc.greedy_oneshot(form, labels(5), worst(form, 0.2), 2)
     d = trace.to_dict()
     assert d["method"] == "robust-oneshot"
-    assert len(d["removal_order"]) == len(d["per_step"]) == 2
+    assert len(d["removal_order"]) == len(d["gaps"]) == 2
     assert all(isinstance(i, int) for i in d["removal_order"])
 
 
@@ -254,6 +259,6 @@ def test_budget_validation():
     rng = np.random.default_rng(14)
     form = random_psd_form(rng, 4)
     with pytest.raises(ValueError):
-        rc.greedy_exact(form, labels(4), 0.1, 0.1, 4)
+        rc.greedy_exact(form, labels(4), 0.1, 4)
     with pytest.raises(ValueError):
-        rc.greedy_oneshot(form, labels(4), 0.1, 0.1, -1)
+        rc.greedy_oneshot(form, labels(4), worst(form, 0.1), -1)
