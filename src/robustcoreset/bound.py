@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .erm import Model, _conj_vec, _loss_vec, decision_scores
+from .erm import Model, conjugate_eval, decision_scores, loss_eval
 
 __all__ = [
     "QuadraticGapForm",
@@ -102,8 +102,8 @@ def quadratic_form(model_ref: Model, K, y, lam: float) -> QuadraticGapForm:
     y = np.asarray(y, dtype=float)
     s = model_ref.alpha * y
     A = (K * np.outer(s, s)) / (2.0 * lam)
-    losses = _loss_vec(model_ref.loss, y, model_ref.train_scores)
-    b = losses + _conj_vec(model_ref.loss, model_ref.alpha)
+    losses = loss_eval(model_ref.loss, y, model_ref.train_scores)
+    b = losses + conjugate_eval(model_ref.loss, model_ref.alpha)
     c = float(s @ (K @ s)) / (2.0 * lam)
     return QuadraticGapForm(A=A, b=b, c=c)
 

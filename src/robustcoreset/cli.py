@@ -7,10 +7,11 @@ validation accuracy), ``sweep`` (full experiment grid to CSV/JSON),
 (generate a LIBSVM-format demo dataset).
 
 Each command reads the dataset and any ``--kernel-file`` once and
-resolves lambda once.  ``select``, ``certify`` and ``evaluate`` build a
-fold, size the coreset (``--removal-fraction``) and score it through the
-same ``experiment`` calls as ``sweep``, so they match its rows; trace
-``gaps`` are the selector's objective, and bounds come from ``certify``.
+resolves the lambda rule once; each fold sizes it at its training size.
+``select``, ``certify`` and ``evaluate`` build a fold, size the coreset
+(``--removal-fraction``) and score it through the same ``experiment``
+calls as ``sweep``, so they match its rows; trace ``gaps`` are the
+selector's objective, and bounds come from ``certify``.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures.
@@ -27,10 +28,10 @@ import numpy as np
 from . import bound
 from .data import ParseError, SplitError, gaussian_task, to_libsvm
 from .erm import TrainingError
-from .experiment import (ALL_METHODS, ExperimentConfig, certify_coreset,
-                         default_lambda_grid, lambda_cv, load_inputs,
-                         prepare_fold, resolve_lambda, retrained_accuracy,
-                         run_experiment, run_selection)
+from .experiment import (ALL_METHODS, DEFAULT_LAMBDA_GRID, ExperimentConfig,
+                         certify_coreset, lambda_cv, load_inputs, prepare_fold,
+                         resolve_lambda, retrained_accuracy, run_experiment,
+                         run_selection)
 
 _NUMERICAL = (TrainingError, bound.BallMaximizationError, SplitError,
               np.linalg.LinAlgError, FloatingPointError)
@@ -70,7 +71,8 @@ _common = _options(
                  help="Symmetric PSD CSV matrix over all rows of "
                       "--dataset, for --kernel precomputed."),
     click.option("--lambda-rule", default="cv-best", show_default=True,
-                 help="'n', 'n*10^-1.5', 'n*10^-3', a number, or 'cv-best'."),
+                 help="'n', 'n*10^-1.5', 'n*10^-3', a number, or 'cv-best'; "
+                      "n is each fold's training size."),
     click.option("--a", type=float, default=1.05, show_default=True,
                  help="Training-side shift factor; sets S."),
     click.option("--q-factor", type=float, default=None,
@@ -224,7 +226,7 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
         removal_grid=tuple(float(f) for f in removal_grid.split(",")),
         output_dir=output_dir, timing=timing)
     report = run_experiment(config)
-    click.echo(f"lambda={report.lam_abs:.10g}; {len(report.rows)} rows -> "
+    click.echo(f"lambda={report.lambda_rule}; {len(report.rows)} rows -> "
                f"{Path(output_dir) / 'report.csv'}")
     for method, per_frac in sorted(report.aggregates.items()):
         for frac, agg in sorted(per_frac.items(), key=lambda kv: float(kv[0])):
@@ -237,17 +239,16 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 @main.command("lambda-cv")
 @_common
 @click.option("--grid", default=None,
-              help="Comma-separated lambda values; defaults to the n*10^e grid.")
+              help="Comma-separated lambda rules (as for --lambda-rule, "
+                   "without cv-best); defaults to n*10^e for e in -3, -2, "
+                   "-1.5, -1, 0.  Prints the winning rule.")
 @_guard
 def lambda_cv_cmd(grid, **kwargs):
-    """Print the cross-validated regularization strength."""
+    """Print the cross-validated lambda rule, usable as --lambda-rule."""
     config = _config(kwargs)
     ds, K_full = load_inputs(config)
-    if grid:
-        values = [float(x) for x in grid.split(",")]
-    else:
-        values = default_lambda_grid(ds.n - ds.n // config.folds)
-    click.echo(f"{lambda_cv(ds, values, config, K_full):.10g}")
+    rules = [r.strip() for r in grid.split(",")] if grid else DEFAULT_LAMBDA_GRID
+    click.echo(lambda_cv(ds, rules, config, K_full))
 
 
 @main.command("synth")

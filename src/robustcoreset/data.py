@@ -6,7 +6,7 @@ LIBSVM text format (``<label> <index>:<value> ...`` with 1-based, strictly
 increasing indices per line).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class SplitPlan:
     """Fold assignment for k-fold cross-validation (train:validation 4:1)."""
 
     assignments: np.ndarray
-    n_folds: int
-    seed: int
-    ratio: str = field(default="4:1")
 
     def val_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -211,7 +208,7 @@ def cv_split(ds: Dataset, folds: int = 5, seed: int = 0,
                 ok = False
                 break
         if ok:
-            return SplitPlan(assignments=assignments, n_folds=folds, seed=seed)
+            return SplitPlan(assignments)
     raise SplitError(f"no class-balanced split in {max_attempts} attempts")
 
 

@@ -54,40 +54,19 @@ def _check_kind(kind):
         raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def loss_eval(kind: str, y: float, score: float) -> float:
-    """Pointwise loss; logistic uses the overflow-safe log1p/softplus form."""
+def loss_eval(kind: str, y, scores) -> np.ndarray:
+    """Elementwise loss; logistic uses the overflow-safe logaddexp form."""
     _check_kind(kind)
-    m = y * score
-    if kind == HINGE:
-        return max(0.0, 1.0 - m)
-    return float(np.logaddexp(0.0, -m))
-
-
-def _loss_vec(kind, y, scores):
     m = y * scores
     if kind == HINGE:
         return np.maximum(0.0, 1.0 - m)
     return np.logaddexp(0.0, -m)
 
 
-def conjugate_eval(kind: str, alpha: float) -> float:
-    """Convex conjugate loss*(-alpha); +inf outside the domain [0, 1]."""
+def conjugate_eval(kind: str, alpha) -> np.ndarray:
+    """Elementwise convex conjugate loss*(-alpha) on its domain [0, 1];
+    callers keep alpha there (``dual_objective`` is -inf outside it)."""
     _check_kind(kind)
-    if alpha < 0.0 or alpha > 1.0:
-        return math.inf
-    if kind == HINGE:
-        return -alpha
-    return _binary_entropy_neg(alpha)
-
-
-def _binary_entropy_neg(alpha):
-    out = 0.0
-    if 0.0 < alpha < 1.0:
-        out = alpha * math.log(alpha) + (1.0 - alpha) * math.log(1.0 - alpha)
-    return out
-
-
-def _conj_vec(kind, alpha):
     if kind == HINGE:
         return -alpha
     a = np.clip(alpha, 0.0, 1.0)
@@ -144,7 +123,7 @@ def primal_objective(K, y, v, w, lam, kind, coef) -> float:
     if E <= 0:
         raise ValueError("sum of effective weights must be positive")
     f = K @ coef
-    loss_term = float(vw @ _loss_vec(kind, y, f)) / E
+    loss_term = float(vw @ loss_eval(kind, y, f)) / E
     return loss_term + 0.5 * lam * float(coef @ f)
 
 
@@ -163,7 +142,7 @@ def dual_objective(K, y, v, w, lam, kind, alpha) -> float:
         return -math.inf
     z = vw * y * alpha
     quad = float(z @ (K @ z)) / (2.0 * lam * E * E)
-    return -float(vw @ _conj_vec(kind, alpha)) / E - quad
+    return -float(vw @ conjugate_eval(kind, alpha)) / E - quad
 
 
 _A_MIN = 1e-15
@@ -234,8 +213,8 @@ def train(K, y, v=None, w=None, lam: float = 1.0, kind: str = LOGISTIC,
     def current_gap():
         f = yf * ya
         beta_sq = float(z @ f) / lamE
-        loss_term = float(wa @ _loss_vec(kind, ya, f)) / E
-        conj_term = float(wa @ _conj_vec(kind, a)) / E
+        loss_term = float(wa @ loss_eval(kind, ya, f)) / E
+        conj_term = float(wa @ conjugate_eval(kind, a)) / E
         return loss_term + conj_term + lam * beta_sq
 
     diag = np.diag(Ka).copy()

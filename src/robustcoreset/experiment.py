@@ -7,10 +7,13 @@ worst-case weighted validation accuracy over the validation weight ball,
 and attach the certified lower bound.  Rows land in ``report.csv`` /
 ``report.json``.
 
-The regularization strength is quoted in sum-form units (rules "n",
-"n*10^-1.5", "n*10^-3", a numeric literal, or "cv-best"); the normalized
-trainer is invoked at lam/E so retraining keeps the absolute strength
-fixed as instances are removed.
+The regularization strength is quoted in sum-form units as a rule ("n",
+"n*10^-1.5", "n*10^-3", a numeric literal, or "cv-best", which
+``lambda_cv`` turns into one of the others).  The rule travels to each
+fold, and each fold resolves it at its own training size, so the lambda
+a fold reports is the one it trained with.  The normalized trainer is
+invoked at lam/E so retraining keeps the absolute strength fixed as
+instances are removed.
 """
 
 import csv
@@ -36,9 +39,8 @@ __all__ = [
     "RunReport",
     "ROBUST_METHOD",
     "ALL_METHODS",
-    "DEFAULT_LAMBDA_EXPONENTS",
+    "DEFAULT_LAMBDA_GRID",
     "resolve_lambda_rule",
-    "default_lambda_grid",
     "lambda_cv",
     "evaluate_worst_case_accuracy",
     "load_dataset",
@@ -54,7 +56,7 @@ __all__ = [
 
 ROBUST_METHOD = "robust"
 ALL_METHODS = (ROBUST_METHOD,) + select.BASELINE_METHODS
-DEFAULT_LAMBDA_EXPONENTS = (-3.0, -2.0, -1.5, -1.0, 0.0)
+DEFAULT_LAMBDA_GRID = ("n*10^-3", "n*10^-2", "n*10^-1.5", "n*10^-1", "n")
 
 CSV_COLUMNS = ("fold", "method", "m", "fraction_removed", "wc_accuracy",
                "certified_lb", "dg_max", "wall_ms", "status")
@@ -79,9 +81,10 @@ class ExperimentConfig:
     min_max_scale: bool = False
     output_dir: str | None = None
     timing: bool = False
-    tol: float = 1e-8
 
     def __post_init__(self):
+        if self.lambda_rule.strip() != "cv-best":
+            resolve_lambda_rule(self.lambda_rule, 1)
         for frac in self.removal_grid:
             if not 0.0 <= frac < 1.0:
                 raise ValueError(f"removal fraction {frac} outside [0, 1)")
@@ -149,41 +152,45 @@ def resolve_lambda_rule(rule: str, n: int) -> float:
     return value
 
 
-def default_lambda_grid(n: int):
-    return tuple(n * 10.0 ** e for e in DEFAULT_LAMBDA_EXPONENTS)
-
-
-def _fold_kernel(config: ExperimentConfig, X_tr, X_va, tr_idx, va_idx, K_full):
-    """Training Gram, training-by-validation Gram and validation diagonal."""
+def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, K_full):
+    """Training indices, training and validation parts, training Gram,
+    training-by-validation Gram and validation diagonal of one fold."""
+    tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
+    tr, va = ds.subset(tr_idx), ds.subset(va_idx)
     if config.kernel == "precomputed":
-        return (K_full[np.ix_(tr_idx, tr_idx)], K_full[np.ix_(tr_idx, va_idx)],
-                np.diag(K_full)[va_idx])
+        return (tr_idx, tr, va, K_full[np.ix_(tr_idx, tr_idx)],
+                K_full[np.ix_(tr_idx, va_idx)], np.diag(K_full)[va_idx])
     if config.kernel == "rbf":
-        spec = KernelSpec("rbf", config.bandwidth or bandwidth_heuristic(X_tr))
-        kdiag = np.ones(len(va_idx))
+        spec = KernelSpec("rbf",
+                          config.bandwidth or bandwidth_heuristic(tr.features))
+        kdiag = np.ones(va.n)
     else:
         spec = KernelSpec("linear")
-        kdiag = np.einsum("ij,ij->i", X_va, X_va)
-    return gram(X_tr, X_tr, spec), gram(X_tr, X_va, spec), kdiag
+        kdiag = np.einsum("ij,ij->i", va.features, va.features)
+    return (tr_idx, tr, va, gram(tr.features, tr.features, spec),
+            gram(tr.features, va.features, spec), kdiag)
 
 
-def lambda_cv(ds: Dataset, grid, config: ExperimentConfig, K_full) -> float:
-    """Grid value maximizing mean unweighted validation accuracy over the
-    config's folds; ties break toward the smaller lambda.  ``K_full`` is
+def _fit(K, y, lam_abs: float, config: ExperimentConfig):
+    """Fit at the sum-form ``lam_abs``; with unit weights the trainer's
+    normalized lambda is lam_abs / len(y)."""
+    return train(K, y, lam=lam_abs / len(y), kind=config.loss)
+
+
+def lambda_cv(ds: Dataset, grid, config: ExperimentConfig, K_full) -> str:
+    """Grid rule maximizing mean unweighted validation accuracy over the
+    config's folds, each fold resolving every rule at its own training
+    size; ties break toward the smaller lambda at ``ds.n``.  ``K_full`` is
     the precomputed Gram matrix from ``load_inputs`` (None otherwise)."""
-    grid = sorted(grid)
+    grid = sorted(grid, key=lambda rule: resolve_lambda_rule(rule, ds.n))
     if not grid:
         raise ValueError("empty lambda grid")
     plan = cv_split(ds, config.folds, config.seed)
     accs = [[] for _ in grid]
     for k in range(config.folds):
-        tr_idx, va_idx = plan.train_indices(k), plan.val_indices(k)
-        tr, va = ds.subset(tr_idx), ds.subset(va_idx)
-        K, Kx, _ = _fold_kernel(config, tr.features, va.features,
-                                tr_idx, va_idx, K_full)
-        for lam_abs, fold_accs in zip(grid, accs):
-            model = train(K, tr.labels, lam=lam_abs / tr.n, kind=config.loss,
-                          tol=config.tol)
+        _, tr, va, K, Kx, _ = _fold(ds, config, plan, k, K_full)
+        for rule, fold_accs in zip(grid, accs):
+            model = _fit(K, tr.labels, resolve_lambda_rule(rule, tr.n), config)
             scores = decision_scores(model, Kx)
             fold_accs.append(float(np.mean(va.labels * scores > 0)))
     means = [float(np.mean(fold_accs)) for fold_accs in accs]
@@ -237,29 +244,26 @@ class FoldContext:
         return self.S > 1.0
 
 
-def resolve_lambda(config: ExperimentConfig, ds: Dataset, K_full) -> float:
-    """Sum-form lambda of the config's rule at the training-fold size; for
-    "cv-best", the ``lambda_cv`` pick over ``default_lambda_grid``."""
-    n_tr = ds.n - ds.n // config.folds
-    if config.lambda_rule.strip() == "cv-best":
-        return lambda_cv(ds, default_lambda_grid(n_tr), config, K_full)
-    return resolve_lambda_rule(config.lambda_rule, n_tr)
+def resolve_lambda(config: ExperimentConfig, ds: Dataset, K_full) -> str:
+    """The config's lambda rule; for "cv-best", the ``lambda_cv`` pick
+    over ``DEFAULT_LAMBDA_GRID``.  Each fold resolves it at its own size."""
+    rule = config.lambda_rule.strip()
+    if rule == "cv-best":
+        return lambda_cv(ds, DEFAULT_LAMBDA_GRID, config, K_full)
+    return rule
 
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
-                 lam_abs: float, K_full) -> FoldContext:
+                 rule: str, K_full) -> FoldContext:
     """Split, kernels, radii, reference model and gap quadratic of one
-    fold; ``lam_abs`` and ``K_full`` come from ``resolve_lambda`` and
-    ``load_inputs``."""
-    plan = cv_split(ds, config.folds, config.seed)
-    tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
-    tr, va = ds.subset(tr_idx), ds.subset(va_idx)
-    K, Kx, kdiag = _fold_kernel(config, tr.features, va.features,
-                                tr_idx, va_idx, K_full)
+    fold; ``rule`` and ``K_full`` come from ``resolve_lambda`` and
+    ``load_inputs``, and the rule is resolved at the fold's training size."""
+    tr_idx, tr, va, K, Kx, kdiag = _fold(
+        ds, config, cv_split(ds, config.folds, config.seed), fold, K_full)
+    lam_abs = resolve_lambda_rule(rule, tr.n)
     S = shift_radius(tr.n_plus, config.a)
     Q = shift_radius(va.n_plus, config.q_shift)
-    model = train(K, tr.labels, lam=lam_abs / tr.n, kind=config.loss,
-                  tol=config.tol)
+    model = _fit(K, tr.labels, lam_abs, config)
     form_cert = bound.quadratic_form(model, K, tr.labels, lam_abs)
     return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=tr.labels, K=K, S=S,
                        Q=Q, lam_abs=lam_abs, model=model, form_cert=form_cert,
@@ -288,9 +292,8 @@ def retrained_accuracy(ctx: FoldContext, config: ExperimentConfig, v) -> float:
     """Retrain on the kept mask ``v`` with uniform weights at the fold's
     absolute lambda and score its worst-case validation accuracy."""
     kept = np.flatnonzero(v > 0)
-    sub_model = train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
-                      lam=ctx.lam_abs / kept.size, kind=config.loss,
-                      tol=config.tol)
+    sub_model = _fit(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept], ctx.lam_abs,
+                     config)
     return evaluate_worst_case_accuracy(sub_model, ctx.valset.K_cross[kept, :],
                                         ctx.valset.y, ctx.Q)
 
@@ -304,7 +307,7 @@ def certify_coreset(ctx: FoldContext, v) -> bound.BoundReport:
 
 @dataclass
 class RunReport:
-    lam_abs: float
+    lambda_rule: str
     rows: list = field(default_factory=list)
     aggregates: dict = field(default_factory=dict)
     gap_diagnostics: list = field(default_factory=list)
@@ -317,6 +320,7 @@ def _gap_diagnostics(ctx: FoldContext):
     direct = evaluate_gap(ctx.model, ones, ctx.w_worst)
     return {
         "fold": ctx.fold,
+        "lambda": ctx.lam_abs,
         "q_exact_full": ctx.form_cert.value(ones),
         "q_exact_worst_w": ctx.form_cert.value(ctx.w_worst),
         "scaled_direct_gap_worst_w": float(ctx.w_worst.sum()) * direct.gap,
@@ -344,7 +348,7 @@ def _write_reports(config: ExperimentConfig, report: RunReport):
     payload = {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in vars(config).items()},
-        "lambda": report.lam_abs,
+        "lambda": report.lambda_rule,
         "rows": report.rows,
         "aggregates": report.aggregates,
         "gap_diagnostics": report.gap_diagnostics,
@@ -381,11 +385,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     before the exception propagates.
     """
     ds, K_full = load_inputs(config)
-    lam_abs = resolve_lambda(config, ds, K_full)
-    report = RunReport(lam_abs=lam_abs)
+    rule = resolve_lambda(config, ds, K_full)
+    report = RunReport(lambda_rule=rule)
     try:
         for fold in range(config.folds):
-            ctx = prepare_fold(ds, config, fold, lam_abs, K_full)
+            ctx = prepare_fold(ds, config, fold, rule, K_full)
             report.gap_diagnostics.append(_gap_diagnostics(ctx))
             n_del_grid = config.removal_counts(len(ctx.y_tr))
             for method in config.methods:

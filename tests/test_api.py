@@ -20,6 +20,20 @@ def test_every_all_entry_resolves():
         assert not missing, (mod.__name__, missing)
 
 
+def test_no_private_cross_imports():
+    # a module's underscore names are its own; another module that needs
+    # one should get a public name instead
+    offenders = []
+    for path in Path(robustcoreset.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("robustcoreset")):
+                offenders += [f"{path.name}: {node.module}.{alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_")]
+    assert not offenders, offenders
+
+
 def test_benchmark_traced_names_are_module_callables():
     # read the benchmark's TRACED table from its source without running it,
     # so a rename in the package fails here and not only in the benchmark

@@ -10,26 +10,38 @@ import oracles
 
 
 def test_loss_logistic_at_zero():
-    assert rc.loss_eval(rc.LOGISTIC, 1, 0.0) == pytest.approx(math.log(2))
+    val = rc.loss_eval(rc.LOGISTIC, np.array([1.0, -1.0]), np.zeros(2))
+    np.testing.assert_allclose(val, [math.log(2)] * 2)
 
 
 def test_loss_hinge_outside_margin():
-    assert rc.loss_eval(rc.HINGE, 1, 2.0) == 0.0
+    val = rc.loss_eval(rc.HINGE, np.array([1.0, -1.0]), np.array([2.0, -1.0]))
+    np.testing.assert_array_equal(val, [0.0, 0.0])
 
 
 def test_loss_logistic_no_overflow():
-    val = rc.loss_eval(rc.LOGISTIC, -1, -50.0)
-    assert 0.0 < val < 1e-20
-    assert math.isfinite(rc.loss_eval(rc.LOGISTIC, 1, -1000.0))
+    val = rc.loss_eval(rc.LOGISTIC, np.array([-1.0, 1.0]),
+                       np.array([-50.0, -1000.0]))
+    assert 0.0 < val[0] < 1e-20
+    assert np.isfinite(val).all()
 
 
 def test_conjugate_values():
-    assert rc.conjugate_eval(rc.HINGE, 0.3) == pytest.approx(-0.3)
-    assert rc.conjugate_eval(rc.LOGISTIC, 0.5) == pytest.approx(-math.log(2))
-    assert rc.conjugate_eval(rc.LOGISTIC, 1.2) == math.inf
-    assert rc.conjugate_eval(rc.HINGE, -0.01) == math.inf
-    assert rc.conjugate_eval(rc.LOGISTIC, 0.0) == 0.0
-    assert rc.conjugate_eval(rc.LOGISTIC, 1.0) == 0.0
+    assert rc.conjugate_eval(rc.HINGE, np.array([0.3])) == pytest.approx([-0.3])
+    np.testing.assert_allclose(
+        rc.conjugate_eval(rc.LOGISTIC, np.array([0.5, 0.0, 1.0])),
+        [-math.log(2), 0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", [rc.HINGE, rc.LOGISTIC])
+def test_dual_objective_alpha_domain(kind):
+    K, y, ones = np.eye(2), np.array([1.0, -1.0]), np.ones(2)
+    for bad in (1.2, -0.01):
+        alpha = np.array([bad, 0.5])
+        assert dual_objective(K, y, ones, ones, 1.0, kind, alpha) == -math.inf
+        # an inactive instance's alpha is outside the objective
+        v = np.array([0.0, 1.0])
+        assert math.isfinite(dual_objective(K, y, v, ones, 1.0, kind, alpha))
 
 
 @pytest.mark.parametrize("kind", [rc.HINGE, rc.LOGISTIC])

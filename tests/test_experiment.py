@@ -9,7 +9,7 @@ from click.testing import CliRunner
 import robustcoreset as rc
 from robustcoreset import bound
 from robustcoreset.cli import main as cli_main
-from robustcoreset.experiment import (ExperimentConfig, default_lambda_grid,
+from robustcoreset.experiment import (DEFAULT_LAMBDA_GRID, ExperimentConfig,
                                       load_dataset, load_inputs,
                                       min_max_scaled, prepare_fold,
                                       resolve_lambda_rule, run_experiment,
@@ -58,10 +58,10 @@ def test_resolve_lambda_rule():
 
 
 def test_default_lambda_grid():
-    grid = default_lambda_grid(100)
+    grid = [resolve_lambda_rule(rule, 100) for rule in DEFAULT_LAMBDA_GRID]
     assert grid[0] == pytest.approx(0.1)
     assert grid[-1] == pytest.approx(100.0)
-    assert list(grid) == sorted(grid)
+    assert grid == sorted(grid)
 
 
 def cv_config(folds, seed):
@@ -70,16 +70,16 @@ def cv_config(folds, seed):
 
 def test_lambda_cv_single_element():
     ds = rc.gaussian_task(40, 3, seed=0)
-    assert rc.lambda_cv(ds, [2.5], cv_config(4, 0), None) == 2.5
+    assert rc.lambda_cv(ds, ["2.5"], cv_config(4, 0), None) == "2.5"
 
 
 def test_lambda_cv_prefers_better_lambda():
     ds = rc.gaussian_task(80, 3, seed=1, separation=4.0)
-    grid = [80 * 1e-3, 80.0]
+    grid = ["n*10^-3", "n"]
     best = rc.lambda_cv(ds, grid, cv_config(4, 0), None)
     accs = {}
     plan = rc.cv_split(ds, 4, 0)
-    for lam in grid:
+    for rule in grid:
         fold_accs = []
         for k in range(4):
             tr = ds.subset(plan.train_indices(k))
@@ -87,16 +87,18 @@ def test_lambda_cv_prefers_better_lambda():
             spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(tr.features))
             K = rc.gram(tr.features, tr.features, spec)
             Kx = rc.gram(tr.features, va.features, spec)
+            lam = resolve_lambda_rule(rule, tr.n)
             model = rc.train(K, tr.labels, lam=lam / tr.n, kind=rc.LOGISTIC)
             fold_accs.append(float(np.mean(
                 va.labels * rc.decision_scores(model, Kx) > 0)))
-        accs[lam] = np.mean(fold_accs)
-    assert best == max(grid, key=lambda lam: (accs[lam], -lam))
+        accs[rule] = np.mean(fold_accs)
+    assert best == max(grid, key=lambda rule: (
+        accs[rule], -resolve_lambda_rule(rule, ds.n)))
 
 
 def test_lambda_cv_deterministic():
     ds = rc.gaussian_task(50, 3, seed=2)
-    grid = [0.05, 5.0]
+    grid = ["5.0", "n*10^-3"]
     config = cv_config(5, 7)
     assert rc.lambda_cv(ds, grid, config, None) == rc.lambda_cv(ds, grid, config, None)
 
@@ -187,6 +189,8 @@ def test_config_validation(synth_file):
         ExperimentConfig(dataset=synth_file, methods=("grand",))
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=synth_file, algorithm=4)
+    with pytest.raises(ValueError):
+        ExperimentConfig(dataset=synth_file, lambda_rule="nope")
 
 
 def test_cli_synth_and_sweep(tmp_path):
@@ -292,7 +296,7 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
         cfg = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                                folds=2, algorithm=algorithm)
         ds, K_full = load_inputs(cfg)
-        ctx = prepare_fold(ds, cfg, 0, 2.0, K_full)
+        ctx = prepare_fold(ds, cfg, 0, "2.0", K_full)
         run_selection(ctx, cfg, "robust", 20)
         fresh = bound.maximize_on_ball(ctx.form_cert, np.ones(len(ctx.y_tr)),
                                        ctx.S).w_star
@@ -371,7 +375,66 @@ def test_cli_lambda_cv(tmp_path):
         "lambda-cv", "--dataset", str(data), "--folds", "3",
         "--grid", "0.5,5.0"])
     assert res.exit_code == 0, res.output
-    assert float(res.output.strip()) in (0.5, 5.0)
+    assert res.output.strip() in ("0.5", "5.0")
+
+
+@pytest.fixture(scope="module")
+def uneven_file(tmp_path_factory):
+    # 68 rows over 3 folds: the training parts hold 45, 45 and 46 rows
+    path = tmp_path_factory.mktemp("uneven") / "synth.svm"
+    res = CliRunner().invoke(cli_main, ["synth", "--n", "68", "--seed", "9",
+                                        "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    return str(path)
+
+
+def test_cli_certify_lambda_is_fold_size(uneven_file, tmp_path):
+    runner = CliRunner()
+    for fold, n_tr in enumerate((45, 45, 46)):
+        out = tmp_path / str(fold)
+        res = runner.invoke(cli_main, [
+            "certify", "--dataset", uneven_file, "--lambda-rule", "n",
+            "--folds", "3", "--fold", str(fold), "--method", "random",
+            "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((out / "bound_report.json").read_text())
+        assert payload["n_train"] == n_tr
+        assert payload["lam"] == n_tr
+
+
+def test_sweep_reports_rule_and_fold_lambda(uneven_file, tmp_path):
+    res = CliRunner().invoke(cli_main, [
+        "sweep", "--dataset", uneven_file, "--lambda-rule", "n", "--folds",
+        "3", "--methods", "random", "--removal-grid", "0.0",
+        "--output-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "lambda=n;" in res.output
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["lambda"] == "n"
+    # nothing is removed at 0.0, so each row's m is its fold's n_tr
+    n_tr = {row["fold"]: row["m"] for row in report["rows"]}
+    assert sorted(n_tr.values()) == [45, 45, 46]
+    assert [d["lambda"] for d in report["gap_diagnostics"]] == [
+        n_tr[d["fold"]] for d in report["gap_diagnostics"]]
+
+
+def test_lambda_cv_rule_reproduces_cv_best(uneven_file, tmp_path):
+    runner = CliRunner()
+    common = ["--dataset", uneven_file, "--folds", "3", "--seed", "1"]
+    res = runner.invoke(cli_main, ["lambda-cv", *common])
+    assert res.exit_code == 0, res.output
+    rule = res.output.strip()
+    assert rule in DEFAULT_LAMBDA_GRID
+    reports = []
+    for name, lambda_rule in (("picked", rule), ("cv", "cv-best")):
+        res = runner.invoke(cli_main, [
+            "sweep", *common, "--lambda-rule", lambda_rule,
+            "--methods", "robust,random", "--algorithm", "2",
+            "--removal-grid", "0.3,0.5", "--output-dir", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+        assert f"lambda={rule};" in res.output
+        reports.append((tmp_path / name / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -380,8 +443,10 @@ def test_cli_config_error_exit_code(tmp_path):
     runner.invoke(cli_main, ["synth", "--n", "30", "--d", "2", "--seed", "1",
                              "--out", str(data)])
     res = runner.invoke(cli_main, [
-        "sweep", "--dataset", str(data), "--lambda-rule", "nope"])
+        "sweep", "--dataset", str(data), "--lambda-rule", "nope",
+        "--output-dir", str(tmp_path / "nope")])
     assert res.exit_code == 2
+    assert not (tmp_path / "nope" / "report.csv").exists()
     res = runner.invoke(cli_main, ["sweep", "--dataset", str(tmp_path / "no")])
     assert res.exit_code == 2
     non_psd = np.eye(30)
