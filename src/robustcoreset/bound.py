@@ -50,7 +50,6 @@ __all__ = [
     "certify",
     "min_weighted_indicator",
     "worst_case_error_ub",
-    "certified_count_error_ub",
     "certificate",
 ]
 
@@ -88,18 +87,15 @@ class QuadraticGapForm:
         return At, g, const
 
 
-def quadratic_form(model_ref: Model, K, y, lam: float) -> QuadraticGapForm:
-    """Build (A, b, c) from the reference dual solution.
-
-    ``lam`` is the sum-form regularization strength; pass
-    ``model_ref.lam_abs`` so that q(1) = 0 at the reference optimum.
+def quadratic_form(model_ref: Model) -> QuadraticGapForm:
+    """Build (A, b, c) from the reference dual solution, its Gram matrix,
+    labels and strength; the reference is trained with unit weights.
 
     The linear coefficient is loss_i + loss*(-alpha_i), which makes q(v*w)
     the exact sum-form duality gap for both losses; for hinge it equals
     the published loss_i - alpha_i.
     """
-    K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
+    K, y, lam = model_ref.gram_ref, model_ref.y, model_ref.lam_abs
     s = model_ref.alpha * y
     A = (K * np.outer(s, s)) / (2.0 * lam)
     losses = loss_eval(model_ref.loss, y, model_ref.train_scores)
@@ -269,15 +265,6 @@ def worst_case_error_ub(zeta, Q: float) -> float:
     return min(1.0, max(0.0, 1.0 - value / zeta.shape[0]))
 
 
-def certified_count_error_ub(m: int, n_val: int, Q: float) -> float:
-    """Binary-zeta simplification of the bound from the certified count m."""
-    if not 0 <= m <= n_val:
-        raise ValueError("certified count out of range")
-    radicand = max(m - m * m / n_val, 0.0)
-    value = m - Q * math.sqrt(radicand)
-    return min(1.0, max(0.0, 1.0 - value / n_val))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Certificate for one candidate coreset."""
@@ -304,12 +291,11 @@ class BoundReport:
         }
 
 
-def certificate(model_ref: Model, form: QuadraticGapForm, v, S: float, Q: float,
-                K_val_cross, k_val_diag, y_val, lam_abs: float) -> BoundReport:
-    """Full bound pipeline for a kept mask v: gap max, radius, zeta, ub."""
-    res = maximize_on_ball(form, v, S)
-    R = radius(res.dg_max, lam_abs)
+def certificate(model_ref: Model, ball: BallMax, Q: float, K_val_cross,
+                k_val_diag, y_val) -> BoundReport:
+    """Bound pipeline from a kept mask's ball maximum: radius, zeta, ub."""
+    R = radius(ball.dg_max, model_ref.lam_abs)
     zeta, counts = certify(model_ref, K_val_cross, k_val_diag, y_val, R)
     ub = worst_case_error_ub(zeta, Q)
-    return BoundReport(dg_max=res.dg_max, w_star=res.w_star, radius=R,
+    return BoundReport(dg_max=ball.dg_max, w_star=ball.w_star, radius=R,
                        zeta=zeta, counts=counts, ub=ub)

@@ -187,7 +187,7 @@ def certify_cmd(method, removal_fraction, fold, indices, output_dir, **kwargs):
     payload = report.to_dict()
     payload.update(fold=fold, method=method, S=ctx.S, Q=ctx.Q,
                    m=int(v.sum()), n_train=len(ctx.y_tr),
-                   certified_lb=1.0 - report.ub, lam=ctx.lam_abs)
+                   certified_lb=1.0 - report.ub, lam=ctx.model.lam_abs)
     (out / "bound_report.json").write_text(json.dumps(payload, indent=2) + "\n")
     click.echo(f"dg_max={report.dg_max:.6g} radius={report.radius:.6g} "
                f"certified={report.counts.surely_correct}/{len(report.zeta)} "

@@ -1,19 +1,22 @@
 """Weighted L2-regularized kernel classifiers trained in the dual.
 
-The primal objective for mask v, weights w and E = sum_i v_i w_i is
+Every objective here is the sum form.  For mask v, weights w and the
+regularization strength lam (``lam_abs``, the one unit the package uses),
+the primal is
 
-    P(beta) = (1/E) sum_i v_i w_i loss(y_i, f(x_i; beta)) + (lam/2) ||beta||^2
+    P(beta) = sum_i v_i w_i loss(y_i, f(x_i; beta)) + (lam/2) ||beta||^2
 
 and the matching dual over alpha in [0, 1]^n is
 
-    D(alpha) = -(1/E) sum_i v_i w_i loss*(-alpha_i)
-               - (1/(2 lam E^2)) z' K z,      z = v * w * y * alpha.
+    D(alpha) = -sum_i v_i w_i loss*(-alpha_i) - (1/(2 lam)) z' K z,
+               z = v * w * y * alpha.
 
-The optimum satisfies the representer identity beta = Phi' z / (lam E), so
-decision scores are (1/(lam E)) sum_i v_i w_i y_i alpha_i K(x_i, x).
+The optimum satisfies the representer identity beta = Phi' z / lam, so
+decision scores are (1/lam) sum_i v_i w_i y_i alpha_i K(x_i, x).
 Training is dual coordinate ascent: exact clipped updates for the hinge
 loss, safeguarded 1-D Newton for the logistic loss, stopping once the
-duality gap falls below ``tol``.
+duality gap per unit weight, (P - D) / E with E = sum_i v_i w_i, falls
+below ``tol``.
 """
 
 import math
@@ -87,62 +90,52 @@ class Objectives:
 class Model:
     """Trained classifier: dual variables plus representer coefficients.
 
-    ``rep_coef`` is v*w*y*alpha/(lam*E); scores of new points are
+    ``rep_coef`` is v*w*y*alpha/lam_abs; scores of new points are
     K_cross.T @ rep_coef.  ``gram_ref`` keeps the training self-Gram so
-    gaps under new (v, w) can be evaluated later.
+    gaps under new (v, w) can be evaluated later.  ``certified_gap`` is
+    the final duality gap per unit weight, the quantity ``tol`` bounds.
     """
 
     alpha: np.ndarray
-    lam: float
+    lam_abs: float
     loss: str
-    v: np.ndarray
-    w: np.ndarray
-    E: float
     gram_ref: np.ndarray
     certified_gap: float
     y: np.ndarray
     rep_coef: np.ndarray
     train_scores: np.ndarray
-    beta_sq: float
 
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
 
-    @property
-    def lam_abs(self) -> float:
-        """Regularization strength of the equivalent sum-form objective."""
-        return self.lam * self.E
+
+def _effective_weights(v, w) -> np.ndarray:
+    vw = np.asarray(v, dtype=float) * np.asarray(w, dtype=float)
+    if vw.sum() <= 0:
+        raise ValueError("sum of effective weights must be positive")
+    return vw
 
 
-def primal_objective(K, y, v, w, lam, kind, coef) -> float:
+def primal_objective(K, y, v, w, lam_abs, kind, coef) -> float:
     """P(beta) for beta given through representer coefficients (f = K coef)."""
     _check_kind(kind)
-    vw = np.asarray(v, dtype=float) * np.asarray(w, dtype=float)
-    E = float(vw.sum())
-    if E <= 0:
-        raise ValueError("sum of effective weights must be positive")
+    vw = _effective_weights(v, w)
     f = K @ coef
-    loss_term = float(vw @ loss_eval(kind, y, f)) / E
-    return loss_term + 0.5 * lam * float(coef @ f)
+    return float(vw @ loss_eval(kind, y, f)) + 0.5 * lam_abs * float(coef @ f)
 
 
-def dual_objective(K, y, v, w, lam, kind, alpha) -> float:
+def dual_objective(K, y, v, w, lam_abs, kind, alpha) -> float:
     """D(alpha); -inf when any active alpha leaves [0, 1]."""
     _check_kind(kind)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    vw = v * w
-    E = float(vw.sum())
-    if E <= 0:
-        raise ValueError("sum of effective weights must be positive")
+    vw = _effective_weights(v, w)
     alpha = np.asarray(alpha, dtype=float)
     active = vw != 0.0
     if ((alpha[active] < 0.0) | (alpha[active] > 1.0)).any():
         return -math.inf
     z = vw * y * alpha
-    quad = float(z @ (K @ z)) / (2.0 * lam * E * E)
-    return -float(vw @ conjugate_eval(kind, alpha)) / E - quad
+    quad = float(z @ (K @ z)) / (2.0 * lam_abs)
+    return -float(vw @ conjugate_eval(kind, alpha)) - quad
 
 
 _A_MIN = 1e-15
@@ -173,9 +166,10 @@ def _logistic_coord_root(q0, s, a0):
     return a
 
 
-def train(K, y, v=None, w=None, lam: float = 1.0, kind: str = LOGISTIC,
+def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
           tol: float = 1e-8, max_passes: int | None = None) -> Model:
-    """Fit the dual of the weighted problem until the duality gap <= tol.
+    """Fit the dual of the weighted sum-form problem at strength ``lam_abs``
+    until the duality gap per unit weight is <= tol.
 
     Cyclic coordinate ascent, deterministic.  Raises TrainingError (with
     the best gap reached) when the pass cap is hit, ValueError for an
@@ -189,8 +183,8 @@ def train(K, y, v=None, w=None, lam: float = 1.0, kind: str = LOGISTIC,
         raise ValueError("K must be n x n with matching labels")
     v = np.ones(n) if v is None else np.asarray(v, dtype=float)
     w = np.ones(n) if w is None else np.asarray(w, dtype=float)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if lam_abs <= 0:
+        raise ValueError("lam_abs must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
     act = np.flatnonzero(v != 0.0)
@@ -202,27 +196,26 @@ def train(K, y, v=None, w=None, lam: float = 1.0, kind: str = LOGISTIC,
     ya = y[act]
     Ka = K[np.ix_(act, act)]
     E = float(wa.sum())
-    lamE = lam * E
     if max_passes is None:
         max_passes = max(1000, int(math.ceil(4_000_000 / act.size)))
 
     a = np.full(act.size, 0.5 if kind == LOGISTIC else 0.0)
     z = wa * ya * a
-    yf = ya * (Ka @ z) / lamE
+    yf = ya * (Ka @ z) / lam_abs
 
     def current_gap():
+        # P - D = sum w (loss + loss*) + lam ||beta||^2, and
+        # lam ||beta||^2 = z' K z / lam = z' f
         f = yf * ya
-        beta_sq = float(z @ f) / lamE
-        loss_term = float(wa @ loss_eval(kind, ya, f)) / E
-        conj_term = float(wa @ conjugate_eval(kind, a)) / E
-        return loss_term + conj_term + lam * beta_sq
+        losses = loss_eval(kind, ya, f) + conjugate_eval(kind, a)
+        return (float(wa @ losses) + float(z @ f)) / E
 
     diag = np.diag(Ka).copy()
     best_gap = math.inf
     for sweep in range(max_passes):
         for j in range(act.size):
             cj = wa[j]
-            sj = cj * diag[j] / lamE
+            sj = cj * diag[j] / lam_abs
             if kind == HINGE:
                 if sj > 0.0:
                     a_new = min(1.0, max(0.0, a[j] + (1.0 - yf[j]) / sj))
@@ -235,9 +228,9 @@ def train(K, y, v=None, w=None, lam: float = 1.0, kind: str = LOGISTIC,
                 a[j] = a_new
                 dz = cj * ya[j] * delta
                 z[j] += dz
-                yf += ya * Ka[:, j] * (dz / lamE)
+                yf += ya * Ka[:, j] * (dz / lam_abs)
         if (sweep + 1) % 64 == 0:
-            yf = ya * (Ka @ z) / lamE
+            yf = ya * (Ka @ z) / lam_abs
         gap = current_gap()
         best_gap = min(best_gap, gap)
         if gap <= tol:
@@ -250,23 +243,20 @@ def train(K, y, v=None, w=None, lam: float = 1.0, kind: str = LOGISTIC,
     alpha = np.zeros(n)
     alpha[act] = a
     rep_coef = np.zeros(n)
-    rep_coef[act] = z / lamE
-    train_scores = K @ rep_coef
-    beta_sq = float(rep_coef[act] @ train_scores[act])
-    return Model(alpha=alpha, lam=lam, loss=kind, v=v.copy(), w=w.copy(),
-                 E=E, gram_ref=K, certified_gap=gap, y=y.astype(float),
-                 rep_coef=rep_coef, train_scores=train_scores, beta_sq=beta_sq)
+    rep_coef[act] = z / lam_abs
+    return Model(alpha=alpha, lam_abs=lam_abs, loss=kind, gram_ref=K,
+                 certified_gap=gap, y=y.astype(float), rep_coef=rep_coef,
+                 train_scores=K @ rep_coef)
 
 
 def evaluate_gap(model: Model, v, w) -> Objectives:
-    """Primal/dual objectives at the reference solution under new (v, w).
-
-    This is the direct, normalized duality gap; the quadratic surrogate
-    used for the worst-case-weight search lives in ``bound``.
+    """Sum-form primal/dual objectives at the reference solution under new
+    (v, w).  For a model trained with unit weights the gap equals the
+    ``bound.quadratic_form`` quadratic at v*w, up to rounding.
     """
-    p = primal_objective(model.gram_ref, model.y, v, w, model.lam,
+    p = primal_objective(model.gram_ref, model.y, v, w, model.lam_abs,
                          model.loss, model.rep_coef)
-    d = dual_objective(model.gram_ref, model.y, v, w, model.lam,
+    d = dual_objective(model.gram_ref, model.y, v, w, model.lam_abs,
                        model.loss, model.alpha)
     return Objectives(primal=p, dual=d, gap=p - d)
 

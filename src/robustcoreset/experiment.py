@@ -11,9 +11,8 @@ The regularization strength is quoted in sum-form units as a rule ("n",
 "n*10^-1.5", "n*10^-3", a numeric literal, or "cv-best", which
 ``lambda_cv`` turns into one of the others).  The rule travels to each
 fold, and each fold resolves it at its own training size, so the lambda
-a fold reports is the one it trained with.  The normalized trainer is
-invoked at lam/E so retraining keeps the absolute strength fixed as
-instances are removed.
+a fold reports is the one it trained with.  Retraining on a coreset keeps
+the reference model's strength.
 """
 
 import csv
@@ -95,6 +94,11 @@ class ExperimentConfig:
             raise ValueError("algorithm must be 0 (auto), 1, 2 or 3")
         if self.a <= 0:
             raise ValueError("shift factor a must be positive")
+        if self.kernel == "precomputed" and self.kernel_file is None:
+            raise ValueError("--kernel precomputed needs --kernel-file")
+        if self.kernel != "precomputed" and self.kernel_file is not None:
+            raise ValueError("--kernel-file is read only with --kernel "
+                             f"precomputed, not {self.kernel!r}")
 
     @property
     def q_shift(self) -> float:
@@ -171,12 +175,6 @@ def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, K_full):
             gram(tr.features, va.features, spec), kdiag)
 
 
-def _fit(K, y, lam_abs: float, config: ExperimentConfig):
-    """Fit at the sum-form ``lam_abs``; with unit weights the trainer's
-    normalized lambda is lam_abs / len(y)."""
-    return train(K, y, lam=lam_abs / len(y), kind=config.loss)
-
-
 def lambda_cv(ds: Dataset, grid, config: ExperimentConfig, K_full) -> str:
     """Grid rule maximizing mean unweighted validation accuracy over the
     config's folds, each fold resolving every rule at its own training
@@ -190,7 +188,8 @@ def lambda_cv(ds: Dataset, grid, config: ExperimentConfig, K_full) -> str:
     for k in range(config.folds):
         _, tr, va, K, Kx, _ = _fold(ds, config, plan, k, K_full)
         for rule, fold_accs in zip(grid, accs):
-            model = _fit(K, tr.labels, resolve_lambda_rule(rule, tr.n), config)
+            model = train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
+                          kind=config.loss)
             scores = decision_scores(model, Kx)
             fold_accs.append(float(np.mean(va.labels * scores > 0)))
     means = [float(np.mean(fold_accs)) for fold_accs in accs]
@@ -227,16 +226,16 @@ class FoldContext:
     K: np.ndarray
     S: float
     Q: float
-    lam_abs: float
     model: object
     form_cert: bound.QuadraticGapForm
     valset: ValidationSet
 
     @functools.cached_property
-    def w_worst(self) -> np.ndarray:
-        """The full-set worst-case weight; one ball solve, on first use."""
+    def full_ball(self) -> bound.BallMax:
+        """The full set's ball maximum and worst-case weight; one ball
+        solve, on first use."""
         return bound.maximize_on_ball(self.form_cert, np.ones(self.form_cert.n),
-                                      self.S).w_star
+                                      self.S)
 
     @property
     def weights_may_be_negative(self) -> bool:
@@ -260,13 +259,12 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     ``load_inputs``, and the rule is resolved at the fold's training size."""
     tr_idx, tr, va, K, Kx, kdiag = _fold(
         ds, config, cv_split(ds, config.folds, config.seed), fold, K_full)
-    lam_abs = resolve_lambda_rule(rule, tr.n)
-    S = shift_radius(tr.n_plus, config.a)
-    Q = shift_radius(va.n_plus, config.q_shift)
-    model = _fit(K, tr.labels, lam_abs, config)
-    form_cert = bound.quadratic_form(model, K, tr.labels, lam_abs)
-    return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=tr.labels, K=K, S=S,
-                       Q=Q, lam_abs=lam_abs, model=model, form_cert=form_cert,
+    model = train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
+                  kind=config.loss)
+    return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=tr.labels, K=K,
+                       S=shift_radius(tr.n_plus, config.a),
+                       Q=shift_radius(va.n_plus, config.q_shift), model=model,
+                       form_cert=bound.quadratic_form(model),
                        valset=ValidationSet(Kx, kdiag, va.labels))
 
 
@@ -281,7 +279,7 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
         algorithm = config.algorithm or (1 if len(ctx.y_tr) <= 400 else 2)
         fn = {1: select.greedy_exact, 2: select.greedy_fixed_w,
               3: select.greedy_oneshot}[algorithm]
-        ball = ctx.S if algorithm == 1 else ctx.w_worst
+        ball = ctx.S if algorithm == 1 else ctx.full_ball.w_star
         return fn(ctx.form_cert, ctx.y_tr, ball, n_del,
                   preserve_classes=config.preserve_classes, seed=seed)
     return select.baseline_select(method, ctx.K, ctx.y_tr, ctx.model, n_del,
@@ -289,20 +287,23 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
 
 
 def retrained_accuracy(ctx: FoldContext, config: ExperimentConfig, v) -> float:
-    """Retrain on the kept mask ``v`` with uniform weights at the fold's
-    absolute lambda and score its worst-case validation accuracy."""
+    """Retrain on the kept mask ``v`` with uniform weights at the reference
+    model's lambda and score its worst-case validation accuracy."""
     kept = np.flatnonzero(v > 0)
-    sub_model = _fit(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept], ctx.lam_abs,
-                     config)
+    sub_model = train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
+                      ctx.model.lam_abs, kind=config.loss)
     return evaluate_worst_case_accuracy(sub_model, ctx.valset.K_cross[kept, :],
                                         ctx.valset.y, ctx.Q)
 
 
 def certify_coreset(ctx: FoldContext, v) -> bound.BoundReport:
-    """Certificate of the kept mask ``v`` against the fold's reference model."""
+    """Certificate of the kept mask ``v`` against the fold's reference
+    model; a mask that keeps every instance reuses the full-set solve."""
+    ball = (ctx.full_ball if np.all(v)
+            else bound.maximize_on_ball(ctx.form_cert, v, ctx.S))
     val = ctx.valset
-    return bound.certificate(ctx.model, ctx.form_cert, v, ctx.S, ctx.Q,
-                             val.K_cross, val.k_diag, val.y, ctx.lam_abs)
+    return bound.certificate(ctx.model, ball, ctx.Q, val.K_cross, val.k_diag,
+                             val.y)
 
 
 @dataclass
@@ -315,15 +316,14 @@ class RunReport:
 
 def _gap_diagnostics(ctx: FoldContext):
     """Gap quadratic at the full set and at the worst-case weight, next to
-    the scaled direct gap at that weight; logged per fold."""
-    ones = np.ones(ctx.form_cert.n)
-    direct = evaluate_gap(ctx.model, ones, ctx.w_worst)
+    the direct duality gap at that weight; logged per fold."""
+    ones, w_worst = np.ones(ctx.form_cert.n), ctx.full_ball.w_star
     return {
         "fold": ctx.fold,
-        "lambda": ctx.lam_abs,
+        "lambda": ctx.model.lam_abs,
         "q_exact_full": ctx.form_cert.value(ones),
-        "q_exact_worst_w": ctx.form_cert.value(ctx.w_worst),
-        "scaled_direct_gap_worst_w": float(ctx.w_worst.sum()) * direct.gap,
+        "q_exact_worst_w": ctx.form_cert.value(w_worst),
+        "direct_gap_worst_w": evaluate_gap(ctx.model, ones, w_worst).gap,
         "S": ctx.S,
         "weights_may_be_negative": ctx.weights_may_be_negative,
     }

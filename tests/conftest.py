@@ -21,13 +21,13 @@ def rbf_task():
 @pytest.fixture(scope="session")
 def hinge_model(rbf_task):
     ds, K, lam_abs = rbf_task
-    return rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=rc.HINGE, tol=1e-10)
+    return rc.train(K, ds.labels, lam_abs, kind=rc.HINGE, tol=1e-10)
 
 
 @pytest.fixture(scope="session")
 def logistic_model(rbf_task):
     ds, K, lam_abs = rbf_task
-    return rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=rc.LOGISTIC, tol=1e-10)
+    return rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC, tol=1e-10)
 
 
 def make_validation(ds_train, n_val, seed):

@@ -1,11 +1,13 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import robustcoreset
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _modules():
@@ -46,3 +48,42 @@ def test_benchmark_traced_names_are_module_callables():
         mod = importlib.import_module(f"robustcoreset.{layer}")
         for name in names:
             assert callable(vars(mod).get(name)), f"{layer}.{name}"
+
+
+def _top_level_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ must be used by the package or the
+    # benchmark; its own definition line and the __all__ lists do not
+    # count, and neither do the tests
+    paths = [p for p in Path(robustcoreset.__file__).parent.glob("*.py")
+             if p.name != "__init__.py"] + sorted(BENCH.glob("*.py"))
+    lines, def_line = [], {}
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        skip = set()
+        for node in tree.body:
+            names = _top_level_names(node)
+            if "__all__" in names:
+                skip.update(range(node.lineno, node.end_lineno + 1))
+            def_line.update({(path, name): node.lineno for name in names})
+        lines += [(path, i, line) for i, line in
+                  enumerate(path.read_text().splitlines(), 1) if i not in skip]
+    unused = []
+    for mod in _modules():
+        path = Path(mod.__file__)
+        if path.name == "__init__.py":
+            continue
+        for name in getattr(mod, "__all__", ()):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            own = (path, def_line.get((path, name)))
+            if not any(word.search(line) for p, i, line in lines
+                       if (p, i) != own):
+                unused.append(f"{mod.__name__}.{name}")
+    assert not unused, unused

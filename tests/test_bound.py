@@ -4,26 +4,24 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
-from robustcoreset.bound import BallMax, certified_count_error_ub
+from robustcoreset.bound import BallMax
 
 import oracles
 
 
-def dummy_model(alpha, y, K, scores, kind=rc.HINGE, lam=1.0):
+def dummy_model(alpha, y, K, scores, kind=rc.HINGE):
     alpha = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
     n = alpha.size
-    return rc.Model(alpha=alpha, lam=lam, loss=kind, v=np.ones(n),
-                    w=np.ones(n), E=float(n), gram_ref=np.asarray(K, float),
-                    certified_gap=0.0, y=y,
-                    rep_coef=np.zeros(n), train_scores=np.asarray(scores, float),
-                    beta_sq=0.0)
+    return rc.Model(alpha=alpha, lam_abs=1.0, loss=kind,
+                    gram_ref=np.asarray(K, float), certified_gap=0.0, y=y,
+                    rep_coef=np.zeros(n), train_scores=np.asarray(scores, float))
 
 
 def test_quadratic_form_single_point():
     K = np.array([[1.0]])
     model = dummy_model([0.5], [1.0], K, [0.0])
-    form = rc.quadratic_form(model, K, model.y, lam=1.0)
+    form = rc.quadratic_form(model)
     assert form.A[0, 0] == pytest.approx(0.125)
     assert form.c == pytest.approx(0.125)
 
@@ -33,7 +31,7 @@ def test_quadratic_form_hinge_margin_b():
     y = np.array([1.0, -1.0])
     scores = np.array([1.0, -1.0])  # both exactly on the margin, loss 0
     model = dummy_model([1.0, 1.0], y, K, scores, kind=rc.HINGE)
-    form = rc.quadratic_form(model, K, y, lam=1.0)
+    form = rc.quadratic_form(model)
     np.testing.assert_allclose(form.b, [-1.0, -1.0])
 
 
@@ -43,8 +41,8 @@ def test_quadratic_form_matches_loop_expansion():
     y = np.array([1.0, -1.0, 1.0])
     K = rc.gram(X, X, rc.KernelSpec("rbf", 1.0))
     lam_abs = 1.2
-    model = rc.train(K, y, lam=lam_abs / 3, kind=rc.HINGE, tol=1e-12)
-    form = rc.quadratic_form(model, K, y, lam_abs)
+    model = rc.train(K, y, lam_abs, kind=rc.HINGE, tol=1e-12)
+    form = rc.quadratic_form(model)
     ones = np.ones(3)
     loop = oracles.quad_value(form.A.tolist(), form.b.tolist(), form.c, ones)
     assert form.value(ones) == pytest.approx(loop, abs=1e-10)
@@ -67,8 +65,8 @@ def test_quadratic_form_exact_conjugate_is_sum_form_gap():
     y = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
     K = rc.gram(X, X, rc.KernelSpec("rbf", 2.0))
     lam_abs = 2.0
-    model = rc.train(K, y, lam=lam_abs / 5, kind=rc.LOGISTIC, tol=1e-12)
-    form = rc.quadratic_form(model, K, y, lam_abs)
+    model = rc.train(K, y, lam_abs, kind=rc.LOGISTIC, tol=1e-12)
+    form = rc.quadratic_form(model)
     assert form.value(np.ones(5)) == pytest.approx(0.0, abs=5 * 5 * 1e-12)
     vw = np.array([1.2, 0.7, 0.0, 1.0, 0.9])
     expansion = oracles.sum_form_gap(K.tolist(), y.tolist(),
@@ -78,9 +76,8 @@ def test_quadratic_form_exact_conjugate_is_sum_form_gap():
     assert form.value(vw) == pytest.approx(expansion, abs=1e-8)
 
 
-def test_quadratic_form_A_is_psd(hinge_model, rbf_task):
-    ds, K, lam_abs = rbf_task
-    form = rc.quadratic_form(hinge_model, K, ds.labels, lam_abs)
+def test_quadratic_form_A_is_psd(hinge_model):
+    form = rc.quadratic_form(hinge_model)
     np.testing.assert_allclose(form.A, form.A.T, atol=1e-14)
     eig = np.linalg.eigvalsh(form.A)
     assert eig[0] >= -1e-8 * max(eig[-1], 1.0)
@@ -99,8 +96,8 @@ def test_maximize_identity_example():
 
 
 def test_maximize_degenerate_ball(hinge_model, rbf_task):
-    ds, K, lam_abs = rbf_task
-    form = rc.quadratic_form(hinge_model, K, ds.labels, lam_abs)
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
     v = np.ones(ds.n)
     res = rc.maximize_on_ball(form, v, 0.0)
     np.testing.assert_array_equal(res.w_star, np.ones(ds.n))
@@ -271,17 +268,6 @@ def test_worst_case_error_ub_values():
     assert ub == pytest.approx(0.966506, abs=1e-6)
 
 
-def test_binary_simplification_agreement():
-    rng = np.random.default_rng(59)
-    for _ in range(50):
-        n = int(rng.integers(3, 40))
-        zeta = (rng.random(n) < rng.random()).astype(float)
-        Q = float(rng.uniform(0.0, 2.0))
-        general = rc.worst_case_error_ub(zeta, Q)
-        simplified = certified_count_error_ub(int(zeta.sum()), n, Q)
-        assert general == pytest.approx(simplified, abs=1e-12)
-
-
 def test_ub_monotone_in_R_and_Q():
     rng = np.random.default_rng(61)
     K = np.array([[1.0]])
@@ -315,8 +301,8 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
     certified validation point is classified correctly after retraining."""
     ds, K, lam_abs = rbf_task
     n = ds.n
-    model = rc.train(K, ds.labels, lam=lam_abs / n, kind=kind, tol=1e-10)
-    form = rc.quadratic_form(model, K, ds.labels, lam_abs)
+    model = rc.train(K, ds.labels, lam_abs, kind=kind, tol=1e-10)
+    form = rc.quadratic_form(model)
     S = rc.shift_radius(ds.n_plus, 1.05)
     rng = np.random.default_rng(67)
 
@@ -337,19 +323,14 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
 
         res = rc.maximize_on_ball(form, v, S)
         R = rc.radius(res.dg_max, lam_abs)
-        E = float((v * w).sum())
-        retrained = rc.train(K, ds.labels, v=v, w=w, lam=lam_abs / E,
-                             kind=kind, tol=1e-11)
+        retrained = rc.train(K, ds.labels, lam_abs, v=v, w=w, kind=kind,
+                             tol=1e-11)
         dist = rkhs_distance(K, retrained.rep_coef, model.rep_coef)
         assert dist <= R + 1e-6
 
-        # the normalized direct gap certifies retraining at fixed
-        # normalized lambda (the sum-form strength then shrinks with E)
+        # the direct gap at this very w certifies the same retrain
         direct = rc.evaluate_gap(model, v, w)
-        retrained_norm = rc.train(K, ds.labels, v=v, w=w, lam=model.lam,
-                                  kind=kind, tol=1e-11)
-        dist_norm = rkhs_distance(K, retrained_norm.rep_coef, model.rep_coef)
-        assert dist_norm <= math.sqrt(2.0 * max(direct.gap, 0.0) / model.lam) + 1e-6
+        assert dist <= math.sqrt(2.0 * max(direct.gap, 0.0) / lam_abs) + 1e-6
 
         zeta, _ = rc.certify(model, K_cross, kdiag, va.labels, R)
         margins = va.labels * rc.decision_scores(retrained, K_cross)
@@ -363,14 +344,15 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
 
 def test_certificate_pipeline_report(rbf_task, hinge_model):
     ds, K, lam_abs = rbf_task
-    form = rc.quadratic_form(hinge_model, K, ds.labels, lam_abs)
+    form = rc.quadratic_form(hinge_model)
     va = rc.gaussian_task(20, ds.d - 1, seed=5)
     spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds.features))
     K_cross = rc.gram(ds.features, va.features, spec)
     v = np.ones(ds.n)
     v[:6] = 0.0
-    report = rc.certificate(hinge_model, form, v, 0.4, 0.3, K_cross,
-                            np.ones(va.n), va.labels, lam_abs)
+    ball = rc.maximize_on_ball(form, v, 0.4)
+    report = rc.certificate(hinge_model, ball, 0.3, K_cross, np.ones(va.n),
+                            va.labels)
     d = report.to_dict()
     assert set(d) == {"dg_max", "radius", "ub", "counts", "zeta", "w_star"}
     assert sum(d["counts"].values()) == va.n

@@ -47,7 +47,7 @@ def test_dual_objective_alpha_domain(kind):
 @pytest.mark.parametrize("kind", [rc.HINGE, rc.LOGISTIC])
 def test_train_certifies_gap(rbf_task, kind):
     ds, K, lam_abs = rbf_task
-    model = rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=kind, tol=1e-8)
+    model = rc.train(K, ds.labels, lam_abs, kind=kind, tol=1e-8)
     assert -1e-10 <= model.certified_gap <= 1e-8
 
 
@@ -56,7 +56,7 @@ def test_train_symmetric_pair():
     ds = rc.Dataset.from_arrays(X, [1, -1])
     K = rc.gram(ds.features, ds.features, rc.KernelSpec("rbf", 2.0))
     for kind in (rc.HINGE, rc.LOGISTIC):
-        model = rc.train(K, ds.labels, lam=0.5, kind=kind, tol=1e-13)
+        model = rc.train(K, ds.labels, 1.0, kind=kind, tol=1e-13)
         assert model.alpha[0] == pytest.approx(model.alpha[1], abs=1e-6)
         scores = rc.decision_scores(model, K)
         assert scores[0] == pytest.approx(-scores[1], abs=1e-6)
@@ -65,9 +65,10 @@ def test_train_symmetric_pair():
 def test_train_hinge_two_point_box_solution():
     K = np.eye(2)
     y = np.array([1.0, -1.0])
+    # the oracle's normalized lambda is lam_abs / E with E = 2
     alpha_grid, _ = oracles.grid_max_dual_2d(K, y, 10.0, "hinge", steps=200)
     assert alpha_grid == pytest.approx([1.0, 1.0])
-    model = rc.train(K, y, lam=10.0, kind=rc.HINGE, tol=1e-12)
+    model = rc.train(K, y, 20.0, kind=rc.HINGE, tol=1e-12)
     np.testing.assert_allclose(model.alpha, [1.0, 1.0], atol=1e-9)
 
 
@@ -75,38 +76,39 @@ def test_train_hinge_two_point_box_solution():
 def test_train_matches_grid_search_2d(kind):
     K = np.array([[1.0, 0.3], [0.3, 1.0]])
     y = np.array([1.0, -1.0])
-    lam = 0.7
-    alpha_grid, val_grid = oracles.grid_max_dual_2d(K, y, lam, kind, steps=400)
-    model = rc.train(K, y, lam=lam, kind=kind, tol=1e-12)
+    lam_abs, E = 1.4, 2.0
+    alpha_grid, val_grid = oracles.grid_max_dual_2d(K, y, lam_abs / E, kind,
+                                                    steps=400)
+    model = rc.train(K, y, lam_abs, kind=kind, tol=1e-12)
     np.testing.assert_allclose(model.alpha, alpha_grid, atol=5e-3)
-    assert dual_objective(K, y, [1, 1], [1, 1], lam, kind, model.alpha) >= \
-        val_grid - 1e-9
+    assert dual_objective(K, y, [1, 1], [1, 1], lam_abs, kind, model.alpha) >= \
+        E * val_grid - 1e-9
 
 
 def test_train_deterministic(rbf_task):
     ds, K, lam_abs = rbf_task
-    m1 = rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=rc.LOGISTIC)
-    m2 = rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=rc.LOGISTIC)
+    m1 = rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC)
+    m2 = rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC)
     assert np.array_equal(m1.alpha, m2.alpha)
 
 
 def test_train_rejects_empty_active():
     K = np.eye(2)
     with pytest.raises(ValueError):
-        rc.train(K, np.array([1.0, -1.0]), v=np.zeros(2), lam=1.0)
+        rc.train(K, np.array([1.0, -1.0]), 1.0, v=np.zeros(2))
 
 
 def test_train_rejects_nonpositive_weights():
     K = np.eye(2)
     with pytest.raises(ValueError):
-        rc.train(K, np.array([1.0, -1.0]), w=np.array([1.0, 0.0]), lam=1.0)
+        rc.train(K, np.array([1.0, -1.0]), 1.0, w=np.array([1.0, 0.0]))
 
 
 def test_train_nonconvergence_carries_best_gap(rbf_task):
     ds, K, lam_abs = rbf_task
     with pytest.raises(TrainingError) as err:
-        rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=rc.LOGISTIC,
-                 tol=1e-14, max_passes=1)
+        rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC, tol=1e-14,
+                 max_passes=1)
     assert err.value.best_gap is not None and err.value.best_gap > 0
 
 
@@ -122,15 +124,20 @@ def test_evaluate_gap_matches_loop_oracle(kind):
     X = rng.standard_normal((3, 2))
     ds = rc.Dataset.from_arrays(X, [1, -1, 1])
     K = rc.gram(ds.features, ds.features, rc.KernelSpec("rbf", 1.5))
-    lam = 0.4
-    model = rc.train(K, ds.labels, lam=lam, kind=kind, tol=1e-12)
+    lam_abs = 1.2
+    model = rc.train(K, ds.labels, lam_abs, kind=kind, tol=1e-12)
     v = np.array([1.0, 1.0, 0.0])
     w = np.array([1.1, 0.9, 1.0])
     obj = rc.evaluate_gap(model, v, w)
-    p_ref = oracles.primal_value(K.tolist(), ds.labels.tolist(), v.tolist(),
-                                 w.tolist(), lam, kind, model.rep_coef.tolist())
-    d_ref = oracles.dual_value(K.tolist(), ds.labels.tolist(), v.tolist(),
-                               w.tolist(), lam, kind, model.alpha.tolist())
+    # the oracles are normalized: E times their value at lam_abs / E is the
+    # sum-form value at lam_abs
+    E = float(v @ w)
+    p_ref = E * oracles.primal_value(K.tolist(), ds.labels.tolist(), v.tolist(),
+                                     w.tolist(), lam_abs / E, kind,
+                                     model.rep_coef.tolist())
+    d_ref = E * oracles.dual_value(K.tolist(), ds.labels.tolist(), v.tolist(),
+                                   w.tolist(), lam_abs / E, kind,
+                                   model.alpha.tolist())
     assert obj.primal == pytest.approx(p_ref, abs=1e-10)
     assert obj.dual == pytest.approx(d_ref, abs=1e-10)
     assert obj.gap == pytest.approx(p_ref - d_ref, abs=1e-10)
@@ -175,7 +182,7 @@ def test_weak_duality_property(kind):
 def test_hinge_coordinate_optimality(hinge_model):
     n = hinge_model.n
     base = dual_objective(hinge_model.gram_ref, hinge_model.y, np.ones(n),
-                          np.ones(n), hinge_model.lam, rc.HINGE,
+                          np.ones(n), hinge_model.lam_abs, rc.HINGE,
                           hinge_model.alpha)
     for i in range(n):
         for delta in (1e-3, -1e-3):
@@ -183,7 +190,7 @@ def test_hinge_coordinate_optimality(hinge_model):
             alpha[i] = min(1.0, max(0.0, alpha[i] + delta))
             perturbed = dual_objective(hinge_model.gram_ref, hinge_model.y,
                                        np.ones(n), np.ones(n),
-                                       hinge_model.lam, rc.HINGE, alpha)
+                                       hinge_model.lam_abs, rc.HINGE, alpha)
             assert perturbed <= base + 1e-9
 
 
@@ -193,10 +200,10 @@ def test_rkhs_norm_identity_linear_kernel():
     y = np.sign(X[:, 0] + 0.1 * rng.standard_normal(20))
     y[y == 0] = 1
     K = rc.gram(X, X, rc.KernelSpec("linear"))
-    model = rc.train(K, y, lam=0.5, kind=rc.LOGISTIC, tol=1e-10)
+    model = rc.train(K, y, 10.0, kind=rc.LOGISTIC, tol=1e-10)
     beta_explicit = X.T @ model.rep_coef
-    assert model.beta_sq == pytest.approx(float(beta_explicit @ beta_explicit),
-                                          abs=1e-8)
+    assert float(model.rep_coef @ model.train_scores) == pytest.approx(
+        float(beta_explicit @ beta_explicit), abs=1e-8)
 
 
 def test_logistic_dual_gradient_finite_differences():
@@ -204,42 +211,38 @@ def test_logistic_dual_gradient_finite_differences():
     X = rng.standard_normal((6, 3))
     y = np.array([1, -1, 1, -1, 1, -1], dtype=float)
     K = rc.gram(X, X, rc.KernelSpec("rbf", 1.0))
-    lam = 0.6
+    lam_abs = 3.6
     v = np.ones(6)
     w = rng.uniform(0.5, 1.5, 6)
-    E = w.sum()
     alpha = rng.uniform(0.2, 0.8, 6)
     z = v * w * y * alpha
-    yf = y * (K @ z) / (lam * E)
+    yf = y * (K @ z) / lam_abs
     h = 1e-5
     for j in range(6):
         up, down = alpha.copy(), alpha.copy()
         up[j] += h
         down[j] -= h
-        fd = (dual_objective(K, y, v, w, lam, rc.LOGISTIC, up) -
-              dual_objective(K, y, v, w, lam, rc.LOGISTIC, down)) / (2 * h)
-        analytic = -(w[j] / E) * (math.log(alpha[j] / (1 - alpha[j])) + yf[j])
+        fd = (dual_objective(K, y, v, w, lam_abs, rc.LOGISTIC, up) -
+              dual_objective(K, y, v, w, lam_abs, rc.LOGISTIC, down)) / (2 * h)
+        analytic = -w[j] * (math.log(alpha[j] / (1 - alpha[j])) + yf[j])
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-8)
 
 
 def test_decision_scores_zero_alpha(rbf_task):
     ds, K, lam_abs = rbf_task
-    model = rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=rc.HINGE)
-    zeroed = rc.Model(alpha=np.zeros(ds.n), lam=model.lam, loss=model.loss,
-                      v=model.v, w=model.w, E=model.E, gram_ref=K,
-                      certified_gap=0.0, y=model.y,
-                      rep_coef=np.zeros(ds.n),
-                      train_scores=np.zeros(ds.n), beta_sq=0.0)
+    model = rc.train(K, ds.labels, lam_abs, kind=rc.HINGE)
+    zeroed = rc.Model(alpha=np.zeros(ds.n), lam_abs=model.lam_abs,
+                      loss=model.loss, gram_ref=K, certified_gap=0.0,
+                      y=model.y, rep_coef=np.zeros(ds.n),
+                      train_scores=np.zeros(ds.n))
     np.testing.assert_array_equal(rc.decision_scores(zeroed, K), np.zeros(ds.n))
 
 
 def test_decision_scores_single_point():
     K = np.array([[1.0]])
-    model = rc.Model(alpha=np.array([0.5]), lam=1.0, loss=rc.HINGE,
-                     v=np.ones(1), w=np.ones(1), E=1.0, gram_ref=K,
-                     certified_gap=0.0, y=np.array([1.0]),
-                     rep_coef=np.array([0.5]),
-                     train_scores=np.array([0.5]), beta_sq=0.25)
+    model = rc.Model(alpha=np.array([0.5]), lam_abs=1.0, loss=rc.HINGE,
+                     gram_ref=K, certified_gap=0.0, y=np.array([1.0]),
+                     rep_coef=np.array([0.5]), train_scores=np.array([0.5]))
     scores = rc.decision_scores(model, np.array([[2.0]]))
     assert scores[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
@@ -247,11 +250,13 @@ def test_decision_scores_single_point():
 
 
 def test_normalized_and_sum_form_share_optimum(rbf_task):
-    """Training at lam/n equals the sum-form problem at lam: same alpha."""
+    """The normalized problem at lam is the sum-form problem at lam * E:
+    scaling every weight and lam_abs by one factor keeps the optimum."""
     ds, K, lam_abs = rbf_task
-    m_norm = rc.train(K, ds.labels, lam=lam_abs / ds.n, kind=rc.HINGE, tol=1e-10)
-    assert m_norm.lam_abs == pytest.approx(lam_abs)
-    scores = m_norm.train_scores
-    margins = ds.labels * scores
+    model = rc.train(K, ds.labels, lam_abs, kind=rc.HINGE, tol=1e-10)
+    scaled = rc.train(K, ds.labels, 3.0 * lam_abs, w=np.full(ds.n, 3.0),
+                      kind=rc.HINGE, tol=1e-10)
+    np.testing.assert_allclose(scaled.rep_coef, model.rep_coef, atol=1e-6)
+    margins = ds.labels * model.train_scores
     on_margin = np.abs(margins - 1.0) < 1e-6
-    assert np.all((m_norm.alpha >= 1 - 1e-8) | (margins > 1 - 1e-6) | on_margin)
+    assert np.all((model.alpha >= 1 - 1e-8) | (margins > 1 - 1e-6) | on_margin)

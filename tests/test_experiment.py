@@ -19,11 +19,9 @@ from robustcoreset.experiment import (DEFAULT_LAMBDA_GRID, ExperimentConfig,
 def dummy_model(scores):
     n = len(scores)
     K = np.eye(1)
-    return rc.Model(alpha=np.array([1.0]), lam=1.0, loss=rc.HINGE,
-                    v=np.ones(1), w=np.ones(1), E=1.0, gram_ref=K,
-                    certified_gap=0.0, y=np.array([1.0]),
-                    rep_coef=np.array([1.0]),
-                    train_scores=np.array([0.0]), beta_sq=0.0)
+    return rc.Model(alpha=np.array([1.0]), lam_abs=1.0, loss=rc.HINGE,
+                    gram_ref=K, certified_gap=0.0, y=np.array([1.0]),
+                    rep_coef=np.array([1.0]), train_scores=np.array([0.0]))
 
 
 def wc_accuracy_from_scores(scores, y_val, Q):
@@ -87,8 +85,8 @@ def test_lambda_cv_prefers_better_lambda():
             spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(tr.features))
             K = rc.gram(tr.features, tr.features, spec)
             Kx = rc.gram(tr.features, va.features, spec)
-            lam = resolve_lambda_rule(rule, tr.n)
-            model = rc.train(K, tr.labels, lam=lam / tr.n, kind=rc.LOGISTIC)
+            model = rc.train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
+                             kind=rc.LOGISTIC)
             fold_accs.append(float(np.mean(
                 va.labels * rc.decision_scores(model, Kx) > 0)))
         accs[rule] = np.mean(fold_accs)
@@ -180,6 +178,18 @@ def test_run_experiment_method_rows_independent_of_method_list(synth_file):
         rows[methods] = [r for r in run_experiment(config).rows
                          if r["method"] == "random"]
     assert rows[("random",)] and rows[("random",)] == rows[("robust", "random")]
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+def test_direct_gap_matches_quadratic_at_worst_weight(synth_file, loss):
+    # both are the sum-form gap at the fold's own lambda
+    config = ExperimentConfig(dataset=synth_file, loss=loss,
+                              lambda_rule="n*10^-1.5", a=1.2,
+                              methods=("random",), removal_grid=(0.5,),
+                              folds=3, seed=3)
+    for diag in run_experiment(config).gap_diagnostics:
+        q = diag["q_exact_worst_w"]
+        assert abs(diag["direct_gap_worst_w"] - q) <= 1e-9 * max(1.0, abs(q))
 
 
 def test_config_validation(synth_file):
@@ -275,9 +285,10 @@ def test_cli_trace_json_is_strict(tmp_path):
 
 
 def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
+    # the 0.0 rows keep every instance and certify with the fold's solve
     config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                               methods=("robust", "random"),
-                              removal_grid=(0.3, 0.5), folds=2, seed=3,
+                              removal_grid=(0.0, 0.3, 0.5), folds=2, seed=3,
                               algorithm=2)
     full_set_solves = []
     orig = bound.maximize_on_ball
@@ -300,7 +311,7 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
         run_selection(ctx, cfg, "robust", 20)
         fresh = bound.maximize_on_ball(ctx.form_cert, np.ones(len(ctx.y_tr)),
                                        ctx.S).w_star
-        np.testing.assert_array_equal(ctx.w_worst, fresh)
+        np.testing.assert_array_equal(ctx.full_ball.w_star, fresh)
 
 
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -461,6 +472,14 @@ def test_cli_config_error_exit_code(tmp_path):
             "--kernel", "precomputed", "--kernel-file", str(kernel_file),
             "--output-dir", str(tmp_path / "out")])
         assert res.exit_code == 2, (k, res.output)
+    # a kernel file without the precomputed kernel, and the reverse
+    for options in (["--kernel-file", str(kernel_file)],
+                    ["--kernel", "precomputed"]):
+        res = runner.invoke(cli_main, [
+            "certify", "--dataset", str(data), "--lambda-rule", "1.0",
+            *options, "--output-dir", str(tmp_path / "out")])
+        assert res.exit_code == 2, (options, res.output)
+        assert "--kernel-file" in res.output, (options, res.output)
     fold0_train = rc.cv_split(load_dataset(str(data)), 5, 0).train_indices(0)
     empty, repeated = tmp_path / "empty.txt", tmp_path / "repeated.txt"
     empty.write_text("")

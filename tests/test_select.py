@@ -151,10 +151,9 @@ def test_margin_baseline_keeps_boundary_point():
     model = None
     scores = np.array([0.1, 2.0, -0.5])
     y = np.array([1.0, 1.0, -1.0])
-    dummy = rc.Model(alpha=np.zeros(3), lam=1.0, loss=rc.HINGE, v=np.ones(3),
-                     w=np.ones(3), E=3.0, gram_ref=K, certified_gap=0.0,
-                     y=y, rep_coef=np.zeros(3), train_scores=scores,
-                     beta_sq=0.0)
+    dummy = rc.Model(alpha=np.zeros(3), lam_abs=1.0, loss=rc.HINGE,
+                     gram_ref=K, certified_gap=0.0, y=y,
+                     rep_coef=np.zeros(3), train_scores=scores)
     trace = baseline_select("margin", K, y, dummy, 2, seed=0)
     assert trace.removal_order == [1, 2]
     assert trace.kept_indices().tolist() == [0]
@@ -207,10 +206,9 @@ def test_preserve_classes(method):
     K = rc.gram(X, X, rc.KernelSpec("rbf", 2.0))
     # margin would remove the lone positive (largest |score|) first
     scores = np.arange(8.0, 0.0, -1.0)
-    dummy = rc.Model(alpha=np.zeros(8), lam=1.0, loss=rc.HINGE, v=np.ones(8),
-                     w=np.ones(8), E=8.0, gram_ref=K, certified_gap=0.0,
-                     y=y, rep_coef=np.zeros(8), train_scores=scores,
-                     beta_sq=0.0)
+    dummy = rc.Model(alpha=np.zeros(8), lam_abs=1.0, loss=rc.HINGE,
+                     gram_ref=K, certified_gap=0.0, y=y,
+                     rep_coef=np.zeros(8), train_scores=scores)
     for seed in range(5):
         trace = baseline_select(method, K, y, dummy, 6, seed=seed,
                                 preserve_classes=True)
@@ -233,8 +231,8 @@ def test_preserve_classes_greedy():
 def test_fixed_w_gaps_never_exceed_ball_max(rbf_task, hinge_model):
     # the fixed weight restricted to the kept set is feasible for the kept
     # set's ball problem, so these gaps are lower estimates, not bounds
-    ds, K, lam_abs = rbf_task
-    form = rc.quadratic_form(hinge_model, K, ds.labels, lam_abs)
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
     S = 0.4
     w_worst = worst(form, S)
     for fn in (rc.greedy_fixed_w, rc.greedy_oneshot):
