@@ -87,6 +87,8 @@ class ExperimentConfig:
         for frac in self.removal_grid:
             if not 0.0 <= frac < 1.0:
                 raise ValueError(f"removal fraction {frac} outside [0, 1)")
+        if not self.methods:
+            raise ValueError("--methods lists no method")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
@@ -94,6 +96,13 @@ class ExperimentConfig:
             raise ValueError("algorithm must be 0 (auto), 1, 2 or 3")
         if self.a <= 0:
             raise ValueError("shift factor a must be positive")
+        if self.q_factor is not None and self.q_factor <= 0:
+            raise ValueError("--q-factor must be positive")
+        if self.bandwidth is not None and self.bandwidth <= 0:
+            raise ValueError("--bandwidth must be positive")
+        if self.bandwidth is not None and self.kernel != "rbf":
+            raise ValueError("--bandwidth is read only with --kernel rbf, "
+                             f"not {self.kernel!r}")
         if self.kernel == "precomputed" and self.kernel_file is None:
             raise ValueError("--kernel precomputed needs --kernel-file")
         if self.kernel != "precomputed" and self.kernel_file is not None:
@@ -165,8 +174,8 @@ def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, K_full):
         return (tr_idx, tr, va, K_full[np.ix_(tr_idx, tr_idx)],
                 K_full[np.ix_(tr_idx, va_idx)], np.diag(K_full)[va_idx])
     if config.kernel == "rbf":
-        spec = KernelSpec("rbf",
-                          config.bandwidth or bandwidth_heuristic(tr.features))
+        spec = KernelSpec("rbf", bandwidth_heuristic(tr.features)
+                          if config.bandwidth is None else config.bandwidth)
         kdiag = np.ones(va.n)
     else:
         spec = KernelSpec("linear")

@@ -1,18 +1,18 @@
-"""Coreset selection: orderings, one class-guarded filter, one greedy loop.
+"""Coreset selection: one removal loop, three kinds of scorer.
 
-Every selector removes n_del training instances in some order:
+Every selector runs ``_greedy``, which removes n_del training instances one
+at a time, each the eligible instance with the smallest score (an
+instance is ineligible when its removal would empty its class and classes
+are preserved).  The selectors differ only in the score:
 
-* the baselines (``baseline_select``) and ``greedy_oneshot`` compute a
-  removal order up front -- random permutation, margin (largest |score|
-  first), the reverse of a k-center-greedy or kernel-herding keep order,
-  or the single-removal gap at the fixed worst-case weight -- and pass it
-  through ``_filtered_removals``, which skips an instance whose removal
-  would empty its class when classes are preserved;
-* ``greedy_exact`` and ``greedy_fixed_w`` run ``_greedy``, which removes
-  the eligible instance with the smallest score one step at a time.  The
-  exact scorer re-maximizes the gap over the weight ball per candidate;
-  the fixed-w scorer evaluates the quadratic at the full-set worst-case
-  weight ``w_worst`` for all candidates in one numpy expression.
+* the ball re-solve (``greedy_exact``): each candidate's worst-case gap,
+  re-maximized over the weight ball;
+* the fixed weight (``greedy_fixed_w``, ``greedy_oneshot``): the gap
+  quadratic at the full-set worst-case weight ``w_worst``, re-evaluated
+  per step for fixed-w and taken once from the full set for one-shot;
+* a fixed order (``baseline_select``): the rank in a random permutation,
+  margin (largest |score| first), or the reverse of a k-center-greedy or
+  kernel-herding keep order.
 
 Selectors only select: a robust trace keeps the gap its scorer gave each
 removal, which is no bound (fixed-w and one-shot score one feasible weight,
@@ -75,52 +75,33 @@ class SelectionTrace:
         }
 
 
-def _check_budget(n, n_del):
-    if not 0 <= n_del < n:
-        raise ValueError(f"n_del must be in [0, n), got {n_del} for n={n}")
-
-
-def _filtered_removals(order, n_del, y, preserve_classes):
-    """The first n_del indices of ``order``, skipping any whose removal would
-    empty its class when ``preserve_classes`` is set."""
-    counts = {1: int(np.sum(y > 0)), -1: int(np.sum(y <= 0))}
-    removal = []
-    for i in order:
-        if len(removal) == n_del:
-            break
-        key = 1 if y[i] > 0 else -1
-        if preserve_classes and counts[key] <= 1:
-            continue
-        counts[key] -= 1
-        removal.append(int(i))
-    if len(removal) < n_del:
-        raise ValueError("class preservation exhausted the candidate pool")
-    return removal
-
-
-def _greedy(method, scores, y, n_del, preserve_classes, seed, on_remove=None):
+def _greedy(method, y, n_del, scores, remove=None, *,
+            preserve_classes=False, seed=0):
     """Remove n_del instances one at a time, each the eligible candidate with
     the smallest ``scores(candidates, kept_mask)`` (ties to the smallest
-    index); ``on_remove(i)`` updates the scorer's state after a removal."""
+    index).  ``remove(i, score)`` updates the scorer's state after a removal
+    and returns the gap to record; without it the trace records no gaps."""
     y = np.asarray(y)
+    n = y.shape[0]
+    if not 0 <= n_del < n:
+        raise ValueError(f"n_del must be in [0, n), got {n_del} for n={n}")
     pos = y > 0
-    v = np.ones(y.shape[0])
-    trace = SelectionTrace(method=method, seed=seed, n=y.shape[0])
+    v = np.ones(n)
+    trace = SelectionTrace(method=method, seed=seed, n=n)
     for _ in range(n_del):
         cand = np.flatnonzero(v > 0)
         if preserve_classes:
             n_pos = int(np.count_nonzero(pos[cand]))
             cand = cand[np.where(pos[cand], n_pos > 1, cand.size - n_pos > 1)]
         if cand.size == 0:
-            raise ValueError("no removable candidate left")
+            raise ValueError("class preservation exhausted the candidate pool")
         values = scores(cand, v)
         k = int(np.argmin(values))
-        best_i = int(cand[k])
-        v[best_i] = 0.0
-        if on_remove is not None:
-            on_remove(best_i)
-        trace.removal_order.append(best_i)
-        trace.gaps.append(values[k])
+        i = int(cand[k])
+        v[i] = 0.0
+        trace.removal_order.append(i)
+        if remove is not None:
+            trace.gaps.append(remove(i, values[k]))
     return trace
 
 
@@ -129,7 +110,6 @@ def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
     """Remove one instance at a time, re-solving the ball maximization for
     every candidate and keeping the removal with the smallest worst-case
     gap (ties to the smallest index)."""
-    _check_budget(form.n, n_del)
 
     def scores(cand, v):
         out = np.empty(cand.size)
@@ -139,7 +119,8 @@ def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
             v[i] = 1.0
         return out
 
-    return _greedy("robust-exact", scores, y, n_del, preserve_classes, seed)
+    return _greedy("robust-exact", y, n_del, scores, lambda i, score: score,
+                   preserve_classes=preserve_classes, seed=seed)
 
 
 class _QuadState:
@@ -159,39 +140,35 @@ class _QuadState:
         return self.value - 2.0 * zi * self.Az[i] + zi * zi * self.A_diag[i] \
             - self.form.b[i] * zi
 
-    def remove(self, i):
+    def remove(self, i, score=None):
+        """Zero coordinate i and return the new value (``score`` unused)."""
         self.value = self.removal_value(i)
         zi = self.z[i]
         if zi != 0.0:
             self.Az -= self.form.A[:, i] * zi
             self.z[i] = 0.0
+        return self.value
 
 
 def greedy_fixed_w(form, y, w_worst, n_del, *, preserve_classes: bool = False,
                    seed: int = 0) -> SelectionTrace:
     """Greedy removals scored by the quadratic at the full-set worst-case
     weight ``w_worst``, held fixed and re-evaluated per step."""
-    _check_budget(form.n, n_del)
     state = _QuadState(form, w_worst)
-    return _greedy("robust-fixed-w", lambda cand, v: state.removal_value(cand),
-                   y, n_del, preserve_classes, seed, on_remove=state.remove)
+    return _greedy("robust-fixed-w", y, n_del,
+                   lambda cand, v: state.removal_value(cand), state.remove,
+                   preserve_classes=preserve_classes, seed=seed)
 
 
 def greedy_oneshot(form, y, w_worst, n_del, *, preserve_classes: bool = False,
                    seed: int = 0) -> SelectionTrace:
     """Rank every instance once by its single-removal gap at the fixed
-    worst-case weight and drop the n_del smallest in one pass."""
-    n = form.n
-    _check_budget(n, n_del)
+    worst-case weight and drop the n_del smallest in one pass; the trace
+    records the fixed-weight value of each kept set."""
     state = _QuadState(form, w_worst)
-    ranking = np.argsort(state.removal_value(np.arange(n)), kind="stable")
-    trace = SelectionTrace(method="robust-oneshot", seed=seed, n=n)
-    trace.removal_order = _filtered_removals(ranking, n_del, np.asarray(y),
-                                             preserve_classes)
-    for i in trace.removal_order:
-        state.remove(i)
-        trace.gaps.append(state.value)
-    return trace
+    single = state.removal_value(np.arange(form.n))
+    return _greedy("robust-oneshot", y, n_del, lambda cand, v: single[cand],
+                   state.remove, preserve_classes=preserve_classes, seed=seed)
 
 
 def _kcenter_order(K):
@@ -241,9 +218,9 @@ def _baseline_order(method, K, model_ref, seed):
             raise ValueError("margin baseline needs the reference model")
         return np.argsort(-np.abs(model_ref.train_scores), kind="stable")
     if method == "kcenter":
-        return reversed(_kcenter_order(K))
+        return _kcenter_order(K)[::-1]
     if method == "herding":
-        return reversed(_herding_order(K))
+        return _herding_order(K)[::-1]
     raise ValueError(f"unknown baseline method {method!r}")
 
 
@@ -257,10 +234,8 @@ def baseline_select(method: str, K, y, model_ref: Model | None, n_del: int,
     redundant points first.
     """
     K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    _check_budget(n, n_del)
     order = _baseline_order(method, K, model_ref, seed)
-    trace = SelectionTrace(method=method, seed=seed, n=n)
-    trace.removal_order = _filtered_removals(order, n_del, np.asarray(y),
-                                             preserve_classes)
-    return trace
+    rank = np.empty(K.shape[0], dtype=int)
+    rank[order] = np.arange(K.shape[0])
+    return _greedy(method, y, n_del, lambda cand, v: rank[cand],
+                   preserve_classes=preserve_classes, seed=seed)

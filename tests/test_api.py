@@ -87,3 +87,32 @@ def test_every_public_name_has_a_caller():
                        if (p, i) != own):
                 unused.append(f"{mod.__name__}.{name}")
     assert not unused, unused
+
+
+def _registered_command(node):
+    # @main.command(...) registers the function with the click group
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def test_every_module_level_definition_is_referenced():
+    # every function and class of the package, private or public, must be
+    # used by name somewhere in the package outside its own definition;
+    # imports do not count, and neither do dunder names or click commands
+    uses, defs = [], []
+    for path in Path(robustcoreset.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None:
+                uses.append((path, node.lineno, name))
+        defs += [(path, node) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("__")
+                 and not _registered_command(node)]
+    unused = [f"{path.name}: {node.name}" for path, node in defs
+              if not any(name == node.name and not (
+                  p == path and node.lineno <= line <= node.end_lineno)
+                  for p, line, name in uses)]
+    assert not unused, unused

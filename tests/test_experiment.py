@@ -201,6 +201,14 @@ def test_config_validation(synth_file):
         ExperimentConfig(dataset=synth_file, algorithm=4)
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=synth_file, lambda_rule="nope")
+    # options the run would ignore or only trip over inside a fold
+    for bad, option in ((dict(bandwidth=0.0), "--bandwidth"),
+                        (dict(kernel="linear", bandwidth=5.0), "--bandwidth"),
+                        (dict(q_factor=-1.0), "--q-factor"),
+                        (dict(q_factor=0.0), "--q-factor"),
+                        (dict(methods=()), "--methods")):
+        with pytest.raises(ValueError, match=option):
+            ExperimentConfig(dataset=synth_file, **bad)
 
 
 def test_cli_synth_and_sweep(tmp_path):
@@ -319,34 +327,48 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
 def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
     runner = CliRunner()
     # n_tr = 40 and 45 on fold 0; at the odd size round(0.5 * 45) = 22
-    # removals must hold for the CLI as for the sweep row
-    for n in (60, 68):
-        work = tmp_path / str(n)
+    # removals must hold for the CLI as for the sweep row.  The third input
+    # has 5 positives in 36 rows: at 0.9 removed, every method would keep a
+    # single class on fold 0 without --preserve-classes
+    inputs = (("60", [], [], [method], "0.5"),
+              ("68", [], [], [method], "0.5"),
+              ("36", ["--n-plus", "5"], ["--preserve-classes"],
+               [method] if method == "robust" else ["herding", "kcenter",
+                                                    "margin"], "0.9"))
+    for n, synth_options, options, methods, fraction in inputs:
+        work = tmp_path / n
         data = work / "task.svm"
         work.mkdir()
-        runner.invoke(cli_main, ["synth", "--n", str(n), "--d", "3",
+        runner.invoke(cli_main, ["synth", "--n", n, "--d", "3", *synth_options,
                                  "--seed", "9", "--out", str(data)])
+        labels = load_dataset(str(data)).labels
         common = ["--dataset", str(data), "--loss", loss, "--lambda-rule",
-                  "2.0", "--folds", "3", "--seed", "4"]
-        res = runner.invoke(cli_main, ["sweep", *common, "--methods", method,
-                                       "--removal-grid", "0.5",
+                  "2.0", "--folds", "3", "--seed", "4", *options]
+        res = runner.invoke(cli_main, ["sweep", *common,
+                                       "--methods", ",".join(methods),
+                                       "--removal-grid", fraction,
                                        "--output-dir", str(work / "sweep")])
         assert res.exit_code == 0, res.output
         rows = json.loads((work / "sweep" / "report.json").read_text())["rows"]
-        row = next(r for r in rows if r["fold"] == 0)
-        res = runner.invoke(cli_main, ["select", *common, "--method", method,
-                                       "--removal-fraction", "0.5",
-                                       "--output-dir", str(work / "sel")])
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(cli_main, [
-            "certify", *common, "--indices",
-            str(work / "sel" / "selected_indices.txt"),
-            "--output-dir", str(work / "cert")])
-        assert res.exit_code == 0, res.output
-        cert = json.loads((work / "cert" / "bound_report.json").read_text())
-        assert cert["m"] == row["m"], n
-        assert cert["certified_lb"] == pytest.approx(row["certified_lb"], abs=1e-9)
-        assert cert["dg_max"] == pytest.approx(row["dg_max"], abs=1e-9)
+        for m in methods:
+            row = next(r for r in rows if r["fold"] == 0 and r["method"] == m)
+            res = runner.invoke(cli_main, ["select", *common, "--method", m,
+                                           "--removal-fraction", fraction,
+                                           "--output-dir", str(work / m)])
+            assert res.exit_code == 0, res.output
+            indices = work / m / "selected_indices.txt"
+            kept = [int(i) for i in indices.read_text().split()]
+            assert set(labels[kept]) == {-1.0, 1.0}, (n, m)
+            res = runner.invoke(cli_main, [
+                "certify", *common, "--indices", str(indices),
+                "--output-dir", str(work / m / "cert")])
+            assert res.exit_code == 0, res.output
+            cert = json.loads((work / m / "cert" / "bound_report.json")
+                              .read_text())
+            assert cert["m"] == row["m"], (n, m)
+            assert cert["certified_lb"] == pytest.approx(row["certified_lb"],
+                                                         abs=1e-9)
+            assert cert["dg_max"] == pytest.approx(row["dg_max"], abs=1e-9)
 
 
 def test_cli_precomputed_cv_best_reads_kernel_once(tmp_path, monkeypatch):
@@ -460,6 +482,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not (tmp_path / "nope" / "report.csv").exists()
     res = runner.invoke(cli_main, ["sweep", "--dataset", str(tmp_path / "no")])
     assert res.exit_code == 2
+    for options in (["--bandwidth", "0"], ["--kernel", "linear", "--bandwidth", "5"],
+                    ["--q-factor", "-1"], ["--methods", ""]):
+        out = tmp_path / "ignored"
+        res = runner.invoke(cli_main, [
+            "sweep", "--dataset", str(data), "--lambda-rule", "1.0", *options,
+            "--output-dir", str(out)])
+        assert res.exit_code == 2, (options, res.output)
+        assert options[-2] in res.output, (options, res.output)
+        assert not (out / "report.csv").exists(), options
     non_psd = np.eye(30)
     non_psd[0, 1] = non_psd[1, 0] = 1.3
     asymmetric = np.eye(30)

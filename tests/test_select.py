@@ -260,3 +260,82 @@ def test_budget_validation():
         rc.greedy_exact(form, labels(4), 0.1, 4)
     with pytest.raises(ValueError):
         rc.greedy_oneshot(form, labels(4), worst(form, 0.1), -1)
+
+
+def fixed_order_reference(order, y, n_del, preserve_classes):
+    """First n_del entries of ``order``, skipping any instance whose removal
+    would empty its class when classes are preserved; None if too few."""
+    left = {1.0: int(np.sum(y == 1.0)), -1.0: int(np.sum(y == -1.0))}
+    removed = []
+    for i in order:
+        if len(removed) == n_del:
+            break
+        if preserve_classes and left[y[i]] == 1:
+            continue
+        left[y[i]] -= 1
+        removed.append(int(i))
+    return removed if len(removed) == n_del else None
+
+
+@pytest.mark.parametrize("method",
+                         ["random", "margin", "kcenter", "herding", "oneshot"])
+def test_fixed_order_selectors_match_reference(method):
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        n = int(rng.integers(3, 16))
+        y = np.where(rng.random(n) < rng.uniform(0.1, 0.9), 1.0, -1.0)
+        X = rng.standard_normal((n, 2))
+        K = rc.gram(X, X, rc.KernelSpec("rbf", 1.5))
+        scores = np.round(rng.standard_normal(n), 1)  # ties on purpose
+        model = rc.Model(alpha=np.zeros(n), lam_abs=1.0, loss=rc.HINGE,
+                         gram_ref=K, certified_gap=0.0, y=y,
+                         rep_coef=np.zeros(n), train_scores=scores)
+        form = random_psd_form(rng, n)
+        w_worst = worst(form, 0.5)
+        single = [form.value(np.where(np.arange(n) == i, 0.0, w_worst))
+                  for i in range(n)]
+        order = {"random": np.random.default_rng(trial).permutation(n),
+                 "margin": np.argsort(-np.abs(scores), kind="stable"),
+                 "kcenter": _kcenter_order(K)[::-1],
+                 "herding": _herding_order(K)[::-1],
+                 "oneshot": np.argsort(single, kind="stable")}[method]
+        for preserve in (False, True):
+            n_del = int(rng.integers(0, n))
+            expected = fixed_order_reference(order, y, n_del, preserve)
+            try:
+                if method == "oneshot":
+                    trace = rc.greedy_oneshot(form, y, w_worst, n_del,
+                                              preserve_classes=preserve)
+                else:
+                    trace = baseline_select(method, K, y, model, n_del,
+                                            seed=trial,
+                                            preserve_classes=preserve)
+            except ValueError:
+                trace = None
+            assert expected is None or trace is not None, (trial, preserve)
+            assert trace is None or trace.removal_order == expected, \
+                (trial, preserve)
+
+
+def test_exhausted_pool_raises_one_error():
+    rng = np.random.default_rng(16)
+    form = random_psd_form(rng, 4)
+    y = np.array([1.0, -1.0, -1.0, -1.0])
+    K = np.eye(4)
+    model = rc.Model(alpha=np.zeros(4), lam_abs=1.0, loss=rc.HINGE,
+                     gram_ref=K, certified_gap=0.0, y=y,
+                     rep_coef=np.zeros(4), train_scores=np.arange(4.0))
+    w_worst = worst(form, 0.3)
+    # three removals would leave a single instance, one class gone
+    runs = [lambda: rc.greedy_exact(form, y, 0.3, 3, preserve_classes=True),
+            lambda: rc.greedy_fixed_w(form, y, w_worst, 3, preserve_classes=True),
+            lambda: rc.greedy_oneshot(form, y, w_worst, 3, preserve_classes=True)]
+    runs += [lambda m=m: baseline_select(m, K, y, model, 3,
+                                         preserve_classes=True)
+             for m in ("random", "herding", "kcenter", "margin")]
+    messages = set()
+    for run in runs:
+        with pytest.raises(ValueError) as err:
+            run()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
