@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 class BallMaximizationError(RuntimeError):
     """Eigendecomposition or secular root bracketing failed."""
 
@@ -148,15 +151,21 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     gamma = V.T @ (g / 2.0)
     gnorm = float(np.linalg.norm(g))
 
+    buf = np.empty_like(gamma)
+
     def norm_sq_at(mu):
-        with np.errstate(divide="ignore", over="ignore"):
-            coef = gamma / (mu - eigval)
-        return float(np.sum(coef * coef))
+        # sum((gamma / (mu - eigval))**2) in one reused buffer; callers
+        # hold np.errstate(divide="ignore", over="ignore").
+        np.subtract(mu, eigval, out=buf)
+        np.divide(gamma, buf, out=buf)
+        np.multiply(buf, buf, out=buf)
+        return float(buf.sum())
 
     delta = 1e-14 * (1.0 + abs(lam1))
     lo = lam1 + delta
     S2 = S * S
-    hard = norm_sq_at(lo) < S2
+    with np.errstate(divide="ignore", over="ignore"):
+        hard = norm_sq_at(lo) < S2
     if hard:
         # g (nearly) orthogonal to the leading eigenspace: pin mu at the
         # top eigenvalue and fill the norm budget along that eigenvector.
@@ -171,18 +180,19 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
         u = u + tau * V[:, -1]
     else:
         hi = lam1 + gnorm / (2.0 * S) + delta
-        if norm_sq_at(hi) > S2:
-            raise BallMaximizationError(
-                f"secular bracket failed: |u({hi:.6g})| > S={S:.6g}")
-        a_lo, a_hi = lo, hi
-        for _ in range(max_bisect):
-            mu = 0.5 * (a_lo + a_hi)
-            if norm_sq_at(mu) >= S2:
-                a_lo = mu
-            else:
-                a_hi = mu
-            if a_hi - a_lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(a_hi)):
-                break
+        with np.errstate(divide="ignore", over="ignore"):
+            if norm_sq_at(hi) > S2:
+                raise BallMaximizationError(
+                    f"secular bracket failed: |u({hi:.6g})| > S={S:.6g}")
+            a_lo, a_hi = lo, hi
+            for _ in range(max_bisect):
+                mu = 0.5 * (a_lo + a_hi)
+                if norm_sq_at(mu) >= S2:
+                    a_lo = mu
+                else:
+                    a_hi = mu
+                if a_hi - a_lo <= 4.0 * _EPS * max(1.0, abs(a_hi)):
+                    break
         mu = 0.5 * (a_lo + a_hi)
         u = V @ (gamma / (mu - eigval))
         unorm = float(np.linalg.norm(u))

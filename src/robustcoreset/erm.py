@@ -145,10 +145,14 @@ _A_MAX = 1.0 - 1e-15
 def _logistic_coord_root(q0, s, a0):
     """Root of log(a/(1-a)) + q0 + s*(a - a0) on (0, 1), Newton + bisection."""
     lo, hi = 0.0, 1.0
-    a = min(max(float(a0), _A_MIN), _A_MAX)
+    a = a0
+    if a < _A_MIN:
+        a = _A_MIN
+    elif a > _A_MAX:
+        a = _A_MAX
     for _ in range(80):
         h = math.log(a / (1.0 - a)) + q0 + s * (a - a0)
-        if abs(h) < 1e-13:
+        if -1e-13 < h < 1e-13:
             break
         if h > 0.0:
             hi = a
@@ -158,8 +162,11 @@ def _logistic_coord_root(q0, s, a0):
         a_new = a - step
         if not lo < a_new < hi:
             a_new = 0.5 * (lo + hi)
-        a_new = min(max(a_new, _A_MIN), _A_MAX)
-        if abs(a_new - a) < 1e-16:
+        if a_new < _A_MIN:
+            a_new = _A_MIN
+        elif a_new > _A_MAX:
+            a_new = _A_MAX
+        if -1e-16 < a_new - a < 1e-16:
             a = a_new
             break
         a = a_new
@@ -210,25 +217,36 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
         losses = loss_eval(kind, ya, f) + conjugate_eval(kind, a)
         return (float(wa @ losses) + float(z @ f)) / E
 
-    diag = np.diag(Ka).copy()
+    # Same bits as a numpy-scalar loop: YK[j] is ya * Ka[:, j] entry by
+    # entry, Python floats round alike, comparisons clip as min/max would.
+    YK = np.multiply(Ka.T, ya, order="C")
+    w_l, y_l = wa.tolist(), ya.tolist()
+    s_l = [wj * d / lam_abs for wj, d in zip(w_l, np.diag(Ka).tolist())]
+    a_l, z_l = a.tolist(), z.tolist()
+    hinge = kind == HINGE
     best_gap = math.inf
     for sweep in range(max_passes):
         for j in range(act.size):
-            cj = wa[j]
-            sj = cj * diag[j] / lam_abs
-            if kind == HINGE:
+            aj = a_l[j]
+            sj = s_l[j]
+            if hinge:
                 if sj > 0.0:
-                    a_new = min(1.0, max(0.0, a[j] + (1.0 - yf[j]) / sj))
+                    a_new = aj + (1.0 - float(yf[j])) / sj
+                    if not a_new > 0.0:
+                        a_new = 0.0
+                    elif not a_new < 1.0:
+                        a_new = 1.0
                 else:
                     a_new = 1.0 if yf[j] < 1.0 else 0.0
             else:
-                a_new = _logistic_coord_root(yf[j], sj, a[j])
-            delta = a_new - a[j]
+                a_new = _logistic_coord_root(float(yf[j]), sj, aj)
+            delta = a_new - aj
             if delta != 0.0:
-                a[j] = a_new
-                dz = cj * ya[j] * delta
-                z[j] += dz
-                yf += ya * Ka[:, j] * (dz / lam_abs)
+                a_l[j] = a_new
+                dz = w_l[j] * y_l[j] * delta
+                z_l[j] += dz
+                yf += YK[j] * (dz / lam_abs)
+        a, z = np.array(a_l), np.array(z_l)
         if (sweep + 1) % 64 == 0:
             yf = ya * (Ka @ z) / lam_abs
         gap = current_gap()

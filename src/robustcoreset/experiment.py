@@ -270,9 +270,11 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
         ds, config, cv_split(ds, config.folds, config.seed), fold, K_full)
     model = train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
                   kind=config.loss)
+    # A positive-class shift moves no weight of a validation part without
+    # positives: its ball is the single point w = 1.
+    Q = shift_radius(va.n_plus, config.q_shift) if va.n_plus else 0.0
     return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=tr.labels, K=K,
-                       S=shift_radius(tr.n_plus, config.a),
-                       Q=shift_radius(va.n_plus, config.q_shift), model=model,
+                       S=shift_radius(tr.n_plus, config.a), Q=Q, model=model,
                        form_cert=bound.quadratic_form(model),
                        valset=ValidationSet(Kx, kdiag, va.labels))
 

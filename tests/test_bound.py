@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,36 @@ def test_maximize_hard_case():
     best, _ = oracles.ball_max_oracle(At, g, const, S, n_samples=400_000,
                                       seed=5, polish_iters=30_000)
     assert res.dg_max >= best - 1e-7
+
+
+def _form_with_reduced_g(A, g):
+    """Form whose reduced linear term at the full mask is exactly g."""
+    return rc.QuadraticGapForm(A=A, b=g - 2.0 * A.sum(axis=1), c=0.0)
+
+
+def test_maximize_raises_no_floating_point_warning():
+    # exact hard, near-hard, normal and S = 0: one np.errstate per phase
+    # must still cover every division and square
+    A = np.diag([3.0, 1.0, 0.5])
+    rng = np.random.default_rng(53)
+    cases = [
+        (_form_with_reduced_g(A, np.array([0.0, 0.2, -0.1])), 1.0, True),
+        (_form_with_reduced_g(A, np.array([1e-12, 0.2, -0.1])), 1.0, False),
+        (random_psd_form(rng, 7), 0.8, False),
+        (random_psd_form(rng, 7), 0.0, False),
+        # the hard-case probe squares a ratio past the float range
+        (_form_with_reduced_g(A, np.array([1e150, 0.2, -0.1])), 1.0, False),
+    ]
+    for form, S, hard in cases:
+        v = np.ones(form.n)
+        plain = rc.maximize_on_ball(form, v, S)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = rc.maximize_on_ball(form, v, S)
+        assert plain.hard_case == strict.hard_case == hard
+        assert strict.w_star.tobytes() == plain.w_star.tobytes()
+        assert (strict.dg_max, strict.mu, strict.u_norm, strict.kkt_residual) == \
+            (plain.dg_max, plain.mu, plain.u_norm, plain.kkt_residual)
 
 
 def test_maximize_pure_linear_form():

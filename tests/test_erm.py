@@ -112,6 +112,116 @@ def test_train_nonconvergence_carries_best_gap(rbf_task):
     assert err.value.best_gap is not None and err.value.best_gap > 0
 
 
+def _reference_logistic_root(q0, s, a0):
+    lo, hi = 0.0, 1.0
+    a = min(max(float(a0), 1e-15), 1.0 - 1e-15)
+    for _ in range(80):
+        h = math.log(a / (1.0 - a)) + q0 + s * (a - a0)
+        if abs(h) < 1e-13:
+            break
+        if h > 0.0:
+            hi = a
+        else:
+            lo = a
+        step = h / (1.0 / (a * (1.0 - a)) + s)
+        a_new = a - step
+        if not lo < a_new < hi:
+            a_new = 0.5 * (lo + hi)
+        a_new = min(max(a_new, 1e-15), 1.0 - 1e-15)
+        if abs(a_new - a) < 1e-16:
+            a = a_new
+            break
+        a = a_new
+    return a
+
+
+def reference_train(K, y, lam_abs, v, w, kind, tol=1e-8, max_passes=1000):
+    """Plain numpy coordinate loop that ``rc.train`` must match bit for bit:
+    (alpha, rep_coef, certified_gap), or TrainingError with its best gap."""
+    act = np.flatnonzero(v != 0.0)
+    wa, ya, Ka = w[act], y[act], K[np.ix_(act, act)]
+    E = float(wa.sum())
+    a = np.full(act.size, 0.5 if kind == rc.LOGISTIC else 0.0)
+    z = wa * ya * a
+    yf = ya * (Ka @ z) / lam_abs
+
+    def current_gap():
+        f = yf * ya
+        losses = rc.loss_eval(kind, ya, f) + rc.conjugate_eval(kind, a)
+        return (float(wa @ losses) + float(z @ f)) / E
+
+    diag = np.diag(Ka).copy()
+    best_gap = math.inf
+    for sweep in range(max_passes):
+        for j in range(act.size):
+            cj = wa[j]
+            sj = cj * diag[j] / lam_abs
+            if kind == rc.HINGE:
+                if sj > 0.0:
+                    a_new = min(1.0, max(0.0, a[j] + (1.0 - yf[j]) / sj))
+                else:
+                    a_new = 1.0 if yf[j] < 1.0 else 0.0
+            else:
+                a_new = _reference_logistic_root(yf[j], sj, a[j])
+            delta = a_new - a[j]
+            if delta != 0.0:
+                a[j] = a_new
+                dz = cj * ya[j] * delta
+                z[j] += dz
+                yf += ya * Ka[:, j] * (dz / lam_abs)
+        if (sweep + 1) % 64 == 0:
+            yf = ya * (Ka @ z) / lam_abs
+        gap = current_gap()
+        best_gap = min(best_gap, gap)
+        if gap <= tol:
+            break
+    else:
+        raise TrainingError("pass cap", best_gap=best_gap)
+    alpha = np.zeros(len(y))
+    alpha[act] = a
+    rep_coef = np.zeros(len(y))
+    rep_coef[act] = z / lam_abs
+    return alpha, rep_coef, gap
+
+
+def _random_training_problem(seed, kind, kernel):
+    rng = np.random.default_rng([seed, kind == rc.HINGE, kernel == "rbf"])
+    n = int(rng.integers(5, 70))
+    X = rng.standard_normal((n, 3)) * rng.uniform(0.3, 3.0)
+    y = np.where(rng.random(n) < rng.uniform(0.2, 0.8), 1.0, -1.0)
+    if kernel == "linear":
+        X[rng.integers(n)] = 0.0  # a zero row: s_j = 0 for that coordinate
+        K = X @ X.T
+    else:
+        K = rc.gram(X, X, rc.KernelSpec("rbf", float(rng.uniform(0.5, 3.0))))
+    v = (rng.random(n) < 0.8).astype(float)
+    v[rng.integers(n)] = 1.0
+    w = rng.uniform(0.3, 2.5, n) if seed % 2 else np.ones(n)
+    return K, y, v, w, n * 10 ** rng.uniform(-2.0, 0.5)
+
+
+@pytest.mark.parametrize("kernel", ["linear", "rbf"])
+@pytest.mark.parametrize("kind", [rc.HINGE, rc.LOGISTIC])
+def test_train_bit_identical_to_reference_loop(kind, kernel):
+    for seed in range(12):
+        K, y, v, w, lam_abs = _random_training_problem(seed, kind, kernel)
+        for max_passes in (2, 1000):
+            try:
+                ref = reference_train(K, y, lam_abs, v, w, kind,
+                                      max_passes=max_passes)
+            except TrainingError as exc:
+                with pytest.raises(TrainingError) as err:
+                    rc.train(K, y, lam_abs, v=v, w=w, kind=kind,
+                             max_passes=max_passes)
+                assert err.value.best_gap == exc.best_gap, (seed, max_passes)
+                continue
+            model = rc.train(K, y, lam_abs, v=v, w=w, kind=kind,
+                             max_passes=max_passes)
+            assert model.alpha.tobytes() == ref[0].tobytes(), seed
+            assert model.rep_coef.tobytes() == ref[1].tobytes(), seed
+            assert model.certified_gap == ref[2], seed
+
+
 def test_evaluate_gap_at_reference(hinge_model):
     n = hinge_model.n
     obj = rc.evaluate_gap(hinge_model, np.ones(n), np.ones(n))

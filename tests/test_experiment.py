@@ -451,6 +451,41 @@ def test_sweep_reports_rule_and_fold_lambda(uneven_file, tmp_path):
         n_tr[d["fold"]] for d in report["gap_diagnostics"]]
 
 
+def test_sweep_fold_without_validation_positives(tmp_path):
+    # cv_split does not stratify: fold 2 gets none of the 4 positives, so
+    # its validation ball is the point w = 1 and wc_accuracy is plain
+    runner = CliRunner()
+    data = tmp_path / "few_plus.svm"
+    res = runner.invoke(cli_main, ["synth", "--n", "40", "--d", "3",
+                                   "--n-plus", "4", "--seed", "9",
+                                   "--out", str(data)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(cli_main, [
+        "sweep", "--dataset", str(data), "--folds", "3", "--seed", "4",
+        "--lambda-rule", "n", "--output-dir", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert len(rows) == 3 * 2 * 3
+    assert all(row["status"] == "ok" for row in rows)
+    config = ExperimentConfig(dataset=str(data), folds=3, seed=4,
+                              lambda_rule="n")
+    ds, K_full = load_inputs(config)
+    ctx = prepare_fold(ds, config, 2, "n", K_full)
+    assert (ctx.valset.y == -1).all() and ctx.Q == 0.0
+    for method in config.methods:
+        n_dels = config.removal_counts(len(ctx.y_tr))
+        trace = run_selection(ctx, config, method, max(n_dels))
+        for frac, n_del in zip(config.removal_grid, n_dels):
+            kept = np.flatnonzero(trace.kept_mask(n_del))
+            model = rc.train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
+                             ctx.model.lam_abs, kind=config.loss)
+            scores = rc.decision_scores(model, ctx.valset.K_cross[kept, :])
+            plain = float(np.mean(ctx.valset.y * scores > 0))
+            (row,) = [r for r in rows if (r["fold"], r["method"],
+                                          r["fraction_removed"]) == (2, method, frac)]
+            assert row["wc_accuracy"] == pytest.approx(plain, abs=1e-12)
+
+
 def test_lambda_cv_rule_reproduces_cv_best(uneven_file, tmp_path):
     runner = CliRunner()
     common = ["--dataset", uneven_file, "--folds", "3", "--seed", "1"]
