@@ -21,7 +21,10 @@ weights:
    (logistic, lam = 2, fold 0 of 5) it is 31.5 against 3.2e-7 for the
    exact form.  It would inflate every gap and radius, so it is not used.
 2. ``maximize_on_ball`` maximizes q over the weight ball ||w - 1|| <= S
-   (an eigenvalue problem plus a secular-equation root find).
+   (an eigenvalue problem plus a secular-equation root find).  It reports
+   the secular dual value, which by weak duality bounds the maximum from
+   above at any multiplier past the top eigenvalue, so the gap it reports
+   is never low, however early the root find stops (Moré & Sorensen 1983).
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. Validation points whose score interval stays positive are certified
@@ -55,6 +58,7 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
+_MAX_BISECT = 200
 
 
 class BallMaximizationError(RuntimeError):
@@ -119,16 +123,20 @@ class BallMax:
     kkt_residual: float
 
 
-def maximize_on_ball(form: QuadraticGapForm, v, S: float,
-                     max_bisect: int = 200) -> BallMax:
+def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
     """Maximize q(v*w) over ||w - 1|| <= S with removed coordinates at w=1.
 
     On the active subspace the problem is max u'Au + g'u over ||u|| <= S
-    with A PSD, so the maximum sits on the boundary and the stationarity
-    condition (mu I - A) u = g/2 with mu >= lambda_max(A) reduces to a
-    monotone secular equation in mu, solved by bisection; when g has no
-    component in the leading eigenspace (hard case) the norm constraint
-    is met by adding a leading-eigenvector component.
+    with A PSD, so the maximum sits on the boundary.  With A = V diag(lam) V'
+    and gamma = V'g/2, every mu > lambda_max(A) gives the Lagrangian dual
+    value D(mu) = const + mu S^2 + sum_k gamma_k^2 / (mu - lam_k), an upper
+    bound on the maximum by weak duality that is tight where |u(mu)| = S,
+    u(mu) = V (gamma / (mu - lam)).  Bisection on that secular equation
+    keeps a right end mu with |u(mu)| <= S, and dg_max = D(mu) there, so it
+    bounds the maximum wherever the bisection stops.  In the hard case (g
+    almost orthogonal to the leading eigenspace) |u| < S just above
+    lambda_max, and mu stays there.  w_star is u(mu) with its
+    leading-eigenvector coefficient stretched, sign kept, onto the sphere.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")
@@ -166,26 +174,14 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     S2 = S * S
     with np.errstate(divide="ignore", over="ignore"):
         hard = norm_sq_at(lo) < S2
-    if hard:
-        # g (nearly) orthogonal to the leading eigenspace: pin mu at the
-        # top eigenvalue and fill the norm budget along that eigenvector.
-        mu = lam1
-        lead = eigval >= lam1 - 1e-12 * (1.0 + abs(lam1))
-        coef = np.zeros_like(gamma)
-        nl = ~lead
-        coef[nl] = gamma[nl] / (lam1 - eigval[nl])
-        u = V @ coef
-        base = float(u @ u)
-        tau = math.sqrt(max(S2 - base, 0.0))
-        u = u + tau * V[:, -1]
-    else:
-        hi = lam1 + gnorm / (2.0 * S) + delta
+    a_hi = lo
+    if not hard:
+        a_lo, a_hi = lo, lam1 + gnorm / (2.0 * S) + delta
         with np.errstate(divide="ignore", over="ignore"):
-            if norm_sq_at(hi) > S2:
+            if norm_sq_at(a_hi) > S2:
                 raise BallMaximizationError(
-                    f"secular bracket failed: |u({hi:.6g})| > S={S:.6g}")
-            a_lo, a_hi = lo, hi
-            for _ in range(max_bisect):
+                    f"secular bracket failed: |u({a_hi:.6g})| > S={S:.6g}")
+            for _ in range(_MAX_BISECT):
                 mu = 0.5 * (a_lo + a_hi)
                 if norm_sq_at(mu) >= S2:
                     a_lo = mu
@@ -193,18 +189,16 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
                     a_hi = mu
                 if a_hi - a_lo <= 4.0 * _EPS * max(1.0, abs(a_hi)):
                     break
-        mu = 0.5 * (a_lo + a_hi)
-        u = V @ (gamma / (mu - eigval))
-        unorm = float(np.linalg.norm(u))
-        if unorm > S and unorm > 0.0:
-            u *= S / unorm
 
-    value = const + float(u @ (At @ u) + g @ u)
-    resid = float(np.linalg.norm(2.0 * (At @ u) + g - 2.0 * mu * u))
+    coef = gamma / (a_hi - eigval)  # u(a_hi) in the eigenbasis, |coef| <= S
+    value = const + a_hi * S2 + float(gamma @ coef)
+    rest = float(coef[:-1] @ coef[:-1])
+    coef[-1] = math.copysign(math.sqrt(max(S2 - rest, 0.0)), coef[-1])
+    u = V @ coef
+    resid = float(np.linalg.norm(2.0 * (At @ u) + g - 2.0 * a_hi * u))
     w_star[active] = 1.0 + u
-    return BallMax(w_star=w_star, dg_max=value, mu=float(mu),
-                   hard_case=hard, u_norm=float(np.linalg.norm(u)),
-                   kkt_residual=resid)
+    return BallMax(w_star=w_star, dg_max=value, mu=a_hi, hard_case=hard,
+                   u_norm=float(np.linalg.norm(u)), kkt_residual=resid)
 
 
 def radius(dg_max: float, lam: float) -> float:

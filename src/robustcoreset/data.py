@@ -22,6 +22,8 @@ __all__ = [
     "gaussian_task",
 ]
 
+_MAX_SPLIT_ATTEMPTS = 100
+
 
 class ParseError(ValueError):
     """Malformed LIBSVM input; message carries the 1-based line number."""
@@ -183,20 +185,19 @@ def to_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cv_split(ds: Dataset, folds: int = 5, seed: int = 0,
-             max_attempts: int = 100) -> SplitPlan:
+def cv_split(ds: Dataset, folds: int = 5, seed: int = 0) -> SplitPlan:
     """Deterministic k-fold split with both classes in every training portion.
 
-    Fold sizes differ by at most one.  Reshuffles up to ``max_attempts``
-    times when a training portion would lose a class, then raises
-    SplitError.
+    Fold sizes differ by at most one.  Reshuffles up to
+    ``_MAX_SPLIT_ATTEMPTS`` times when a training portion would lose a
+    class, then raises SplitError.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
     if ds.n < folds:
         raise ValueError("fewer instances than folds")
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_SPLIT_ATTEMPTS):
         perm = rng.permutation(ds.n)
         assignments = np.empty(ds.n, dtype=int)
         for k, chunk in enumerate(np.array_split(perm, folds)):
@@ -209,7 +210,7 @@ def cv_split(ds: Dataset, folds: int = 5, seed: int = 0,
                 break
         if ok:
             return SplitPlan(assignments)
-    raise SplitError(f"no class-balanced split in {max_attempts} attempts")
+    raise SplitError(f"no class-balanced split in {_MAX_SPLIT_ATTEMPTS} attempts")
 
 
 def shift_radius(n_plus: int, a: float) -> float:
@@ -226,11 +227,10 @@ def shift_radius(n_plus: int, a: float) -> float:
 
 
 def gaussian_task(n: int, d: int, seed: int = 0, separation: float = 2.0,
-                  n_plus: int | None = None, scales=None) -> Dataset:
+                  n_plus: int | None = None) -> Dataset:
     """Two-class Gaussian blobs, handy for tests and offline demos.
 
-    Class means sit at +/- separation/2 along a random unit direction;
-    per-column scales can be supplied to mimic unscaled tabular data.
+    Class means sit at +/- separation/2 along a random unit direction.
     """
     if n_plus is None:
         n_plus = n // 2
@@ -241,7 +241,5 @@ def gaussian_task(n: int, d: int, seed: int = 0, separation: float = 2.0,
     direction /= np.linalg.norm(direction)
     y = np.concatenate([np.ones(n_plus, dtype=int), -np.ones(n - n_plus, dtype=int)])
     X = rng.standard_normal((n, d)) + np.outer(y, direction) * (separation / 2.0)
-    if scales is not None:
-        X = X * np.asarray(scales, dtype=float)
     perm = rng.permutation(n)
     return Dataset.from_arrays(X[perm], y[perm])

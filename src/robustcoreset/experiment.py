@@ -266,6 +266,8 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     """Split, kernels, radii, reference model and gap quadratic of one
     fold; ``rule`` and ``K_full`` come from ``resolve_lambda`` and
     ``load_inputs``, and the rule is resolved at the fold's training size."""
+    if not 0 <= fold < config.folds:
+        raise ValueError(f"--fold {fold} outside [0, {config.folds})")
     tr_idx, tr, va, K, Kx, kdiag = _fold(
         ds, config, cv_split(ds, config.folds, config.seed), fold, K_full)
     model = train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
@@ -300,10 +302,8 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
 def retrained_accuracy(ctx: FoldContext, config: ExperimentConfig, v) -> float:
     """Retrain on the kept mask ``v`` with uniform weights at the reference
     model's lambda and score its worst-case validation accuracy."""
-    kept = np.flatnonzero(v > 0)
-    sub_model = train(ctx.K[np.ix_(kept, kept)], ctx.y_tr[kept],
-                      ctx.model.lam_abs, kind=config.loss)
-    return evaluate_worst_case_accuracy(sub_model, ctx.valset.K_cross[kept, :],
+    sub_model = train(ctx.K, ctx.y_tr, ctx.model.lam_abs, v=v, kind=config.loss)
+    return evaluate_worst_case_accuracy(sub_model, ctx.valset.K_cross,
                                         ctx.valset.y, ctx.Q)
 
 

@@ -62,8 +62,8 @@ class SelectionTrace:
         v[self.removal_order[:n_del]] = 0.0
         return v
 
-    def kept_indices(self, n_del: int | None = None) -> np.ndarray:
-        return np.flatnonzero(self.kept_mask(n_del) > 0)
+    def kept_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.kept_mask() > 0)
 
     def to_dict(self) -> dict:
         return {

@@ -142,21 +142,64 @@ def test_maximize_inactive_pinned_to_one():
     assert res.dg_max >= best - 1e-9
 
 
+def _form_with_reduced_g(A, g):
+    """Form whose reduced linear term at the full mask is exactly g."""
+    return rc.QuadraticGapForm(A=A, b=g - 2.0 * A.sum(axis=1), c=0.0)
+
+
 def test_maximizer_validity_invariants():
     rng = np.random.default_rng(47)
+    cases = []
     for trial in range(8):
         dim = int(rng.integers(2, 6))
-        form = random_psd_form(rng, dim)
-        S = float(rng.uniform(0.1, 1.5))
+        cases.append((random_psd_form(rng, dim), np.ones(dim),
+                      float(rng.uniform(0.1, 1.5))))
+    A = np.diag([3.0, 1.0, 0.5])
+    for g, S in [((0.0, 0.2, -0.1), 1.0), ((0.0, 0.2, -0.1), 30.0),
+                 ((1e-7, 0.2, -0.1), 1.0), ((-1e-11, 0.2, -0.1), 2.0)]:
+        cases.append((_form_with_reduced_g(A, np.array(g)), np.ones(3), S))
+    # repeated top eigenvalue with g outside its eigenspace: hard case
+    cases.append((_form_with_reduced_g(np.diag([2.0, 2.0, 1.0]),
+                                       np.array([0.0, 0.0, 0.3])),
+                  np.ones(3), 1.5))
+    for S in (0.5, 5.0, 30.0):
+        dim = int(rng.integers(4, 8))
         v = np.ones(dim)
+        v[rng.choice(dim, size=2, replace=False)] = 0.0
+        cases.append((random_psd_form(rng, dim), v, S))
+        cases.append((random_psd_form(rng, dim), np.ones(dim), S))
+    for form, v, S in cases:
         res = rc.maximize_on_ball(form, v, S)
+        active = v != 0.0
         assert np.linalg.norm(res.w_star - 1.0) <= S + 1e-9
-        U = rng.standard_normal((10_000, dim))
-        radii = rng.uniform(0, 1, (10_000, 1)) ** (1.0 / dim)
+        assert np.all(res.w_star[~active] == 1.0)
+        assert res.u_norm == pytest.approx(S, rel=1e-12)
+        q = form.value(v * res.w_star)
+        assert res.dg_max >= q - 1e-12 * max(1.0, abs(q))
+        m = int(active.sum())
+        U = rng.standard_normal((10_000, m))
+        radii = rng.uniform(0, 1, (10_000, 1)) ** (1.0 / m)
         U = U / np.linalg.norm(U, axis=1, keepdims=True) * radii * S
-        W = 1.0 + U
+        W = np.zeros((10_000, form.n))
+        W[:, active] = 1.0 + U
         vals = np.einsum("ij,jk,ik->i", W, form.A, W) + W @ form.b + form.c
         assert res.dg_max >= vals.max() - 1e-9
+
+
+def test_maximize_near_hard_reaches_the_bound():
+    # g almost orthogonal to the leading eigenvector: the secular root
+    # sits within rounding of lambda_max, where |u(mu)| is steepest
+    A = np.diag([3.0, 1.0, 0.5])
+    S = 1.0
+    u_rest = np.array([0.1 / (3.0 - 1.0), -0.05 / (3.0 - 0.5)])
+    tau = math.sqrt(S * S - float(u_rest @ u_rest))
+    for eps in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
+        form = _form_with_reduced_g(A, np.array([eps, 0.2, -0.1]))
+        # feasible: the hard-case point, filled along e1 toward sign(eps)
+        q = form.value(1.0 + np.concatenate([[tau], u_rest]))
+        res = rc.maximize_on_ball(form, np.ones(3), S)
+        assert res.dg_max >= q - 1e-12 * max(1.0, abs(q)), eps
+        assert res.u_norm == pytest.approx(S, rel=1e-12, abs=1e-12), eps
 
 
 def test_maximize_hard_case():
@@ -181,11 +224,6 @@ def test_maximize_hard_case():
     best, _ = oracles.ball_max_oracle(At, g, const, S, n_samples=400_000,
                                       seed=5, polish_iters=30_000)
     assert res.dg_max >= best - 1e-7
-
-
-def _form_with_reduced_g(A, g):
-    """Form whose reduced linear term at the full mask is exactly g."""
-    return rc.QuadraticGapForm(A=A, b=g - 2.0 * A.sum(axis=1), c=0.0)
 
 
 def test_maximize_raises_no_floating_point_warning():

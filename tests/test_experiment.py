@@ -546,6 +546,15 @@ def test_cli_config_error_exit_code(tmp_path):
             *options, "--output-dir", str(tmp_path / "out")])
         assert res.exit_code == 2, (options, res.output)
         assert "--kernel-file" in res.output, (options, res.output)
+    for command in ("select", "certify", "evaluate"):
+        for fold in ("5", "-1"):
+            out = ["--output-dir", str(tmp_path / "fold")] * (command != "evaluate")
+            res = runner.invoke(cli_main, [
+                command, "--dataset", str(data), "--lambda-rule", "1.0",
+                "--fold", fold, *out])
+            assert res.exit_code == 2, (command, fold, res.output)
+            assert "--fold" in res.output, (command, fold, res.output)
+    assert not (tmp_path / "fold").exists()
     fold0_train = rc.cv_split(load_dataset(str(data)), 5, 0).train_indices(0)
     empty, repeated = tmp_path / "empty.txt", tmp_path / "repeated.txt"
     empty.write_text("")
