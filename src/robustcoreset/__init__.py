@@ -12,7 +12,7 @@ from .erm import (HINGE, LOGISTIC, Model, Objectives, conjugate_eval,
 from .experiment import (ExperimentConfig, RunReport,
                          evaluate_worst_case_accuracy, lambda_cv,
                          run_experiment)
-from .kernel import KernelSpec, bandwidth_heuristic, gram
+from .kernel import bandwidth_heuristic, gram
 from .select import (SelectionTrace, baseline_select, greedy_exact,
                      greedy_fixed_w, greedy_oneshot)
 
@@ -28,7 +28,7 @@ __all__ = [
     "decision_scores", "evaluate_gap", "loss_eval", "train",
     "ExperimentConfig", "RunReport", "evaluate_worst_case_accuracy",
     "lambda_cv", "run_experiment",
-    "KernelSpec", "bandwidth_heuristic", "gram",
+    "bandwidth_heuristic", "gram",
     "SelectionTrace", "baseline_select", "greedy_exact", "greedy_fixed_w",
     "greedy_oneshot",
 ]

@@ -27,11 +27,12 @@ import numpy as np
 
 from . import bound
 from .data import ParseError, SplitError, gaussian_task, to_libsvm
-from .erm import TrainingError
+from .erm import HINGE, LOGISTIC, TrainingError
 from .experiment import (ALL_METHODS, DEFAULT_LAMBDA_GRID, ExperimentConfig,
                          certify_coreset, lambda_cv, load_inputs, prepare_fold,
                          resolve_lambda, retrained_accuracy, run_experiment,
                          run_selection)
+from .kernel import KINDS
 
 _NUMERICAL = (TrainingError, bound.BallMaximizationError, SplitError,
               np.linalg.LinAlgError, FloatingPointError)
@@ -61,10 +62,10 @@ def _options(*opts):
 _common = _options(
     click.option("--dataset", required=True, type=click.Path(exists=True),
                  help="LIBSVM-format data file."),
-    click.option("--loss", type=click.Choice(["logistic", "hinge"]),
-                 default="logistic", show_default=True),
-    click.option("--kernel", type=click.Choice(["rbf", "linear", "precomputed"]),
-                 default="rbf", show_default=True),
+    click.option("--loss", type=click.Choice([LOGISTIC, HINGE]),
+                 default=LOGISTIC, show_default=True),
+    click.option("--kernel", type=click.Choice(KINDS), default="rbf",
+                 show_default=True),
     click.option("--bandwidth", type=float, default=None,
                  help="RBF bandwidth; defaults to the pooled-variance heuristic."),
     click.option("--kernel-file", type=click.Path(exists=True), default=None,
@@ -111,9 +112,9 @@ def _config(kwargs, **extra) -> ExperimentConfig:
 
 def _fold_context(kwargs, fold, removal_fraction):
     config = _config(kwargs, removal_grid=(removal_fraction,))
-    ds, K_full = load_inputs(config)
-    ctx = prepare_fold(ds, config, fold, resolve_lambda(config, ds, K_full),
-                       K_full)
+    config.check_fold(fold)
+    ds = load_inputs(config)
+    ctx = prepare_fold(ds, config, fold, resolve_lambda(config, ds))
     if ctx.weights_may_be_negative:
         click.echo(f"warning: training ball radius S={ctx.S:.4g} exceeds 1; "
                    "weights may leave the nonnegative orthant", err=True)
@@ -246,9 +247,9 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 def lambda_cv_cmd(grid, **kwargs):
     """Print the cross-validated lambda rule, usable as --lambda-rule."""
     config = _config(kwargs)
-    ds, K_full = load_inputs(config)
+    ds = load_inputs(config)
     rules = [r.strip() for r in grid.split(",")] if grid else DEFAULT_LAMBDA_GRID
-    click.echo(lambda_cv(ds, rules, config, K_full))
+    click.echo(lambda_cv(ds, rules, config))
 
 
 @main.command("synth")

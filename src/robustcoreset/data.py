@@ -68,10 +68,6 @@ class Dataset:
     def n_plus(self) -> int:
         return int(np.sum(self.labels == 1))
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.labels[idx])
-
     @staticmethod
     def from_arrays(X, y) -> "Dataset":
         """Build a Dataset from raw features (no intercept yet) and labels."""

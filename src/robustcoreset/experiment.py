@@ -29,8 +29,8 @@ import numpy as np
 
 from . import bound, select
 from .data import Dataset, cv_split, parse_libsvm, shift_radius
-from .erm import LOGISTIC, decision_scores, evaluate_gap, train
-from .kernel import KernelSpec, bandwidth_heuristic, gram, load_precomputed
+from .erm import HINGE, LOGISTIC, decision_scores, evaluate_gap, train
+from .kernel import KINDS, fold_kernels, load_precomputed
 
 __all__ = [
     "ExperimentConfig",
@@ -82,6 +82,10 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
+        if self.loss not in (LOGISTIC, HINGE):
+            raise ValueError(f"--loss {self.loss!r} is not {LOGISTIC} or {HINGE}")
+        if self.kernel not in KINDS:
+            raise ValueError(f"--kernel {self.kernel!r} is not one of {KINDS}")
         if self.lambda_rule.strip() != "cv-best":
             resolve_lambda_rule(self.lambda_rule, 1)
         for frac in self.removal_grid:
@@ -103,15 +107,21 @@ class ExperimentConfig:
         if self.bandwidth is not None and self.kernel != "rbf":
             raise ValueError("--bandwidth is read only with --kernel rbf, "
                              f"not {self.kernel!r}")
-        if self.kernel == "precomputed" and self.kernel_file is None:
-            raise ValueError("--kernel precomputed needs --kernel-file")
-        if self.kernel != "precomputed" and self.kernel_file is not None:
-            raise ValueError("--kernel-file is read only with --kernel "
-                             f"precomputed, not {self.kernel!r}")
+        if (self.kernel == "precomputed") != (self.kernel_file is not None):
+            raise ValueError("--kernel precomputed needs --kernel-file, and "
+                             "no other --kernel reads one")
+        if self.min_max_scale and self.kernel == "precomputed":
+            raise ValueError("--min-max-scale scales features, which "
+                             "--kernel precomputed does not read")
 
     @property
     def q_shift(self) -> float:
         return self.a if self.q_factor is None else self.q_factor
+
+    def check_fold(self, fold: int):
+        """Reject a fold outside [0, folds), before any lambda is resolved."""
+        if not 0 <= fold < self.folds:
+            raise ValueError(f"--fold {fold} outside [0, {self.folds})")
 
     def removal_counts(self, n_tr: int) -> list:
         """Removals per grid fraction, min(round(f*n_tr), n_tr - 1); the
@@ -133,13 +143,14 @@ def load_dataset(path, min_max: bool = False) -> Dataset:
     return min_max_scaled(ds) if min_max else ds
 
 
-def load_inputs(config: ExperimentConfig):
-    """The dataset and, for the precomputed kernel, its validated Gram
-    matrix over all rows (None otherwise); read once per command."""
+def load_inputs(config: ExperimentConfig) -> Dataset:
+    """The config's dataset, read once per command.  With a kernel file
+    (``--kernel precomputed``) the validated kernel rows are the features,
+    as in scikit-learn's ``kernel="precomputed"``."""
     ds = load_dataset(config.dataset, config.min_max_scale)
-    K_full = (load_precomputed(config.kernel_file, ds.n)
-              if config.kernel == "precomputed" else None)
-    return ds, K_full
+    if config.kernel_file is None:
+        return ds
+    return Dataset(load_precomputed(config.kernel_file, ds.n), ds.labels)
 
 
 _RULE_RE = re.compile(r"^n(\*10\^(?P<exp>-?\d+(\.\d+)?))?$")
@@ -165,42 +176,31 @@ def resolve_lambda_rule(rule: str, n: int) -> float:
     return value
 
 
-def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, K_full):
-    """Training indices, training and validation parts, training Gram,
+def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int):
+    """Training indices, training and validation labels, training Gram,
     training-by-validation Gram and validation diagonal of one fold."""
     tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
-    tr, va = ds.subset(tr_idx), ds.subset(va_idx)
-    if config.kernel == "precomputed":
-        return (tr_idx, tr, va, K_full[np.ix_(tr_idx, tr_idx)],
-                K_full[np.ix_(tr_idx, va_idx)], np.diag(K_full)[va_idx])
-    if config.kernel == "rbf":
-        spec = KernelSpec("rbf", bandwidth_heuristic(tr.features)
-                          if config.bandwidth is None else config.bandwidth)
-        kdiag = np.ones(va.n)
-    else:
-        spec = KernelSpec("linear")
-        kdiag = np.einsum("ij,ij->i", va.features, va.features)
-    return (tr_idx, tr, va, gram(tr.features, tr.features, spec),
-            gram(tr.features, va.features, spec), kdiag)
+    return (tr_idx, ds.labels[tr_idx], ds.labels[va_idx],
+            *fold_kernels(ds.features, config.kernel, config.bandwidth,
+                          tr_idx, va_idx))
 
 
-def lambda_cv(ds: Dataset, grid, config: ExperimentConfig, K_full) -> str:
+def lambda_cv(ds: Dataset, grid, config: ExperimentConfig) -> str:
     """Grid rule maximizing mean unweighted validation accuracy over the
     config's folds, each fold resolving every rule at its own training
-    size; ties break toward the smaller lambda at ``ds.n``.  ``K_full`` is
-    the precomputed Gram matrix from ``load_inputs`` (None otherwise)."""
+    size; ties break toward the smaller lambda at ``ds.n``."""
     grid = sorted(grid, key=lambda rule: resolve_lambda_rule(rule, ds.n))
     if not grid:
         raise ValueError("empty lambda grid")
     plan = cv_split(ds, config.folds, config.seed)
     accs = [[] for _ in grid]
     for k in range(config.folds):
-        _, tr, va, K, Kx, _ = _fold(ds, config, plan, k, K_full)
+        _, y_tr, y_va, K, Kx, _ = _fold(ds, config, plan, k)
         for rule, fold_accs in zip(grid, accs):
-            model = train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
+            model = train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
                           kind=config.loss)
             scores = decision_scores(model, Kx)
-            fold_accs.append(float(np.mean(va.labels * scores > 0)))
+            fold_accs.append(float(np.mean(y_va * scores > 0)))
     means = [float(np.mean(fold_accs)) for fold_accs in accs]
     return grid[means.index(max(means))]
 
@@ -252,33 +252,32 @@ class FoldContext:
         return self.S > 1.0
 
 
-def resolve_lambda(config: ExperimentConfig, ds: Dataset, K_full) -> str:
+def resolve_lambda(config: ExperimentConfig, ds: Dataset) -> str:
     """The config's lambda rule; for "cv-best", the ``lambda_cv`` pick
     over ``DEFAULT_LAMBDA_GRID``.  Each fold resolves it at its own size."""
     rule = config.lambda_rule.strip()
     if rule == "cv-best":
-        return lambda_cv(ds, DEFAULT_LAMBDA_GRID, config, K_full)
+        return lambda_cv(ds, DEFAULT_LAMBDA_GRID, config)
     return rule
 
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
-                 rule: str, K_full) -> FoldContext:
-    """Split, kernels, radii, reference model and gap quadratic of one
-    fold; ``rule`` and ``K_full`` come from ``resolve_lambda`` and
-    ``load_inputs``, and the rule is resolved at the fold's training size."""
-    if not 0 <= fold < config.folds:
-        raise ValueError(f"--fold {fold} outside [0, {config.folds})")
-    tr_idx, tr, va, K, Kx, kdiag = _fold(
-        ds, config, cv_split(ds, config.folds, config.seed), fold, K_full)
-    model = train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
+                 rule: str) -> FoldContext:
+    """Split, kernels, radii, reference model and gap quadratic of one fold;
+    ``ds`` and ``rule`` come from ``load_inputs`` and ``resolve_lambda``."""
+    config.check_fold(fold)
+    tr_idx, y_tr, y_va, K, Kx, kdiag = _fold(
+        ds, config, cv_split(ds, config.folds, config.seed), fold)
+    model = train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
                   kind=config.loss)
     # A positive-class shift moves no weight of a validation part without
     # positives: its ball is the single point w = 1.
-    Q = shift_radius(va.n_plus, config.q_shift) if va.n_plus else 0.0
-    return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=tr.labels, K=K,
-                       S=shift_radius(tr.n_plus, config.a), Q=Q, model=model,
-                       form_cert=bound.quadratic_form(model),
-                       valset=ValidationSet(Kx, kdiag, va.labels))
+    n_plus_va = int(np.sum(y_va == 1))
+    Q = shift_radius(n_plus_va, config.q_shift) if n_plus_va else 0.0
+    return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=y_tr, K=K,
+                       S=shift_radius(int(np.sum(y_tr == 1)), config.a), Q=Q,
+                       model=model, form_cert=bound.quadratic_form(model),
+                       valset=ValidationSet(Kx, kdiag, y_va))
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
@@ -395,12 +394,12 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     On error, rows computed so far are flushed with a trailing status row
     before the exception propagates.
     """
-    ds, K_full = load_inputs(config)
-    rule = resolve_lambda(config, ds, K_full)
+    ds = load_inputs(config)
+    rule = resolve_lambda(config, ds)
     report = RunReport(lambda_rule=rule)
     try:
         for fold in range(config.folds):
-            ctx = prepare_fold(ds, config, fold, rule, K_full)
+            ctx = prepare_fold(ds, config, fold, rule)
             report.gap_diagnostics.append(_gap_diagnostics(ctx))
             n_del_grid = config.removal_counts(len(ctx.y_tr))
             for method in config.methods:

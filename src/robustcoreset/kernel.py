@@ -1,29 +1,18 @@
-"""Gram matrices for the kernelized classifier.
+"""Kernel matrices; the only module that knows the kernel kinds (``KINDS``).
 
-The RBF kernel is exp(-||x - x'||^2 / bandwidth) with the bandwidth picked
-by the pooled-variance heuristic d' * Var(X) (d' excludes the intercept
-column), i.e. the reciprocal of sklearn's ``gamma='scale'``.
+"rbf" is exp(-||x - x'||^2 / bandwidth), by default with the pooled-variance
+bandwidth d' * Var(X) (d' excludes the intercept column; the reciprocal of
+sklearn's ``gamma='scale'``), "linear" is x . x', and "precomputed" is a
+validated Gram matrix (``load_precomputed``) whose rows stand in for the
+features.  ``fold_kernels`` gives one fold's three kernel arrays.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelSpec", "bandwidth_heuristic", "gram", "load_precomputed"]
+__all__ = ["KINDS", "bandwidth_heuristic", "gram", "fold_kernels",
+           "load_precomputed"]
 
 KINDS = ("rbf", "linear", "precomputed")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    kind: str = "rbf"
-    bandwidth: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("rbf bandwidth must be positive")
 
 
 def bandwidth_heuristic(X: np.ndarray) -> float:
@@ -45,29 +34,43 @@ def bandwidth_heuristic(X: np.ndarray) -> float:
     return body.shape[1] * var
 
 
-def gram(X1: np.ndarray, X2: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix between the rows of X1 and X2.
-
-    The rbf path uses ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b with tiny
-    negatives clamped to zero, so a self-Gram has an exact unit diagonal.
-    """
+def gram(X1, X2, bandwidth: float | None = None) -> np.ndarray:
+    """Kernel matrix between the rows of X1 and X2: RBF at ``bandwidth``,
+    linear when it is None.  The rbf path uses ||a-b||^2 = ||a||^2 + ||b||^2
+    - 2 a.b with tiny negatives clamped to zero, so a self-Gram has an exact
+    unit diagonal."""
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     if X1.ndim != 2 or X2.ndim != 2 or X1.shape[1] != X2.shape[1]:
         raise ValueError("feature dimension mismatch")
-    if spec.kind == "linear":
+    if bandwidth is None:
         return X1 @ X2.T
-    if spec.kind == "rbf":
-        if spec.bandwidth is None:
-            raise ValueError("rbf kernel needs a bandwidth")
-        sq1 = np.einsum("ij,ij->i", X1, X1)
-        sq2 = np.einsum("ij,ij->i", X2, X2)
-        d2 = sq1[:, None] + sq2[None, :] - 2.0 * (X1 @ X2.T)
-        np.maximum(d2, 0.0, out=d2)
-        if X1 is X2 or (X1.shape == X2.shape and np.array_equal(X1, X2)):
-            np.fill_diagonal(d2, 0.0)
-        return np.exp(-d2 / spec.bandwidth)
-    raise ValueError("precomputed kernels are loaded, not evaluated")
+    if bandwidth <= 0:
+        raise ValueError("rbf bandwidth must be positive")
+    sq1 = np.einsum("ij,ij->i", X1, X1)
+    sq2 = np.einsum("ij,ij->i", X2, X2)
+    d2 = sq1[:, None] + sq2[None, :] - 2.0 * (X1 @ X2.T)
+    np.maximum(d2, 0.0, out=d2)
+    if X1 is X2 or (X1.shape == X2.shape and np.array_equal(X1, X2)):
+        np.fill_diagonal(d2, 0.0)
+    return np.exp(-d2 / bandwidth)
+
+
+def fold_kernels(X, kind: str, bandwidth: float | None, tr_idx, va_idx):
+    """Training Gram, training-by-validation Gram and validation diagonal
+    of one fold of the rows ``X`` (kernel rows for "precomputed"); rbf
+    without a bandwidth takes the heuristic on the training rows."""
+    if kind == "precomputed":
+        return (X[np.ix_(tr_idx, tr_idx)], X[np.ix_(tr_idx, va_idx)],
+                np.diag(X)[va_idx])
+    X_tr, X_va = X[tr_idx], X[va_idx]
+    if kind == "rbf":
+        h = bandwidth_heuristic(X_tr) if bandwidth is None else bandwidth
+        return gram(X_tr, X_tr, h), gram(X_tr, X_va, h), np.ones(len(va_idx))
+    if kind == "linear":
+        return (gram(X_tr, X_tr), gram(X_tr, X_va),
+                np.einsum("ij,ij->i", X_va, X_va))
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 def load_precomputed(path, n: int) -> np.ndarray:

@@ -13,8 +13,8 @@ import robustcoreset as rc
 def rbf_task():
     """Small two-class RBF task: (dataset, Gram matrix, lam_abs)."""
     ds = rc.gaussian_task(60, 4, seed=7, separation=2.5)
-    spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds.features))
-    K = rc.gram(ds.features, ds.features, spec)
+    h = rc.bandwidth_heuristic(ds.features)
+    K = rc.gram(ds.features, ds.features, h)
     return ds, K, 5.0
 
 
@@ -34,6 +34,6 @@ def make_validation(ds_train, n_val, seed):
     """Fresh validation set drawn like the training task, with cross-Gram."""
     d = ds_train.d - 1
     va = rc.gaussian_task(n_val, d, seed=seed, separation=2.5)
-    spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds_train.features))
-    K_cross = rc.gram(ds_train.features, va.features, spec)
+    h = rc.bandwidth_heuristic(ds_train.features)
+    K_cross = rc.gram(ds_train.features, va.features, h)
     return va, K_cross, np.ones(va.n)

@@ -40,7 +40,7 @@ def test_quadratic_form_matches_loop_expansion():
     rng = np.random.default_rng(31)
     X = rng.standard_normal((3, 2))
     y = np.array([1.0, -1.0, 1.0])
-    K = rc.gram(X, X, rc.KernelSpec("rbf", 1.0))
+    K = rc.gram(X, X, 1.0)
     lam_abs = 1.2
     model = rc.train(K, y, lam_abs, kind=rc.HINGE, tol=1e-12)
     form = rc.quadratic_form(model)
@@ -64,7 +64,7 @@ def test_quadratic_form_exact_conjugate_is_sum_form_gap():
     rng = np.random.default_rng(37)
     X = rng.standard_normal((5, 3))
     y = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
-    K = rc.gram(X, X, rc.KernelSpec("rbf", 2.0))
+    K = rc.gram(X, X, 2.0)
     lam_abs = 2.0
     model = rc.train(K, y, lam_abs, kind=rc.LOGISTIC, tol=1e-12)
     form = rc.quadratic_form(model)
@@ -376,8 +376,8 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
     rng = np.random.default_rng(67)
 
     va = rc.gaussian_task(30, ds.d - 1, seed=101, separation=2.5)
-    spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds.features))
-    K_cross = rc.gram(ds.features, va.features, spec)
+    h = rc.bandwidth_heuristic(ds.features)
+    K_cross = rc.gram(ds.features, va.features, h)
     kdiag = np.ones(va.n)
     Q = rc.shift_radius(va.n_plus, 1.05)
 
@@ -415,8 +415,8 @@ def test_certificate_pipeline_report(rbf_task, hinge_model):
     ds, K, lam_abs = rbf_task
     form = rc.quadratic_form(hinge_model)
     va = rc.gaussian_task(20, ds.d - 1, seed=5)
-    spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds.features))
-    K_cross = rc.gram(ds.features, va.features, spec)
+    h = rc.bandwidth_heuristic(ds.features)
+    K_cross = rc.gram(ds.features, va.features, h)
     v = np.ones(ds.n)
     v[:6] = 0.0
     ball = rc.maximize_on_ball(form, v, 0.4)

@@ -54,7 +54,7 @@ def test_train_certifies_gap(rbf_task, kind):
 def test_train_symmetric_pair():
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
     ds = rc.Dataset.from_arrays(X, [1, -1])
-    K = rc.gram(ds.features, ds.features, rc.KernelSpec("rbf", 2.0))
+    K = rc.gram(ds.features, ds.features, 2.0)
     for kind in (rc.HINGE, rc.LOGISTIC):
         model = rc.train(K, ds.labels, 1.0, kind=kind, tol=1e-13)
         assert model.alpha[0] == pytest.approx(model.alpha[1], abs=1e-6)
@@ -193,7 +193,7 @@ def _random_training_problem(seed, kind, kernel):
         X[rng.integers(n)] = 0.0  # a zero row: s_j = 0 for that coordinate
         K = X @ X.T
     else:
-        K = rc.gram(X, X, rc.KernelSpec("rbf", float(rng.uniform(0.5, 3.0))))
+        K = rc.gram(X, X, float(rng.uniform(0.5, 3.0)))
     v = (rng.random(n) < 0.8).astype(float)
     v[rng.integers(n)] = 1.0
     w = rng.uniform(0.3, 2.5, n) if seed % 2 else np.ones(n)
@@ -233,7 +233,7 @@ def test_evaluate_gap_matches_loop_oracle(kind):
     rng = np.random.default_rng(11)
     X = rng.standard_normal((3, 2))
     ds = rc.Dataset.from_arrays(X, [1, -1, 1])
-    K = rc.gram(ds.features, ds.features, rc.KernelSpec("rbf", 1.5))
+    K = rc.gram(ds.features, ds.features, 1.5)
     lam_abs = 1.2
     model = rc.train(K, ds.labels, lam_abs, kind=kind, tol=1e-12)
     v = np.array([1.0, 1.0, 0.0])
@@ -275,7 +275,7 @@ def test_weak_duality_property(kind):
     rng = np.random.default_rng(17)
     X = rng.standard_normal((5, 3))
     y = np.array([1, -1, 1, 1, -1], dtype=float)
-    K = rc.gram(X, X, rc.KernelSpec("rbf", 2.0))
+    K = rc.gram(X, X, 2.0)
     lam = 0.8
     for _ in range(200):
         v = (rng.random(5) > 0.25).astype(float)
@@ -309,7 +309,7 @@ def test_rkhs_norm_identity_linear_kernel():
     X = rng.standard_normal((20, 4))
     y = np.sign(X[:, 0] + 0.1 * rng.standard_normal(20))
     y[y == 0] = 1
-    K = rc.gram(X, X, rc.KernelSpec("linear"))
+    K = rc.gram(X, X, None)
     model = rc.train(K, y, 10.0, kind=rc.LOGISTIC, tol=1e-10)
     beta_explicit = X.T @ model.rep_coef
     assert float(model.rep_coef @ model.train_scores) == pytest.approx(
@@ -320,7 +320,7 @@ def test_logistic_dual_gradient_finite_differences():
     rng = np.random.default_rng(29)
     X = rng.standard_normal((6, 3))
     y = np.array([1, -1, 1, -1, 1, -1], dtype=float)
-    K = rc.gram(X, X, rc.KernelSpec("rbf", 1.0))
+    K = rc.gram(X, X, 1.0)
     lam_abs = 3.6
     v = np.ones(6)
     w = rng.uniform(0.5, 1.5, 6)

@@ -68,27 +68,28 @@ def cv_config(folds, seed):
 
 def test_lambda_cv_single_element():
     ds = rc.gaussian_task(40, 3, seed=0)
-    assert rc.lambda_cv(ds, ["2.5"], cv_config(4, 0), None) == "2.5"
+    assert rc.lambda_cv(ds, ["2.5"], cv_config(4, 0)) == "2.5"
 
 
 def test_lambda_cv_prefers_better_lambda():
     ds = rc.gaussian_task(80, 3, seed=1, separation=4.0)
     grid = ["n*10^-3", "n"]
-    best = rc.lambda_cv(ds, grid, cv_config(4, 0), None)
+    best = rc.lambda_cv(ds, grid, cv_config(4, 0))
     accs = {}
     plan = rc.cv_split(ds, 4, 0)
     for rule in grid:
         fold_accs = []
         for k in range(4):
-            tr = ds.subset(plan.train_indices(k))
-            va = ds.subset(plan.val_indices(k))
-            spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(tr.features))
-            K = rc.gram(tr.features, tr.features, spec)
-            Kx = rc.gram(tr.features, va.features, spec)
-            model = rc.train(K, tr.labels, resolve_lambda_rule(rule, tr.n),
+            tr, va = plan.train_indices(k), plan.val_indices(k)
+            X_tr, X_va = ds.features[tr], ds.features[va]
+            h = rc.bandwidth_heuristic(X_tr)
+            K = rc.gram(X_tr, X_tr, h)
+            Kx = rc.gram(X_tr, X_va, h)
+            model = rc.train(K, ds.labels[tr],
+                             resolve_lambda_rule(rule, tr.size),
                              kind=rc.LOGISTIC)
             fold_accs.append(float(np.mean(
-                va.labels * rc.decision_scores(model, Kx) > 0)))
+                ds.labels[va] * rc.decision_scores(model, Kx) > 0)))
         accs[rule] = np.mean(fold_accs)
     assert best == max(grid, key=lambda rule: (
         accs[rule], -resolve_lambda_rule(rule, ds.n)))
@@ -98,7 +99,7 @@ def test_lambda_cv_deterministic():
     ds = rc.gaussian_task(50, 3, seed=2)
     grid = ["5.0", "n*10^-3"]
     config = cv_config(5, 7)
-    assert rc.lambda_cv(ds, grid, config, None) == rc.lambda_cv(ds, grid, config, None)
+    assert rc.lambda_cv(ds, grid, config) == rc.lambda_cv(ds, grid, config)
 
 
 def test_min_max_scaled():
@@ -206,7 +207,9 @@ def test_config_validation(synth_file):
                         (dict(kernel="linear", bandwidth=5.0), "--bandwidth"),
                         (dict(q_factor=-1.0), "--q-factor"),
                         (dict(q_factor=0.0), "--q-factor"),
-                        (dict(methods=()), "--methods")):
+                        (dict(methods=()), "--methods"),
+                        (dict(kernel="poly"), "--kernel"),
+                        (dict(loss="foo"), "--loss")):
         with pytest.raises(ValueError, match=option):
             ExperimentConfig(dataset=synth_file, **bad)
 
@@ -314,8 +317,7 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
     for algorithm in (2, 3):
         cfg = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                                folds=2, algorithm=algorithm)
-        ds, K_full = load_inputs(cfg)
-        ctx = prepare_fold(ds, cfg, 0, "2.0", K_full)
+        ctx = prepare_fold(load_inputs(cfg), cfg, 0, "2.0")
         run_selection(ctx, cfg, "robust", 20)
         fresh = bound.maximize_on_ball(ctx.form_cert, np.ones(len(ctx.y_tr)),
                                        ctx.S).w_star
@@ -383,8 +385,8 @@ def test_cli_precomputed_cv_best_reads_kernel_once(tmp_path, monkeypatch):
     ds = rc.gaussian_task(45, 3, seed=5, separation=2.5)
     data, kernel_file = tmp_path / "task.svm", tmp_path / "gram.csv"
     data.write_text(rc.to_libsvm(ds))
-    spec = rc.KernelSpec("rbf", rc.bandwidth_heuristic(ds.features))
-    np.savetxt(kernel_file, rc.gram(ds.features, ds.features, spec),
+    h = rc.bandwidth_heuristic(ds.features)
+    np.savetxt(kernel_file, rc.gram(ds.features, ds.features, h),
                delimiter=",")
     common = ["--dataset", str(data), "--kernel", "precomputed",
               "--kernel-file", str(kernel_file), "--lambda-rule", "cv-best",
@@ -469,8 +471,7 @@ def test_sweep_fold_without_validation_positives(tmp_path):
     assert all(row["status"] == "ok" for row in rows)
     config = ExperimentConfig(dataset=str(data), folds=3, seed=4,
                               lambda_rule="n")
-    ds, K_full = load_inputs(config)
-    ctx = prepare_fold(ds, config, 2, "n", K_full)
+    ctx = prepare_fold(load_inputs(config), config, 2, "n")
     assert (ctx.valset.y == -1).all() and ctx.Q == 0.0
     for method in config.methods:
         n_dels = config.removal_counts(len(ctx.y_tr))
@@ -538,6 +539,15 @@ def test_cli_config_error_exit_code(tmp_path):
             "--kernel", "precomputed", "--kernel-file", str(kernel_file),
             "--output-dir", str(tmp_path / "out")])
         assert res.exit_code == 2, (k, res.output)
+    # --min-max-scale scales features, which a precomputed kernel replaces
+    np.savetxt(tmp_path / "eye.csv", np.eye(30), delimiter=",")
+    res = runner.invoke(cli_main, [
+        "sweep", "--dataset", str(data), "--lambda-rule", "1.0",
+        "--kernel", "precomputed", "--kernel-file", str(tmp_path / "eye.csv"),
+        "--min-max-scale", "--output-dir", str(tmp_path / "scaled")])
+    assert res.exit_code == 2, res.output
+    assert "--min-max-scale" in res.output, res.output
+    assert not (tmp_path / "scaled" / "report.csv").exists()
     # a kernel file without the precomputed kernel, and the reverse
     for options in (["--kernel-file", str(kernel_file)],
                     ["--kernel", "precomputed"]):
@@ -565,6 +575,70 @@ def test_cli_config_error_exit_code(tmp_path):
                 command, "--dataset", str(data), "--lambda-rule", "1.0",
                 "--indices", str(indices)], catch_exceptions=False)
             assert res.exit_code == 2, (command, indices.name, res.output)
+
+
+def test_cli_rejects_fold_before_lambda_cv(tmp_path, monkeypatch):
+    # under the default cv-best rule a bad --fold must exit before the
+    # lambda grid is cross-validated
+    import robustcoreset.experiment as experiment
+    lambda_cv, calls = experiment.lambda_cv, []
+
+    def counting_lambda_cv(*args, **kwargs):
+        calls.append(args)
+        return lambda_cv(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "lambda_cv", counting_lambda_cv)
+    runner = CliRunner()
+    data = tmp_path / "task.svm"
+    runner.invoke(cli_main, ["synth", "--n", "40", "--d", "2", "--seed", "1",
+                             "--out", str(data)])
+    for command in ("select", "certify", "evaluate"):
+        out = ["--output-dir", str(tmp_path / "out")] * (command != "evaluate")
+        res = runner.invoke(cli_main, [command, "--dataset", str(data),
+                                       "--fold", "5", *out])
+        assert res.exit_code == 2, (command, res.output)
+        assert "--fold" in res.output, (command, res.output)
+    assert calls == []
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+def test_precomputed_kernel_matches_computed(tmp_path, loss):
+    # the precomputed folds must slice the rows and columns the computed
+    # kernels are built from, on uneven folds (25, 25 and 26 training rows)
+    runner = CliRunner()
+    data = str(tmp_path / "task.svm")
+    res = runner.invoke(cli_main, ["synth", "--n", "38", "--seed", "9",
+                                   "--out", data])
+    assert res.exit_code == 0, res.output
+    X = load_dataset(data).features
+    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1)
+    grams = {"rbf": (np.exp(-d2 / 3.0),
+                     ["--kernel", "rbf", "--bandwidth", "3"]),
+             "linear": (X @ X.T, ["--kernel", "linear"])}
+    for kind, (K, options) in grams.items():
+        kernel_file = tmp_path / f"{kind}.csv"
+        np.savetxt(kernel_file, K, delimiter=",", fmt="%.17g")
+        rows = []
+        for name, kernel_options in (
+                ("computed", options),
+                ("precomputed", ["--kernel", "precomputed",
+                                 "--kernel-file", str(kernel_file)])):
+            out = tmp_path / kind / name
+            res = runner.invoke(cli_main, [
+                "sweep", "--dataset", data, "--loss", loss,
+                "--lambda-rule", "n*10^-1", "--folds", "3",
+                "--methods", "robust,random", "--removal-grid", "0.0,0.3,0.5",
+                *kernel_options, "--output-dir", str(out)])
+            assert res.exit_code == 0, res.output
+            rows.append(json.loads((out / "report.json").read_text())["rows"])
+        computed, precomputed = rows
+        assert len(computed) == len(precomputed) == 3 * 2 * 3
+        for a, b in zip(computed, precomputed):
+            for key in ("fold", "method", "m", "fraction_removed", "status"):
+                assert a[key] == b[key], (kind, key, a, b)
+            for key in ("wc_accuracy", "certified_lb", "dg_max"):
+                assert b[key] == pytest.approx(a[key], rel=0, abs=1e-9), (
+                    kind, key, a, b)
 
 
 def test_cli_numerical_error_exit_code(tmp_path):

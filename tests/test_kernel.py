@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
-from robustcoreset.kernel import load_precomputed
+from robustcoreset.kernel import fold_kernels, load_precomputed
 
 
 def test_bandwidth_single_column():
@@ -26,37 +26,31 @@ def test_bandwidth_constant_raises():
 def test_rbf_unit_diagonal():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((15, 4))
-    K = rc.gram(X, X, rc.KernelSpec("rbf", 2.0))
+    K = rc.gram(X, X, 2.0)
     np.testing.assert_array_equal(np.diag(K), np.ones(15))
 
 
 def test_rbf_single_pair():
-    K = rc.gram(np.array([[0.0]]), np.array([[2.0]]), rc.KernelSpec("rbf", 1.0))
+    K = rc.gram(np.array([[0.0]]), np.array([[2.0]]), 1.0)
     assert K[0, 0] == pytest.approx(math.exp(-4.0), rel=1e-12)
 
 
 def test_linear_dot():
-    K = rc.gram(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]),
-                rc.KernelSpec("linear"))
+    K = rc.gram(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
     assert K[0, 0] == pytest.approx(1.0)
 
 
 def test_gram_dimension_mismatch():
     with pytest.raises(ValueError):
-        rc.gram(np.ones((2, 3)), np.ones((2, 4)), rc.KernelSpec("linear"))
-
-
-def test_rbf_needs_bandwidth():
-    with pytest.raises(ValueError):
-        rc.gram(np.ones((2, 2)), np.ones((2, 2)), rc.KernelSpec("rbf"))
+        rc.gram(np.ones((2, 3)), np.ones((2, 4)))
 
 
 def test_self_gram_psd_and_symmetric():
     rng = np.random.default_rng(1)
     for trial in range(5):
         X = rng.standard_normal((20, 3)) * rng.uniform(0.5, 3.0)
-        for spec in (rc.KernelSpec("rbf", 1.7), rc.KernelSpec("linear")):
-            K = rc.gram(X, X, spec)
+        for h in (1.7, None):
+            K = rc.gram(X, X, h)
             assert np.abs(K - K.T).max() <= 1e-12
             eig = np.linalg.eigvalsh(K)
             assert eig[0] >= -1e-8 * max(eig[-1], 1.0)
@@ -66,17 +60,38 @@ def test_cross_gram_transpose_exact():
     rng = np.random.default_rng(2)
     X1 = rng.standard_normal((7, 5))
     X2 = rng.standard_normal((11, 5))
-    for spec in (rc.KernelSpec("rbf", 1.3), rc.KernelSpec("linear")):
-        K12 = rc.gram(X1, X2, spec)
-        K21 = rc.gram(X2, X1, spec)
+    for h in (1.3, None):
+        K12 = rc.gram(X1, X2, h)
+        K21 = rc.gram(X2, X1, h)
         assert np.array_equal(K12, K21.T)
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        rc.KernelSpec("poly")
-    with pytest.raises(ValueError):
-        rc.KernelSpec("rbf", -1.0)
+def test_kernel_kind_and_bandwidth_validation():
+    X = np.ones((3, 2))
+    with pytest.raises(ValueError, match="poly"):
+        fold_kernels(X, "poly", None, [0, 1], [2])
+    for bandwidth in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="bandwidth"):
+            rc.gram(X, X, bandwidth)
+
+
+def test_fold_kernels_precomputed_slices_match_computed():
+    # a precomputed fold takes its training block, its training-by-
+    # validation block and its validation diagonal from the full Gram
+    rng = np.random.default_rng(3)
+    X = np.hstack([rng.standard_normal((9, 3)), np.ones((9, 1))])
+    tr_idx, va_idx = np.array([0, 2, 3, 5, 6, 8]), np.array([1, 4, 7])
+    for kind, h in (("rbf", 1.7), ("linear", None)):
+        computed = fold_kernels(X, kind, h, tr_idx, va_idx)
+        sliced = fold_kernels(rc.gram(X, X, h), "precomputed", None, tr_idx,
+                              va_idx)
+        for a, b in zip(computed, sliced):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    # the rbf heuristic reads the training rows only
+    K, _, k_diag = fold_kernels(X, "rbf", None, tr_idx, va_idx)
+    np.testing.assert_array_equal(
+        K, rc.gram(X[tr_idx], X[tr_idx], rc.bandwidth_heuristic(X[tr_idx])))
+    np.testing.assert_array_equal(k_diag, np.ones(3))
 
 
 def test_load_precomputed(tmp_path):

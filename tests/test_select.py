@@ -203,7 +203,7 @@ def test_preserve_classes(method):
     rng = np.random.default_rng(11)
     X = rng.standard_normal((8, 2))
     y = np.array([1.0] + [-1.0] * 7)
-    K = rc.gram(X, X, rc.KernelSpec("rbf", 2.0))
+    K = rc.gram(X, X, 2.0)
     # margin would remove the lone positive (largest |score|) first
     scores = np.arange(8.0, 0.0, -1.0)
     dummy = rc.Model(alpha=np.zeros(8), lam_abs=1.0, loss=rc.HINGE,
@@ -285,7 +285,7 @@ def test_fixed_order_selectors_match_reference(method):
         n = int(rng.integers(3, 16))
         y = np.where(rng.random(n) < rng.uniform(0.1, 0.9), 1.0, -1.0)
         X = rng.standard_normal((n, 2))
-        K = rc.gram(X, X, rc.KernelSpec("rbf", 1.5))
+        K = rc.gram(X, X, 1.5)
         scores = np.round(rng.standard_normal(n), 1)  # ties on purpose
         model = rc.Model(alpha=np.zeros(n), lam_abs=1.0, loss=rc.HINGE,
                          gram_ref=K, certified_gap=0.0, y=y,
