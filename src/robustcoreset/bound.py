@@ -21,8 +21,15 @@ weights:
    (logistic, lam = 2, fold 0 of 5) it is 31.5 against 3.2e-7 for the
    exact form.  It would inflate every gap and radius, so it is not used.
 2. ``maximize_on_ball`` maximizes q over the weight ball ||w - 1|| <= S
-   (an eigenvalue problem plus a secular-equation root find).  It reports
-   the secular dual value, which by weak duality bounds the maximum from
+   (an eigenvalue problem plus a secular-equation root find).  A dead
+   coordinate (``QuadraticGapForm.live`` false: a zero row of A and
+   b_i = 0, for hinge an instance with alpha_i = 0 and zero loss) leaves q
+   unchanged, so the eigenvalue problem covers only the kept live
+   coordinates.  The root find takes safeguarded Newton steps on
+   1/|u(mu)| - 1/S from the left end of its bracket and secant steps for
+   the right end, and stops once the dual value at the right end is within
+   rounding of its minimum (Gander, Golub & von Matt 1989).  It reports
+   that secular dual value, which by weak duality bounds the maximum from
    above at any multiplier past the top eigenvalue, so the gap it reports
    is never low, however early the root find stops (Moré & Sorensen 1983).
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
@@ -32,6 +39,7 @@ weights:
    validation ball has a closed form, yielding the error upper bound.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,7 +66,8 @@ __all__ = [
 
 
 _EPS = float(np.finfo(float).eps)
-_MAX_BISECT = 200
+_MAX_STEPS = 200
+_TOL = 4.0 * _EPS
 
 
 class BallMaximizationError(RuntimeError):
@@ -72,6 +81,14 @@ class QuadraticGapForm:
     A: np.ndarray
     b: np.ndarray
     c: float
+
+    @functools.cached_property
+    def live(self) -> np.ndarray:
+        """Mask of the coordinates q depends on.  A dead coordinate, with a
+        zero row of A (A is symmetric) and b_i = 0, leaves q unchanged at
+        any weight; for hinge it is an instance with alpha_i = 0 and zero
+        loss."""
+        return (self.A != 0.0).any(axis=1) | (self.b != 0.0)
 
     @property
     def n(self) -> int:
@@ -119,24 +136,33 @@ class BallMax:
     dg_max: float
     mu: float
     hard_case: bool
-    u_norm: float
-    kkt_residual: float
 
 
 def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
     """Maximize q(v*w) over ||w - 1|| <= S with removed coordinates at w=1.
 
-    On the active subspace the problem is max u'Au + g'u over ||u|| <= S
-    with A PSD, so the maximum sits on the boundary.  With A = V diag(lam) V'
-    and gamma = V'g/2, every mu > lambda_max(A) gives the Lagrangian dual
-    value D(mu) = const + mu S^2 + sum_k gamma_k^2 / (mu - lam_k), an upper
-    bound on the maximum by weak duality that is tight where |u(mu)| = S,
-    u(mu) = V (gamma / (mu - lam)).  Bisection on that secular equation
-    keeps a right end mu with |u(mu)| <= S, and dg_max = D(mu) there, so it
-    bounds the maximum wherever the bisection stops.  In the hard case (g
-    almost orthogonal to the leading eigenspace) |u| < S just above
-    lambda_max, and mu stays there.  w_star is u(mu) with its
-    leading-eigenvector coefficient stretched, sign kept, onto the sphere.
+    The solve runs over the kept live coordinates only: dead ones
+    (``form.live``) do not move q and keep w = 1.  There the problem is
+    max u'Au + g'u over ||u|| <= S with A PSD, so the maximum sits on the
+    boundary.  With A = V diag(lam) V' and gamma = V'g/2, every
+    mu > lambda_max(A) gives the Lagrangian dual value
+    D(mu) = const + mu S^2 + sum_k gamma_k^2 / (mu - lam_k), an upper bound
+    on the maximum by weak duality; D is convex with D' = S^2 - |u(mu)|^2,
+    u(mu) = V (gamma / (mu - lam)), so it is tight where |u(mu)| = S.
+
+    The root find keeps a bracket [lo, hi] with |u(lo)| >= S >= |u(hi)|.
+    Each step tries a Newton step on the concave, increasing
+    h(mu) = 1/|u(mu)| - 1/S from lo, then the secant of h through both
+    ends (in exact arithmetic a new left and a new right end; Moré &
+    Sorensen 1983, Gander, Golub & von Matt 1989).  A candidate inside the
+    bracket moves the end its |u| says; a step where none lands inside
+    bisects.  The search stops once D'(hi) (hi - lo), which bounds
+    D(hi) - min D, is within rounding of D, when the bracket cannot be
+    split, or at the step cap, and reports dg_max = D(hi), a bound wherever
+    it stops.  In the hard case (g almost orthogonal to the leading
+    eigenspace) |u| < S just above lambda_max, and mu stays there.  w_star
+    is u(hi) with its leading-eigenvector coefficient stretched, sign kept,
+    onto the sphere.
     """
     if S < 0:
         raise ValueError("S must be nonnegative")
@@ -145,12 +171,12 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
     if v.shape != (n,):
         raise ValueError("mask length mismatch")
     w_star = np.ones(n)
-    active = v != 0.0
-    if S == 0.0 or not active.any():
-        return BallMax(w_star=w_star, dg_max=form.value(v * w_star),
-                       mu=0.0, hard_case=False, u_norm=0.0, kkt_residual=0.0)
+    solved = (v != 0.0) & form.live
+    if S == 0.0 or not solved.any():
+        return BallMax(w_star=w_star, dg_max=form.value(v), mu=0.0,
+                       hard_case=False)
 
-    At, g, const = form.reduced(active)
+    At, g, const = form.reduced(solved)
     try:
         eigval, V = np.linalg.eigh(At)
     except np.linalg.LinAlgError as exc:
@@ -159,46 +185,64 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
     gamma = V.T @ (g / 2.0)
     gnorm = float(np.linalg.norm(g))
 
+    dist = np.empty_like(gamma)
     buf = np.empty_like(gamma)
 
-    def norm_sq_at(mu):
-        # sum((gamma / (mu - eigval))**2) in one reused buffer; callers
-        # hold np.errstate(divide="ignore", over="ignore").
-        np.subtract(mu, eigval, out=buf)
-        np.divide(gamma, buf, out=buf)
+    def secular(mu):
+        # |u(mu)|^2 and sum gamma^2 / (mu - lam)^3 = -d|u|^2/dmu / 2, as
+        # numpy scalars so that over- and underflow stay silent under the
+        # callers' np.errstate
+        np.subtract(mu, eigval, out=dist)
+        np.divide(gamma, dist, out=buf)
         np.multiply(buf, buf, out=buf)
-        return float(buf.sum())
+        norm_sq = buf.sum()
+        np.divide(buf, dist, out=buf)
+        return norm_sq, buf.sum()
 
-    delta = 1e-14 * (1.0 + abs(lam1))
-    lo = lam1 + delta
     S2 = S * S
-    with np.errstate(divide="ignore", over="ignore"):
-        hard = norm_sq_at(lo) < S2
-    a_hi = lo
-    if not hard:
-        a_lo, a_hi = lo, lam1 + gnorm / (2.0 * S) + delta
-        with np.errstate(divide="ignore", over="ignore"):
-            if norm_sq_at(a_hi) > S2:
+    delta = 1e-14 * (1.0 + abs(lam1))
+    lo = hi = lam1 + delta
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nsq_lo, slope_lo = secular(lo)
+        hard = nsq_lo < S2
+        if not hard:
+            hi = lam1 + gnorm / (2.0 * S) + delta
+            nsq_hi, _ = secular(hi)
+            if nsq_hi > S2:
                 raise BallMaximizationError(
-                    f"secular bracket failed: |u({a_hi:.6g})| > S={S:.6g}")
-            for _ in range(_MAX_BISECT):
-                mu = 0.5 * (a_lo + a_hi)
-                if norm_sq_at(mu) >= S2:
-                    a_lo = mu
+                    f"secular bracket failed: |u({hi:.6g})| > S={S:.6g}")
+
+            def probe(mu):
+                # evaluate mu if strictly inside the bracket and move the
+                # end its |u| says; False when mu is outside (or nan)
+                nonlocal lo, nsq_lo, slope_lo, hi, nsq_hi
+                if not lo < mu < hi:
+                    return False
+                nsq, slope = secular(mu)
+                if nsq >= S2:
+                    lo, nsq_lo, slope_lo = mu, nsq, slope
                 else:
-                    a_hi = mu
-                if a_hi - a_lo <= 4.0 * _EPS * max(1.0, abs(a_hi)):
+                    hi, nsq_hi = mu, nsq
+                return True
+
+            for _ in range(_MAX_STEPS):
+                if (S2 - nsq_hi) * (hi - lo) <= \
+                        _TOL * max(1.0, abs(const) + hi * S2):
+                    break
+                moved = probe(lo + nsq_lo / slope_lo * (np.sqrt(nsq_lo) / S - 1.0))
+                norm_lo, norm_hi = np.sqrt(nsq_lo), np.sqrt(nsq_hi)
+                moved |= probe(lo + (hi - lo) * norm_hi * (norm_lo - S)
+                               / (S * (norm_lo - norm_hi)))
+                if not moved and not probe(0.5 * (lo + hi)):
                     break
 
-    coef = gamma / (a_hi - eigval)  # u(a_hi) in the eigenbasis, |coef| <= S
-    value = const + a_hi * S2 + float(gamma @ coef)
+    coef = gamma / (hi - eigval)  # u(hi) in the eigenbasis, |coef| <= S
+    value = const + hi * S2 + float(gamma @ coef)
     rest = float(coef[:-1] @ coef[:-1])
     coef[-1] = math.copysign(math.sqrt(max(S2 - rest, 0.0)), coef[-1])
-    u = V @ coef
-    resid = float(np.linalg.norm(2.0 * (At @ u) + g - 2.0 * a_hi * u))
-    w_star[active] = 1.0 + u
-    return BallMax(w_star=w_star, dg_max=value, mu=a_hi, hard_case=hard,
-                   u_norm=float(np.linalg.norm(u)), kkt_residual=resid)
+    w_star[solved] = 1.0 + V @ coef
+    return BallMax(w_star=w_star, dg_max=float(value), mu=float(hi),
+                   hard_case=bool(hard))
 
 
 def radius(dg_max: float, lam: float) -> float:

@@ -109,7 +109,8 @@ def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
                  seed: int = 0) -> SelectionTrace:
     """Remove one instance at a time, re-solving the ball maximization for
     every candidate and keeping the removal with the smallest worst-case
-    gap (ties to the smallest index)."""
+    gap (ties to the smallest index).  The solve skips inert instances, so
+    every inert candidate scores the current maximum exactly."""
 
     def scores(cand, v):
         out = np.empty(cand.size)

@@ -130,6 +130,40 @@ def ball_max_oracle(At, g, const, S, n_samples=200_000, seed=0,
     return max(best_val, polished), u
 
 
+def ball_max_bisect(At, g, const, S):
+    """Secular dual bound of max u'At u + g'u + const over ||u|| <= S by
+    plain bisection, the solver's method before its Newton root find.
+
+    Halves the bracket [lambda_max + delta, lambda_max + |g|/(2S) + delta]
+    until it is 4 eps wide (relative) or after 200 halvings, keeping the
+    right end with |u(mu)| <= S, and returns the dual value D(mu) there; in
+    the hard case (|u| < S already just above lambda_max) mu stays at the
+    left end.
+    """
+    eigval, V = np.linalg.eigh(At)
+    gamma = V.T @ (g / 2.0)
+    lam1 = float(eigval[-1])
+    eps = float(np.finfo(float).eps)
+
+    def norm_sq(mu):
+        with np.errstate(over="ignore"):
+            return float(np.sum((gamma / (mu - eigval)) ** 2))
+
+    delta = 1e-14 * (1.0 + abs(lam1))
+    lo = hi = lam1 + delta
+    if norm_sq(lo) >= S * S:
+        hi = lam1 + float(np.linalg.norm(g)) / (2.0 * S) + delta
+        for _ in range(200):
+            mu = 0.5 * (lo + hi)
+            if norm_sq(mu) >= S * S:
+                lo = mu
+            else:
+                hi = mu
+            if hi - lo <= 4.0 * eps * max(1.0, abs(hi)):
+                break
+    return const + hi * S * S + float(np.sum(gamma ** 2 / (hi - eigval)))
+
+
 def min_indicator_oracle(zeta, Q, iters=20_000, seed=0, n_samples=20_000):
     """Minimize zeta'w over the sphere-cap {||w-1||<=Q, sum w = n}.
 

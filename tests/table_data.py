@@ -2,8 +2,9 @@
 deterministic surrogates with the same (n, n_plus, d) signature.
 
 Real files are looked up in $ROBUSTCORESET_DATA, ./data, or the repo-level
-data/ directory; ``scripts/fetch_libsvm_data.py`` downloads them when
-network access exists.
+data/ directory, each under its table name (``heart``, ``splice``, ...).
+Nothing in the repository downloads them: copy the LIBSVM-format files
+there by hand to test on the real tables.
 """
 
 import os

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
-from robustcoreset.bound import BallMax
 
 import oracles
 
@@ -105,6 +104,16 @@ def test_maximize_degenerate_ball(hinge_model, rbf_task):
     assert res.dg_max == pytest.approx(form.value(v))
 
 
+def ball_residuals(form, v, res):
+    """|u| and the KKT residual |2 At u + g - 2 mu u| of a ball solve over
+    the kept coordinates, from its w_star and mu."""
+    active = np.asarray(v) != 0.0
+    At, g, _ = form.reduced(active)
+    u = res.w_star[active] - 1.0
+    kkt = np.linalg.norm(2.0 * (At @ u) + g - 2.0 * res.mu * u)
+    return float(np.linalg.norm(u)), float(kkt)
+
+
 def random_psd_form(rng, dim, with_linear=True):
     M = rng.standard_normal((dim, dim))
     A = M @ M.T / dim
@@ -124,7 +133,7 @@ def test_maximize_matches_sampling_and_polish():
     assert res.dg_max >= best - 1e-3  # sampling can only undershoot
     assert abs(res.dg_max - best) <= 1e-3
     assert res.dg_max >= best - 1e-8 or abs(res.dg_max - best) <= 1e-8
-    assert res.kkt_residual <= 1e-8
+    assert ball_residuals(form, v, res)[1] <= 1e-8
 
 
 def test_maximize_inactive_pinned_to_one():
@@ -162,20 +171,35 @@ def test_maximizer_validity_invariants():
     cases.append((_form_with_reduced_g(np.diag([2.0, 2.0, 1.0]),
                                        np.array([0.0, 0.0, 0.3])),
                   np.ones(3), 1.5))
+    # repeated top eigenvalue with g inside its eigenspace
+    cases.append((_form_with_reduced_g(np.diag([2.0, 2.0, 1.0]),
+                                       np.array([0.3, -0.2, 0.1])),
+                  np.ones(3), 0.8))
     for S in (0.5, 5.0, 30.0):
         dim = int(rng.integers(4, 8))
         v = np.ones(dim)
         v[rng.choice(dim, size=2, replace=False)] = 0.0
         cases.append((random_psd_form(rng, dim), v, S))
         cases.append((random_psd_form(rng, dim), np.ones(dim), S))
+    for dim in (20, 40):
+        v = (rng.random(dim) < 0.7).astype(float)
+        cases.append((random_psd_form(rng, dim), v, float(rng.uniform(0.05, 3.0))))
+    cases.append((rc.QuadraticGapForm(A=np.zeros((3, 3)),
+                                      b=np.array([3.0, 0.0, -4.0]), c=1.0),
+                  np.ones(3), 2.0))  # A = 0
+    cases.append((_form_with_reduced_g(np.array([[2.0]]), np.array([0.5])),
+                  np.ones(1), 0.7))  # m = 1
+    cases.append((random_psd_form(rng, 2), np.ones(2), 0.9))  # m = 2
     for form, v, S in cases:
         res = rc.maximize_on_ball(form, v, S)
         active = v != 0.0
         assert np.linalg.norm(res.w_star - 1.0) <= S + 1e-9
         assert np.all(res.w_star[~active] == 1.0)
-        assert res.u_norm == pytest.approx(S, rel=1e-12)
+        assert ball_residuals(form, v, res)[0] == pytest.approx(S, rel=1e-12)
         q = form.value(v * res.w_star)
-        assert res.dg_max >= q - 1e-12 * max(1.0, abs(q))
+        assert res.dg_max >= q - 2.5e-14 * max(1.0, abs(q))
+        ref = oracles.ball_max_bisect(*form.reduced(active), S)
+        assert abs(res.dg_max - ref) <= 1e-12 * max(1.0, abs(ref))
         m = int(active.sum())
         U = rng.standard_normal((10_000, m))
         radii = rng.uniform(0, 1, (10_000, 1)) ** (1.0 / m)
@@ -199,7 +223,57 @@ def test_maximize_near_hard_reaches_the_bound():
         q = form.value(1.0 + np.concatenate([[tau], u_rest]))
         res = rc.maximize_on_ball(form, np.ones(3), S)
         assert res.dg_max >= q - 1e-12 * max(1.0, abs(q)), eps
-        assert res.u_norm == pytest.approx(S, rel=1e-12, abs=1e-12), eps
+        ref = oracles.ball_max_bisect(*form.reduced(np.ones(3, bool)), S)
+        assert abs(res.dg_max - ref) <= 1e-12 * max(1.0, abs(ref)), eps
+        u_norm = ball_residuals(form, np.ones(3), res)[0]
+        assert u_norm == pytest.approx(S, rel=1e-12, abs=1e-12), eps
+
+
+def _embed_dead(rng, small, n_dead):
+    """``small`` with ``n_dead`` dead coordinates (zero row, column and
+    linear term) spread among its own; returns the form and the live index."""
+    n = small.n + n_dead
+    live = np.sort(rng.choice(n, size=small.n, replace=False))
+    A = np.zeros((n, n))
+    A[np.ix_(live, live)] = small.A
+    b = np.zeros(n)
+    b[live] = small.b
+    return rc.QuadraticGapForm(A=A, b=b, c=small.c), live
+
+
+def test_dead_coordinates_give_the_deleted_forms_maximum():
+    rng = np.random.default_rng(73)
+    for dim, n_dead, S in ((5, 3, 0.7), (12, 6, 1.2), (6, 2, 30.0), (1, 2, 0.5)):
+        small = random_psd_form(rng, dim)
+        form, live = _embed_dead(rng, small, n_dead)
+        np.testing.assert_array_equal(np.flatnonzero(form.live), live)
+        v_small = np.ones(dim)
+        v_small[rng.choice(dim, size=dim // 3, replace=False)] = 0.0
+        for kept in (np.ones(dim), v_small):
+            v = np.ones(form.n)
+            v[live] = kept
+            res = rc.maximize_on_ball(form, v, S)
+            ref = rc.maximize_on_ball(small, kept, S)
+            assert (res.dg_max, res.mu) == (ref.dg_max, ref.mu)
+            np.testing.assert_array_equal(res.w_star[live], ref.w_star)
+            assert np.all(np.delete(res.w_star, live) == 1.0)
+
+
+def test_inert_removal_leaves_the_maximum_bit_identical(hinge_model, rbf_task):
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    losses = rc.loss_eval(rc.HINGE, ds.labels, hinge_model.train_scores)
+    inert = np.flatnonzero((hinge_model.alpha == 0.0) & (losses == 0.0))
+    assert inert.size > 0
+    np.testing.assert_array_equal(np.flatnonzero(~form.live), inert)
+    S = rc.shift_radius(ds.n_plus, 1.05)
+    v = np.ones(ds.n)
+    v[np.flatnonzero(form.live)[:3]] = 0.0  # a kept set mid-selection
+    base = rc.maximize_on_ball(form, v, S).dg_max
+    for i in inert:
+        v[i] = 0.0
+        assert rc.maximize_on_ball(form, v, S).dg_max == base, i
+        v[i] = 1.0
 
 
 def test_maximize_hard_case():
@@ -247,8 +321,7 @@ def test_maximize_raises_no_floating_point_warning():
             strict = rc.maximize_on_ball(form, v, S)
         assert plain.hard_case == strict.hard_case == hard
         assert strict.w_star.tobytes() == plain.w_star.tobytes()
-        assert (strict.dg_max, strict.mu, strict.u_norm, strict.kkt_residual) == \
-            (plain.dg_max, plain.mu, plain.u_norm, plain.kkt_residual)
+        assert (strict.dg_max, strict.mu) == (plain.dg_max, plain.mu)
 
 
 def test_maximize_pure_linear_form():
@@ -257,7 +330,7 @@ def test_maximize_pure_linear_form():
     res = rc.maximize_on_ball(form, np.ones(3), 2.0)
     # q = b'w + c, maximized at w = 1 + S b/||b||
     assert res.dg_max == pytest.approx(1.0 + (3.0 - 4.0) + 2.0 * 5.0, rel=1e-10)
-    assert res.kkt_residual <= 1e-10
+    assert ball_residuals(form, np.ones(3), res)[1] <= 1e-10
 
 
 def test_radius_values():

@@ -87,6 +87,19 @@ def test_greedy_exact_and_fixed_w_agree_without_shift():
         assert dg_a == pytest.approx(dg_b, abs=1e-10)
 
 
+def test_greedy_exact_removes_inert_instances_by_index(hinge_model, rbf_task):
+    # an inert instance (alpha = 0, zero loss) leaves the ball maximum
+    # unchanged, so all of them tie and go first, smallest index first
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    inert = np.flatnonzero(~form.live)
+    S = rc.shift_radius(ds.n_plus, 1.05)
+    trace = rc.greedy_exact(form, ds.labels, S, inert.size)
+    assert trace.removal_order == inert.tolist()
+    full = rc.maximize_on_ball(form, np.ones(ds.n), S).dg_max
+    assert trace.gaps == [full] * inert.size
+
+
 def test_greedy_fixed_w_values_match_loop_evaluator():
     rng = np.random.default_rng(5)
     form = random_psd_form(rng, 6)
