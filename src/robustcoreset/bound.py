@@ -164,7 +164,7 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
     is u(hi) with its leading-eigenvector coefficient stretched, sign kept,
     onto the sphere.
     """
-    if S < 0:
+    if not S >= 0:
         raise ValueError("S must be nonnegative")
     v = np.asarray(v, dtype=float)
     n = form.n
@@ -247,7 +247,7 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
 
 def radius(dg_max: float, lam: float) -> float:
     """Parameter-ball radius sqrt((2/lam) * dg); tiny negative dg clamps to 0."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     if dg_max < -1e-10:
         raise ValueError(f"negative gap {dg_max} beyond tolerance")
@@ -290,7 +290,7 @@ def min_weighted_indicator(zeta, Q: float) -> WeightedIndicatorMin:
     tilts weight away from certified instances while keeping the total
     mass constant.  A zero radicand (all-equal zeta) leaves w' = 1.
     """
-    if Q < 0:
+    if not Q >= 0:
         raise ValueError("Q must be nonnegative")
     zeta = np.asarray(zeta, dtype=float)
     n_val = zeta.shape[0]

@@ -13,8 +13,8 @@ resolves the lambda rule once; each fold sizes it at its training size.
 calls as ``sweep``, so they match its rows; trace ``gaps`` are the
 selector's objective, and bounds come from ``certify``.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
-failures.
+Exit codes: 0 on success, 2 on a bad option or input file, 3 on numerical
+failures, and 1 only when an output file cannot be written.
 """
 
 import functools
@@ -27,12 +27,15 @@ import numpy as np
 
 from . import bound
 from .data import ParseError, SplitError, gaussian_task, to_libsvm
-from .erm import HINGE, LOGISTIC, TrainingError
-from .experiment import (ALL_METHODS, DEFAULT_LAMBDA_GRID, ExperimentConfig,
+from .erm import LOSSES, TrainingError
+from .experiment import (ALGORITHMS, ALL_METHODS, DEFAULT_LAMBDA_GRID,
+                         EXACT_MAX_N_TR, ROBUST_METHOD, ExperimentConfig,
                          certify_coreset, lambda_cv, load_inputs, prepare_fold,
                          resolve_lambda, retrained_accuracy, run_experiment,
                          run_selection)
 from .kernel import KINDS
+
+_DEFAULT = ExperimentConfig(dataset="")  # the one source of option defaults
 
 _NUMERICAL = (TrainingError, bound.BallMaximizationError, SplitError,
               np.linalg.LinAlgError, FloatingPointError)
@@ -62,41 +65,39 @@ def _options(*opts):
 _common = _options(
     click.option("--dataset", required=True, type=click.Path(exists=True),
                  help="LIBSVM-format data file."),
-    click.option("--loss", type=click.Choice([LOGISTIC, HINGE]),
-                 default=LOGISTIC, show_default=True),
-    click.option("--kernel", type=click.Choice(KINDS), default="rbf",
-                 show_default=True),
-    click.option("--bandwidth", type=float, default=None,
+    click.option("--loss", type=click.Choice(LOSSES), default=_DEFAULT.loss),
+    click.option("--kernel", type=click.Choice(KINDS), default=_DEFAULT.kernel),
+    click.option("--bandwidth", type=float, default=_DEFAULT.bandwidth,
                  help="RBF bandwidth; defaults to the pooled-variance heuristic."),
-    click.option("--kernel-file", type=click.Path(exists=True), default=None,
+    click.option("--kernel-file", type=click.Path(exists=True),
+                 default=_DEFAULT.kernel_file,
                  help="Symmetric PSD CSV matrix over all rows of "
                       "--dataset, for --kernel precomputed."),
-    click.option("--lambda-rule", default="cv-best", show_default=True,
+    click.option("--lambda-rule", default=_DEFAULT.lambda_rule,
                  help="'n', 'n*10^-1.5', 'n*10^-3', a number, or 'cv-best'; "
                       "n is each fold's training size."),
-    click.option("--a", type=float, default=1.05, show_default=True,
+    click.option("--a", type=float, default=_DEFAULT.a,
                  help="Training-side shift factor; sets S."),
-    click.option("--q-factor", type=float, default=None,
+    click.option("--q-factor", type=float, default=_DEFAULT.q_factor,
                  help="Validation-side shift factor; defaults to --a."),
-    click.option("--folds", type=int, default=5, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--algorithm", type=click.Choice(["0", "1", "2", "3"]),
-                 default="0", show_default=True,
-                 help="Greedy variant; 0 picks 1 for n<=400, else 2."),
+    click.option("--folds", type=int, default=_DEFAULT.folds),
+    click.option("--seed", type=int, default=_DEFAULT.seed),
+    click.option("--algorithm", type=click.Choice(ALGORITHMS),
+                 default=_DEFAULT.algorithm,
+                 help="Greedy variant; 0 picks 1 when the fold's training "
+                      f"size n_tr <= {EXACT_MAX_N_TR}, else 2."),
     click.option("--preserve-classes", is_flag=True,
                  help="Never remove the last instance of a class."),
     click.option("--min-max-scale", is_flag=True,
                  help="Scale features to [0,1] before splitting."))
 
 _fold_options = _options(
-    click.option("--method", type=click.Choice(ALL_METHODS), default="robust",
-                 show_default=True),
+    click.option("--method", type=click.Choice(ALL_METHODS), default=ROBUST_METHOD),
     click.option("--removal-fraction", type=float, default=0.5,
-                 show_default=True,
                  help="Fraction of the fold's training instances to remove, "
                       "in [0, 1); like a --removal-grid entry of sweep, it "
                       "removes min(round(f*n_tr), n_tr - 1)."),
-    click.option("--fold", type=int, default=0, show_default=True))
+    click.option("--fold", type=int, default=0))
 
 _indices = click.option(
     "--indices", type=click.Path(exists=True), default=None,
@@ -104,20 +105,18 @@ _indices = click.option(
          "replaces selection, so method is reported as null.")
 
 
-def _config(kwargs, **extra) -> ExperimentConfig:
-    """Config from the ``_common`` options, which share the field names."""
-    return ExperimentConfig(**{**kwargs, "algorithm": int(kwargs["algorithm"])},
-                            **extra)
+def _warn_if_negative_weights(S, weights_may_be_negative):
+    if weights_may_be_negative:
+        click.echo(f"warning: training ball radius S={S:.4g} exceeds 1; "
+                   "weights may leave the nonnegative orthant", err=True)
 
 
 def _fold_context(kwargs, fold, removal_fraction):
-    config = _config(kwargs, removal_grid=(removal_fraction,))
+    config = ExperimentConfig(**kwargs, removal_grid=(removal_fraction,))
     config.check_fold(fold)
     ds = load_inputs(config)
     ctx = prepare_fold(ds, config, fold, resolve_lambda(config, ds))
-    if ctx.weights_may_be_negative:
-        click.echo(f"warning: training ball radius S={ctx.S:.4g} exceeds 1; "
-                   "weights may leave the nonnegative orthant", err=True)
+    _warn_if_negative_weights(ctx.S, ctx.weights_may_be_negative)
     return config, ctx
 
 
@@ -126,7 +125,7 @@ def _selection(ctx, config, method):
     return run_selection(ctx, config, method, n_del)
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def main():
     """Coreset selection with certified worst-case validation error."""
 
@@ -134,7 +133,7 @@ def main():
 @main.command("select")
 @_common
 @_fold_options
-@click.option("--output-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--output-dir", type=click.Path(), default=".")
 @_guard
 def select_cmd(method, removal_fraction, fold, output_dir, **kwargs):
     """Select a coreset on one fold; writes trace JSON and kept indices."""
@@ -176,7 +175,7 @@ def _coreset_mask(ctx, config, method, indices_file):
 @_common
 @_fold_options
 @_indices
-@click.option("--output-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--output-dir", type=click.Path(), default=".")
 @_guard
 def certify_cmd(method, removal_fraction, fold, indices, output_dir, **kwargs):
     """Certificate (radius, zeta, error bound) for a coreset."""
@@ -211,22 +210,24 @@ def evaluate_cmd(method, removal_fraction, fold, indices, **kwargs):
 
 @main.command("sweep")
 @_common
-@click.option("--methods", default="robust,random", show_default=True,
+@click.option("--methods", default=",".join(_DEFAULT.methods),
               help="Comma-separated method list.")
-@click.option("--removal-grid", default="0.1,0.3,0.5", show_default=True,
+@click.option("--removal-grid", default=",".join(map(str, _DEFAULT.removal_grid)),
               help="Comma-separated removed fractions in [0, 1).")
-@click.option("--timing/--no-timing", default=False, show_default=True,
+@click.option("--timing/--no-timing", default=_DEFAULT.timing,
               help="Record wall times (breaks byte-identical reruns).")
-@click.option("--output-dir", type=click.Path(), default=".", show_default=True)
+@click.option("--output-dir", type=click.Path(), default=".")
 @_guard
 def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
     """Fold x method x retained-size sweep; writes report.csv / report.json."""
-    config = _config(
-        kwargs,
+    config = ExperimentConfig(
+        **kwargs,
         methods=tuple(m.strip() for m in methods.split(",") if m.strip()),
         removal_grid=tuple(float(f) for f in removal_grid.split(",")),
         output_dir=output_dir, timing=timing)
     report = run_experiment(config)
+    for diag in report.gap_diagnostics:
+        _warn_if_negative_weights(diag["S"], diag["weights_may_be_negative"])
     click.echo(f"lambda={report.lambda_rule}; {len(report.rows)} rows -> "
                f"{Path(output_dir) / 'report.csv'}")
     for method, per_frac in sorted(report.aggregates.items()):
@@ -239,25 +240,23 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 
 @main.command("lambda-cv")
 @_common
-@click.option("--grid", default=None,
+@click.option("--grid", default=",".join(DEFAULT_LAMBDA_GRID),
               help="Comma-separated lambda rules (as for --lambda-rule, "
-                   "without cv-best); defaults to n*10^e for e in -3, -2, "
-                   "-1.5, -1, 0.  Prints the winning rule.")
+                   "without cv-best).  Prints the winning rule.")
 @_guard
 def lambda_cv_cmd(grid, **kwargs):
     """Print the cross-validated lambda rule, usable as --lambda-rule."""
-    config = _config(kwargs)
+    config = ExperimentConfig(**kwargs)
     ds = load_inputs(config)
-    rules = [r.strip() for r in grid.split(",")] if grid else DEFAULT_LAMBDA_GRID
-    click.echo(lambda_cv(ds, rules, config))
+    click.echo(lambda_cv(ds, [r.strip() for r in grid.split(",")], config))
 
 
 @main.command("synth")
-@click.option("--n", type=int, default=200, show_default=True)
-@click.option("--d", type=int, default=5, show_default=True)
+@click.option("--n", type=int, default=200)
+@click.option("--d", type=int, default=5)
 @click.option("--n-plus", type=int, default=None)
-@click.option("--separation", type=float, default=2.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--separation", type=float, default=2.0)
+@click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True)
 @_guard
 def synth_cmd(n, d, n_plus, separation, seed, out):

@@ -217,7 +217,7 @@ def shift_radius(n_plus: int, a: float) -> float:
     """
     if n_plus < 1:
         raise ValueError("n_plus must be at least 1")
-    if a <= 0:
+    if not a > 0:
         raise ValueError("shift factor must be positive")
     return float(np.sqrt(n_plus) * abs(a - 1.0))
 

@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "LOGISTIC",
     "HINGE",
+    "LOSSES",
     "Model",
     "Objectives",
     "TrainingError",
@@ -41,7 +42,7 @@ __all__ = [
 
 LOGISTIC = "logistic"
 HINGE = "hinge"
-_KINDS = (LOGISTIC, HINGE)
+LOSSES = (LOGISTIC, HINGE)
 
 
 class TrainingError(RuntimeError):
@@ -53,7 +54,7 @@ class TrainingError(RuntimeError):
 
 
 def _check_kind(kind):
-    if kind not in _KINDS:
+    if kind not in LOSSES:
         raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -190,9 +191,9 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
         raise ValueError("K must be n x n with matching labels")
     v = np.ones(n) if v is None else np.asarray(v, dtype=float)
     w = np.ones(n) if w is None else np.asarray(w, dtype=float)
-    if lam_abs <= 0:
+    if not lam_abs > 0:
         raise ValueError("lam_abs must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     act = np.flatnonzero(v != 0.0)
     if act.size == 0:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bound, select
 from .data import Dataset, cv_split, parse_libsvm, shift_radius
-from .erm import HINGE, LOGISTIC, decision_scores, evaluate_gap, train
+from .erm import LOGISTIC, LOSSES, decision_scores, evaluate_gap, train
 from .kernel import KINDS, fold_kernels, load_precomputed
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "RunReport",
     "ROBUST_METHOD",
     "ALL_METHODS",
+    "ALGORITHMS",
+    "EXACT_MAX_N_TR",
     "DEFAULT_LAMBDA_GRID",
     "resolve_lambda_rule",
     "lambda_cv",
@@ -56,6 +58,8 @@ __all__ = [
 ROBUST_METHOD = "robust"
 ALL_METHODS = (ROBUST_METHOD,) + select.BASELINE_METHODS
 DEFAULT_LAMBDA_GRID = ("n*10^-3", "n*10^-2", "n*10^-1.5", "n*10^-1", "n")
+ALGORITHMS = (0, 1, 2, 3)  # auto, exact, fixed-w, one-shot greedy
+EXACT_MAX_N_TR = 400  # auto runs exact greedy up to this fold training size
 
 CSV_COLUMNS = ("fold", "method", "m", "fraction_removed", "wc_accuracy",
                "certified_lb", "dg_max", "wall_ms", "status")
@@ -82,8 +86,8 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.loss not in (LOGISTIC, HINGE):
-            raise ValueError(f"--loss {self.loss!r} is not {LOGISTIC} or {HINGE}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"--loss {self.loss!r} is not one of {LOSSES}")
         if self.kernel not in KINDS:
             raise ValueError(f"--kernel {self.kernel!r} is not one of {KINDS}")
         if self.lambda_rule.strip() != "cv-best":
@@ -96,14 +100,16 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if self.algorithm not in (0, 1, 2, 3):
-            raise ValueError("algorithm must be 0 (auto), 1, 2 or 3")
-        if self.a <= 0:
-            raise ValueError("shift factor a must be positive")
-        if self.q_factor is not None and self.q_factor <= 0:
-            raise ValueError("--q-factor must be positive")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("--bandwidth must be positive")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"--algorithm must be one of {ALGORITHMS}")
+        for option, value in (("--a", self.a), ("--q-factor", self.q_factor),
+                              ("--bandwidth", self.bandwidth)):
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{option} {value} is not finite and positive")
+        if self.folds < 2:
+            raise ValueError(f"--folds {self.folds} is below 2")
+        if self.seed < 0:
+            raise ValueError(f"--seed {self.seed} is negative")
         if self.bandwidth is not None and self.kernel != "rbf":
             raise ValueError("--bandwidth is read only with --kernel rbf, "
                              f"not {self.kernel!r}")
@@ -159,20 +165,20 @@ _RULE_RE = re.compile(r"^n(\*10\^(?P<exp>-?\d+(\.\d+)?))?$")
 def resolve_lambda_rule(rule: str, n: int) -> float:
     """Sum-form lambda from a rule string and the training-set size.
 
-    Accepts "n", "n*10^<exp>" (e.g. "n*10^-1.5"), or a positive numeric
-    literal.  "cv-best" is resolved by the caller via ``lambda_cv``.
+    Accepts "n", "n*10^<exp>" (e.g. "n*10^-1.5"), or a numeric literal
+    giving a finite positive value; ``lambda_cv`` resolves "cv-best".
     """
     rule = rule.strip()
     m = _RULE_RE.match(rule)
-    if m:
-        exp = float(m.group("exp")) if m.group("exp") else 0.0
-        return n * 10.0 ** exp
     try:
-        value = float(rule)
+        value = n * 10.0 ** float(m.group("exp") or 0.0) if m else float(rule)
+    except OverflowError:
+        value = math.inf
     except ValueError:
         raise ValueError(f"unrecognized lambda rule {rule!r}") from None
-    if value <= 0:
-        raise ValueError("explicit lambda must be positive")
+    if not 0 < value < math.inf:
+        raise ValueError(f"lambda rule {rule!r} gives {value} at n={n}, "
+                         "not a finite positive number")
     return value
 
 
@@ -258,6 +264,7 @@ def resolve_lambda(config: ExperimentConfig, ds: Dataset) -> str:
     rule = config.lambda_rule.strip()
     if rule == "cv-best":
         return lambda_cv(ds, DEFAULT_LAMBDA_GRID, config)
+    resolve_lambda_rule(rule, ds.n)  # no fold is larger, so none overflows
     return rule
 
 
@@ -282,18 +289,18 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
                   n_del: int) -> select.SelectionTrace:
-    """The method's trace on one fold; its seed depends only on the run
-    seed, the fold and the method, so every entry point picks the same
-    coreset."""
-    seed = int(np.random.SeedSequence(
-        [config.seed, ctx.fold, ALL_METHODS.index(method)]).generate_state(1)[0])
+    """The method's trace on one fold; a baseline's seed depends only on
+    the run seed, the fold and the method, so every entry point picks the
+    same coreset."""
     if method == ROBUST_METHOD:
-        algorithm = config.algorithm or (1 if len(ctx.y_tr) <= 400 else 2)
+        algorithm = config.algorithm or (1 if len(ctx.y_tr) <= EXACT_MAX_N_TR else 2)
         fn = {1: select.greedy_exact, 2: select.greedy_fixed_w,
               3: select.greedy_oneshot}[algorithm]
         ball = ctx.S if algorithm == 1 else ctx.full_ball.w_star
         return fn(ctx.form_cert, ctx.y_tr, ball, n_del,
-                  preserve_classes=config.preserve_classes, seed=seed)
+                  preserve_classes=config.preserve_classes)
+    seed = int(np.random.SeedSequence(
+        [config.seed, ctx.fold, ALL_METHODS.index(method)]).generate_state(1)[0])
     return select.baseline_select(method, ctx.K, ctx.y_tr, ctx.model, n_del,
                                   seed, preserve_classes=config.preserve_classes)
 
@@ -356,8 +363,7 @@ def _write_reports(config: ExperimentConfig, report: RunReport):
         for row in report.rows:
             writer.writerow([_fmt(row[col]) for col in CSV_COLUMNS])
     payload = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in vars(config).items()},
+        "config": vars(config),
         "lambda": report.lambda_rule,
         "rows": report.rows,
         "aggregates": report.aggregates,

@@ -45,7 +45,7 @@ def gram(X1, X2, bandwidth: float | None = None) -> np.ndarray:
         raise ValueError("feature dimension mismatch")
     if bandwidth is None:
         return X1 @ X2.T
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError("rbf bandwidth must be positive")
     sq1 = np.einsum("ij,ij->i", X1, X1)
     sq2 = np.einsum("ij,ij->i", X2, X2)

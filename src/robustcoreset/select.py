@@ -43,7 +43,7 @@ class SelectionTrace:
     """Ordered removals; ``gaps`` has the robust scorer's gap per removal."""
 
     method: str
-    seed: int
+    seed: int | None
     n: int
     removal_order: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
@@ -76,7 +76,7 @@ class SelectionTrace:
 
 
 def _greedy(method, y, n_del, scores, remove=None, *,
-            preserve_classes=False, seed=0):
+            preserve_classes=False, seed=None):
     """Remove n_del instances one at a time, each the eligible candidate with
     the smallest ``scores(candidates, kept_mask)`` (ties to the smallest
     index).  ``remove(i, score)`` updates the scorer's state after a removal
@@ -105,8 +105,8 @@ def _greedy(method, y, n_del, scores, remove=None, *,
     return trace
 
 
-def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
-                 seed: int = 0) -> SelectionTrace:
+def greedy_exact(form, y, S, n_del, *,
+                 preserve_classes: bool = False) -> SelectionTrace:
     """Remove one instance at a time, re-solving the ball maximization for
     every candidate and keeping the removal with the smallest worst-case
     gap (ties to the smallest index).  The solve skips inert instances, so
@@ -121,7 +121,7 @@ def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
         return out
 
     return _greedy("robust-exact", y, n_del, scores, lambda i, score: score,
-                   preserve_classes=preserve_classes, seed=seed)
+                   preserve_classes=preserve_classes)
 
 
 class _QuadState:
@@ -151,25 +151,25 @@ class _QuadState:
         return self.value
 
 
-def greedy_fixed_w(form, y, w_worst, n_del, *, preserve_classes: bool = False,
-                   seed: int = 0) -> SelectionTrace:
+def greedy_fixed_w(form, y, w_worst, n_del, *,
+                   preserve_classes: bool = False) -> SelectionTrace:
     """Greedy removals scored by the quadratic at the full-set worst-case
     weight ``w_worst``, held fixed and re-evaluated per step."""
     state = _QuadState(form, w_worst)
     return _greedy("robust-fixed-w", y, n_del,
                    lambda cand, v: state.removal_value(cand), state.remove,
-                   preserve_classes=preserve_classes, seed=seed)
+                   preserve_classes=preserve_classes)
 
 
-def greedy_oneshot(form, y, w_worst, n_del, *, preserve_classes: bool = False,
-                   seed: int = 0) -> SelectionTrace:
+def greedy_oneshot(form, y, w_worst, n_del, *,
+                   preserve_classes: bool = False) -> SelectionTrace:
     """Rank every instance once by its single-removal gap at the fixed
     worst-case weight and drop the n_del smallest in one pass; the trace
     records the fixed-weight value of each kept set."""
     state = _QuadState(form, w_worst)
     single = state.removal_value(np.arange(form.n))
     return _greedy("robust-oneshot", y, n_del, lambda cand, v: single[cand],
-                   state.remove, preserve_classes=preserve_classes, seed=seed)
+                   state.remove, preserve_classes=preserve_classes)
 
 
 def _kcenter_order(K):

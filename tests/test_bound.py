@@ -344,6 +344,23 @@ def test_radius_values():
         rc.radius(1.0, 0.0)
 
 
+@pytest.mark.parametrize("guard", [
+    lambda m: rc.maximize_on_ball(rc.quadratic_form(m), np.ones(m.n), math.nan),
+    lambda m: rc.min_weighted_indicator(np.ones(3), math.nan),
+    lambda m: rc.radius(0.1, math.nan),
+    lambda m: rc.shift_radius(5, math.nan),
+    lambda m: rc.gram(m.gram_ref, m.gram_ref, math.nan),
+    lambda m: rc.train(m.gram_ref, m.y, math.nan, kind=m.loss),
+    lambda m: rc.train(m.gram_ref, m.y, m.lam_abs, kind=m.loss, tol=math.nan),
+], ids=["maximize_on_ball-S", "min_weighted_indicator-Q", "radius-lam",
+        "shift_radius-a", "gram-bandwidth", "train-lam_abs", "train-tol"])
+def test_guards_reject_nan(hinge_model, guard):
+    # a NaN compares false both ways, so each guard must be written to fail
+    # on it rather than to pass on a valid value
+    with pytest.raises(ValueError):
+        guard(hinge_model)
+
+
 def test_certify_three_point_example():
     K = np.array([[1.0]])
     model = dummy_model([1.0], [1.0], K, [0.0])

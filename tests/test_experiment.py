@@ -51,8 +51,13 @@ def test_resolve_lambda_rule():
     assert resolve_lambda_rule("1.5", 552) == 1.5
     with pytest.raises(ValueError):
         resolve_lambda_rule("best", 552)
-    with pytest.raises(ValueError):
-        resolve_lambda_rule("-2", 552)
+    # a rule must give a finite positive lambda at the n it is resolved at
+    for rule, n in (("-2", 552), ("0", 552), ("nan", 552), ("inf", 552),
+                    ("1e400", 552), ("n*10^400", 1), ("n*10^-400", 552),
+                    ("n*10^307", 552)):
+        with pytest.raises(ValueError, match="lambda rule"):
+            resolve_lambda_rule(rule, n)
+    assert resolve_lambda_rule("n*10^307", 1) == 1e307
 
 
 def test_default_lambda_grid():
@@ -199,14 +204,26 @@ def test_config_validation(synth_file):
     with pytest.raises(ValueError):
         ExperimentConfig(dataset=synth_file, methods=("grand",))
     with pytest.raises(ValueError):
-        ExperimentConfig(dataset=synth_file, algorithm=4)
-    with pytest.raises(ValueError):
         ExperimentConfig(dataset=synth_file, lambda_rule="nope")
-    # options the run would ignore or only trip over inside a fold
+    # options the run would ignore, only trip over inside a fold, or turn
+    # into rows that look valid (a NaN shift factor certifies everything)
     for bad, option in ((dict(bandwidth=0.0), "--bandwidth"),
+                        (dict(bandwidth=math.nan), "--bandwidth"),
+                        (dict(bandwidth=math.inf), "--bandwidth"),
                         (dict(kernel="linear", bandwidth=5.0), "--bandwidth"),
                         (dict(q_factor=-1.0), "--q-factor"),
                         (dict(q_factor=0.0), "--q-factor"),
+                        (dict(q_factor=math.nan), "--q-factor"),
+                        (dict(a=0.0), "--a"),
+                        (dict(a=math.nan), "--a"),
+                        (dict(a=math.inf), "--a"),
+                        (dict(folds=1), "--folds"),
+                        (dict(folds=0), "--folds"),
+                        (dict(seed=-1), "--seed"),
+                        (dict(algorithm=4), "--algorithm"),
+                        (dict(lambda_rule="nan"), "lambda rule"),
+                        (dict(lambda_rule="inf"), "lambda rule"),
+                        (dict(lambda_rule="n*10^400"), "lambda rule"),
                         (dict(methods=()), "--methods"),
                         (dict(kernel="poly"), "--kernel"),
                         (dict(loss="foo"), "--loss")):
@@ -229,6 +246,44 @@ def test_cli_synth_and_sweep(tmp_path):
     assert res.exit_code == 0, res.output
     assert (out / "report.csv").exists() and (out / "report.json").exists()
     assert "certified_lb" in res.output
+
+
+def test_cli_defaults_are_the_config_defaults(tmp_path):
+    # the CLI restates no default: a sweep given only its paths runs the
+    # config's own defaults
+    runner = CliRunner()
+    data, out = tmp_path / "task.svm", tmp_path / "run"
+    runner.invoke(cli_main, ["synth", "--n", "30", "--d", "2", "--seed", "1",
+                             "--out", str(data)])
+    res = runner.invoke(cli_main, ["sweep", "--dataset", str(data),
+                                   "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    config = json.loads((out / "report.json").read_text())["config"]
+    expected = vars(ExperimentConfig(dataset=str(data), output_dir=str(out)))
+    assert config == json.loads(json.dumps(expected))
+
+
+def test_cli_sweep_warns_once_per_fold_with_s_above_one(tmp_path):
+    # 20 positives in 60 rows: each fold trains on about 16, so a = 1.6
+    # gives S = sqrt(16) * 0.6 > 1 and a = 1.05 gives S = 0.2
+    runner = CliRunner()
+    data = tmp_path / "task.svm"
+    runner.invoke(cli_main, ["synth", "--n", "60", "--n-plus", "20",
+                             "--seed", "2", "--out", str(data)])
+    for a, flagged in (("1.6", 5), ("1.05", 0)):
+        out = tmp_path / a
+        res = runner.invoke(cli_main, [
+            "sweep", "--dataset", str(data), "--lambda-rule", "n",
+            "--methods", "random", "--removal-grid", "0.1", "--a", a,
+            "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        diags = json.loads((out / "report.json").read_text())["gap_diagnostics"]
+        warnings = [f"warning: training ball radius S={d['S']:.4g} exceeds 1; "
+                    "weights may leave the nonnegative orthant"
+                    for d in diags if d["weights_may_be_negative"]]
+        assert len(warnings) == flagged
+        assert res.stderr.splitlines() == warnings
+        assert "warning" not in res.stdout
 
 
 def test_cli_select_certify_evaluate(tmp_path):
@@ -291,8 +346,10 @@ def test_cli_trace_json_is_strict(tmp_path):
         assert trace["removal_order"]
         if method == "robust":
             assert len(trace["gaps"]) == len(trace["removal_order"])
+            assert trace["seed"] is None  # a robust selector draws nothing
         else:
             assert trace["gaps"] == []
+            assert isinstance(trace["seed"], int)
 
 
 def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
@@ -518,8 +575,11 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not (tmp_path / "nope" / "report.csv").exists()
     res = runner.invoke(cli_main, ["sweep", "--dataset", str(tmp_path / "no")])
     assert res.exit_code == 2
+    # every bad number exits before a report exists, with the option named
     for options in (["--bandwidth", "0"], ["--kernel", "linear", "--bandwidth", "5"],
-                    ["--q-factor", "-1"], ["--methods", ""]):
+                    ["--q-factor", "-1"], ["--methods", ""], ["--a", "nan"],
+                    ["--a", "inf"], ["--q-factor", "nan"], ["--bandwidth", "nan"],
+                    ["--folds", "0"], ["--folds", "1"], ["--seed", "-1"]):
         out = tmp_path / "ignored"
         res = runner.invoke(cli_main, [
             "sweep", "--dataset", str(data), "--lambda-rule", "1.0", *options,
@@ -527,6 +587,14 @@ def test_cli_config_error_exit_code(tmp_path):
         assert res.exit_code == 2, (options, res.output)
         assert options[-2] in res.output, (options, res.output)
         assert not (out / "report.csv").exists(), options
+    # n*10^307 is finite at n = 1 but overflows at this dataset's n = 30
+    for rule in ("nan", "inf", "n*10^400", "n*10^307"):
+        res = runner.invoke(cli_main, [
+            "sweep", "--dataset", str(data), "--lambda-rule", rule,
+            "--output-dir", str(out)])
+        assert res.exit_code == 2, (rule, res.output)
+        assert "lambda rule" in res.output, (rule, res.output)
+        assert not (out / "report.csv").exists(), rule
     non_psd = np.eye(30)
     non_psd[0, 1] = non_psd[1, 0] = 1.3
     asymmetric = np.eye(30)
