@@ -4,7 +4,7 @@ perturbations."""
 
 from .bound import (BoundReport, QuadraticGapForm, certificate, certify,
                     maximize_on_ball, min_weighted_indicator, quadratic_form,
-                    radius, worst_case_error_ub)
+                    radius, spectral_step, worst_case_error_ub)
 from .data import (Dataset, SplitPlan, cv_split, gaussian_task, parse_libsvm,
                    shift_radius, to_libsvm)
 from .erm import (HINGE, LOGISTIC, Model, Objectives, conjugate_eval,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "QuadraticGapForm", "certificate", "certify",
     "maximize_on_ball", "min_weighted_indicator", "quadratic_form", "radius",
-    "worst_case_error_ub",
+    "spectral_step", "worst_case_error_ub",
     "Dataset", "SplitPlan", "cv_split", "gaussian_task",
     "parse_libsvm", "shift_radius", "to_libsvm",
     "HINGE", "LOGISTIC", "Model", "Objectives", "conjugate_eval",

@@ -21,17 +21,22 @@ weights:
    (logistic, lam = 2, fold 0 of 5) it is 31.5 against 3.2e-7 for the
    exact form.  It would inflate every gap and radius, so it is not used.
 2. ``maximize_on_ball`` maximizes q over the weight ball ||w - 1|| <= S
-   (an eigenvalue problem plus a secular-equation root find).  A dead
-   coordinate (``QuadraticGapForm.live`` false: a zero row of A and
-   b_i = 0, for hinge an instance with alpha_i = 0 and zero loss) leaves q
-   unchanged, so the eigenvalue problem covers only the kept live
-   coordinates.  The root find takes safeguarded Newton steps on
-   1/|u(mu)| - 1/S from the left end of its bracket and secant steps for
-   the right end, and stops once the dual value at the right end is within
-   rounding of its minimum (Gander, Golub & von Matt 1989).  It reports
-   that secular dual value, which by weak duality bounds the maximum from
-   above at any multiplier past the top eigenvalue, so the gap it reports
-   is never low, however early the root find stops (Moré & Sorensen 1983).
+   in two steps.  The spectral step (``spectral_step``) eigendecomposes the
+   block of A over the kept live coordinates: a dead coordinate
+   (``QuadraticGapForm.live`` false: a zero row of A and b_i = 0, for
+   hinge an instance with alpha_i = 0 and zero loss) leaves q unchanged.
+   The secular step finds the root of the secular equation by safeguarded
+   Newton steps on 1/|u(mu)| - 1/S from the left end of its bracket and
+   secant steps for the right end, and stops once the dual value at the
+   right end is within rounding of its minimum (Gander, Golub & von Matt
+   1989).  It reports that secular dual value, which by weak duality
+   bounds the maximum from above at any multiplier past the top
+   eigenvalue, so the gap it reports is never low, however early the root
+   find stops (Moré & Sorensen 1983).  One spectral step also serves the
+   kept set less any one coordinate: that is a trust-region problem on a
+   subspace of the same eigenbasis, whose secular function costs O(m) per
+   evaluation (Golub 1973), so exact greedy takes one eigendecomposition
+   per removal, not one per candidate.
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. Validation points whose score interval stays positive are certified
@@ -51,11 +56,13 @@ from .erm import Model, conjugate_eval, decision_scores, loss_eval
 __all__ = [
     "QuadraticGapForm",
     "BallMax",
+    "Spectrum",
     "Counts",
     "WeightedIndicatorMin",
     "BoundReport",
     "BallMaximizationError",
     "quadratic_form",
+    "spectral_step",
     "maximize_on_ball",
     "radius",
     "certify",
@@ -138,7 +145,208 @@ class BallMax:
     hard_case: bool
 
 
-def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
+@dataclass(frozen=True)
+class Spectrum:
+    """Spectral step of a kept mask: the mask ``solved`` of its kept live
+    coordinates, their reduced problem (At, g, const) from
+    ``QuadraticGapForm.reduced`` and At = V diag(eigval) V' with
+    gamma = V'g/2."""
+
+    solved: np.ndarray
+    eigval: np.ndarray
+    V: np.ndarray
+    gamma: np.ndarray
+    g: np.ndarray
+    const: float
+
+
+def _solved_mask(form: QuadraticGapForm, v: np.ndarray) -> np.ndarray:
+    """The coordinates a ball solve moves: kept (v != 0) and live."""
+    if v.shape != (form.n,):
+        raise ValueError("mask length mismatch")
+    return (v != 0.0) & form.live
+
+
+def spectral_step(form: QuadraticGapForm, v) -> Spectrum:
+    """Reduce q to the kept live coordinates of mask v and eigendecompose
+    that block, the one O(m^3) part of a ball solve."""
+    solved = _solved_mask(form, np.asarray(v, dtype=float))
+    At, g, const = form.reduced(solved)
+    try:
+        eigval, V = np.linalg.eigh(At)
+    except np.linalg.LinAlgError as exc:
+        raise BallMaximizationError(f"eigendecomposition failed: {exc}") from exc
+    return Spectrum(solved=solved, eigval=eigval, V=V, gamma=V.T @ (g / 2.0),
+                    g=g, const=const)
+
+
+def _secular_root(secular, lo, hi, S: float, const: float):
+    """(mu, hard): the multiplier where |u(mu)| = S, searched in [lo, hi].
+
+    ``secular(mu)`` returns |u(mu)|^2 and -d|u|^2/dmu / 2 as numpy scalars,
+    so that over- and underflow stay silent under the caller's
+    np.errstate.  With |u(lo)| < S (the hard case) mu stays at lo.
+    Otherwise the bracket keeps |u(lo)| >= S >= |u(hi)|: each step tries a
+    Newton step on the concave, increasing h(mu) = 1/|u(mu)| - 1/S from lo,
+    then the secant of h through both ends (in exact arithmetic a new left
+    and a new right end); a candidate inside the bracket moves the end its
+    |u| says, and a step where none lands inside bisects.  The search stops
+    once D'(hi) (hi - lo), which bounds D(hi) - min D, is within rounding of
+    D, when the bracket cannot be split, or at the step cap, and returns
+    the right end.
+    """
+    S2 = S * S
+    nsq_lo, slope_lo = secular(lo)
+    if nsq_lo < S2:
+        return lo, True
+    nsq_hi, _ = secular(hi)
+    if nsq_hi > S2:  # |u(hi)| = S but for rounding: widen the bracket once
+        hi = lo + 2.0 * (hi - lo)
+        nsq_hi, _ = secular(hi)
+    if nsq_hi > S2:
+        raise BallMaximizationError(
+            f"secular bracket failed: |u({hi:.6g})| > S={S:.6g}")
+
+    def probe(mu):
+        # evaluate mu if strictly inside the bracket and move the end its
+        # |u| says; False when mu is outside (or nan)
+        nonlocal lo, nsq_lo, slope_lo, hi, nsq_hi
+        if not lo < mu < hi:
+            return False
+        nsq, slope = secular(mu)
+        if nsq >= S2:
+            lo, nsq_lo, slope_lo = mu, nsq, slope
+        else:
+            hi, nsq_hi = mu, nsq
+        return True
+
+    for _ in range(_MAX_STEPS):
+        if (S2 - nsq_hi) * (hi - lo) <= _TOL * max(1.0, abs(const) + hi * S2):
+            break
+        moved = probe(lo + nsq_lo / slope_lo * (np.sqrt(nsq_lo) / S - 1.0))
+        norm_lo, norm_hi = np.sqrt(nsq_lo), np.sqrt(nsq_hi)
+        moved |= probe(lo + (hi - lo) * norm_hi * (norm_lo - S)
+                       / (S * (norm_lo - norm_hi)))
+        if not moved and not probe(0.5 * (lo + hi)):
+            break
+    return hi, False
+
+
+def _own_secular(spec: Spectrum, S: float):
+    """Secular step on the spectrum's own solved set: (mu, hard, D(mu), u)
+    with D(mu) = const + mu S^2 + sum gamma^2 / (mu - lam)."""
+    eigval, gamma = spec.eigval, spec.gamma
+    dist = np.empty_like(gamma)
+    buf = np.empty_like(gamma)
+
+    def secular(mu):
+        np.subtract(mu, eigval, out=dist)
+        np.divide(gamma, dist, out=buf)
+        np.multiply(buf, buf, out=buf)
+        norm_sq = buf.sum()
+        np.divide(buf, dist, out=buf)
+        return norm_sq, buf.sum()
+
+    lam1 = float(eigval[-1])
+    delta = 1e-14 * (1.0 + abs(lam1))
+    gnorm = float(np.linalg.norm(spec.g))
+    mu, hard = _secular_root(secular, lam1 + delta,
+                             lam1 + gnorm / (2.0 * S) + delta, S, spec.const)
+    S2 = S * S
+    coef = gamma / (mu - eigval)  # u(mu) in the eigenbasis, |coef| <= S
+    value = spec.const + mu * S2 + float(gamma @ coef)
+    rest = float(coef[:-1] @ coef[:-1])
+    coef[-1] = math.copysign(math.sqrt(max(S2 - rest, 0.0)), coef[-1])
+    return mu, hard, value, spec.V @ coef
+
+
+def _shrunk_top(eigval: np.ndarray, r: np.ndarray) -> float:
+    """Top eigenvalue theta of diag(eigval) on the subspace r'z = 0: the
+    root of sum r^2 / (x - eigval) in [eigval[-2], eigval[-1]] (Golub 1973),
+    bisected to full precision keeping the right end, where the sum is not
+    positive.  theta = eigval[-1] when r[-1] = 0 or the top eigenvalue
+    repeats."""
+    r2 = r * r
+    lo, hi = float(eigval[-2]), float(eigval[-1])
+    for _ in range(_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (r2 / (mid - eigval)).sum() <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bordered_secular(spec: Spectrum, form: QuadraticGapForm, i: int,
+                      S: float):
+    """Secular step of the spectrum's solved set less coordinate i, from the
+    same eigenpairs: (mu, hard, D_i(mu), u) with u_p = 0.
+
+    With p the position of i in the solved set and r = V[p, :], pinning
+    w_i = 1 leaves max u'At u + g_i'u + const_i over ||u|| <= S, u_p = 0,
+    where g_i = g - 2 At e_p, V'g_i/2 = gamma - eigval * r and const_i =
+    const - g_p + At_pp.  For d = mu - eigval and mu above theta, the top
+    eigenvalue of the shrunk block, the constraint's multiplier is
+    nu = sum(gamma_i r / d) / sum(r^2 / d); with pv = gamma_i - nu r,
+    u(mu) = V (pv / d), |u|^2 = sum (pv / d)^2,
+    -d|u|^2/dmu / 2 = sum pv^2/d^3 - sum(pv r / d^2)^2 / sum(r^2 / d), and
+    the dual value D_i(mu) = const_i + mu S^2 + sum pv^2 / d bounds the
+    maximum from above.  The top eigenpair's terms are evaluated with its
+    1/d multiplied out, as they cancel where mu nears eigval[-1].  The
+    root lies above eigval[-1] unless |u| < S just past it; then the search
+    starts at theta (``_shrunk_top``).  Both brackets reach
+    |g_i| / (2 S) past their left end.  u(mu) is scaled radially onto the
+    sphere, which never lowers q.
+    """
+    p = int(np.count_nonzero(spec.solved[:i]))
+    eigval, r = spec.eigval, spec.V[p]
+    gamma = spec.gamma - eigval * r
+    const = spec.const - float(spec.g[p]) + float(form.A[i, i])
+    # the other eigenpairs' eigenvalues, r and gamma, then the top one's
+    lam, rr, gg = eigval[:-1], r[:-1], gamma[:-1]
+    lam_m, r_m, g_m = eigval[-1], r[-1], gamma[-1]
+
+    def solution(mu):
+        # nu, z = pv / d on the other eigenpairs and z_m on the top one,
+        # with den = d_m sum(r^2 / d)
+        d, d_m = mu - lam, mu - lam_m
+        rd = rr / d
+        a, c = gg @ rd, rr @ rd
+        den = r_m * r_m + c * d_m
+        nu = (g_m * r_m + a * d_m) / den
+        return nu, (gg - nu * rr) / d, (g_m * c - r_m * a) / den, d, d_m, rd, \
+            c, den
+
+    def secular(mu):
+        _, z, z_m, d, d_m, rd, c, den = solution(mu)
+        t = z @ rd
+        return (z @ z + z_m * z_m,
+                (z / d) @ z + (z_m * z_m * c - 2.0 * z_m * r_m * t
+                               - t * t * d_m) / den)
+
+    delta = 1e-14 * (1.0 + abs(float(lam_m)))
+    width = float(np.linalg.norm(gamma)) / S
+    lo = float(lam_m) + delta
+    mu, hard = _secular_root(secular, lo, lo + width, S, const)
+    if hard:
+        lo = _shrunk_top(eigval, r) + delta
+        mu, hard = _secular_root(secular, lo, lo + width, S, const)
+    nu, z, z_m, d, d_m, *_ = solution(mu)
+    # sum pv^2 / d is stationary in nu, so nu's rounding moves it least
+    value = const + mu * S * S + float((z * d) @ z
+                                       + (g_m - nu * r_m) ** 2 / d_m)
+    u = spec.V @ np.append(z, z_m)
+    u[p] = 0.0
+    norm = float(np.linalg.norm(u))
+    if norm > 0.0:
+        u *= S / norm
+    return mu, hard, value, u
+
+
+def maximize_on_ball(form: QuadraticGapForm, v, S: float,
+                     spectrum: Spectrum | None = None) -> BallMax:
     """Maximize q(v*w) over ||w - 1|| <= S with removed coordinates at w=1.
 
     The solve runs over the kept live coordinates only: dead ones
@@ -149,99 +357,45 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float) -> BallMax:
     D(mu) = const + mu S^2 + sum_k gamma_k^2 / (mu - lam_k), an upper bound
     on the maximum by weak duality; D is convex with D' = S^2 - |u(mu)|^2,
     u(mu) = V (gamma / (mu - lam)), so it is tight where |u(mu)| = S.
+    ``_secular_root`` finds that root by safeguarded Newton and secant steps
+    (Moré & Sorensen 1983, Gander, Golub & von Matt 1989) and dg_max is
+    D at the right end of its bracket, a bound wherever it stops.  In the
+    hard case (g almost orthogonal to the leading eigenspace) |u| < S just
+    above lambda_max, and mu stays there.  w_star is u(mu) with its
+    leading-eigenvector coefficient stretched, sign kept, onto the sphere.
 
-    The root find keeps a bracket [lo, hi] with |u(lo)| >= S >= |u(hi)|.
-    Each step tries a Newton step on the concave, increasing
-    h(mu) = 1/|u(mu)| - 1/S from lo, then the secant of h through both
-    ends (in exact arithmetic a new left and a new right end; Moré &
-    Sorensen 1983, Gander, Golub & von Matt 1989).  A candidate inside the
-    bracket moves the end its |u| says; a step where none lands inside
-    bisects.  The search stops once D'(hi) (hi - lo), which bounds
-    D(hi) - min D, is within rounding of D, when the bracket cannot be
-    split, or at the step cap, and reports dg_max = D(hi), a bound wherever
-    it stops.  In the hard case (g almost orthogonal to the leading
-    eigenspace) |u| < S just above lambda_max, and mu stays there.  w_star
-    is u(hi) with its leading-eigenvector coefficient stretched, sign kept,
-    onto the sphere.
+    ``spectrum``, a ``spectral_step(form, v0)``, replaces the solve's own
+    spectral step.  Its solved set must be v's, which gives a fresh solve's
+    result bit for bit, or v's plus one coordinate i (v is v0 less a
+    candidate i).  Then ``_bordered_secular`` solves with w_i = 1 from v0's
+    eigenpairs, in O(m) per secular evaluation and through the same root
+    find, and w_star is u(mu) scaled onto the sphere.  Any other mask
+    raises ValueError.
     """
     if not S >= 0:
         raise ValueError("S must be nonnegative")
     v = np.asarray(v, dtype=float)
-    n = form.n
-    if v.shape != (n,):
-        raise ValueError("mask length mismatch")
-    w_star = np.ones(n)
-    solved = (v != 0.0) & form.live
+    solved = _solved_mask(form, v)
+    removed = ()  # the coordinate the spectrum solves and v does not
+    if spectrum is not None:
+        removed = np.flatnonzero(spectrum.solved & ~solved)
+        if removed.size > 1 or (solved & ~spectrum.solved).any():
+            raise ValueError("spectrum's solved set is neither v's nor v's "
+                             "plus one coordinate")
+    w_star = np.ones(form.n)
     if S == 0.0 or not solved.any():
         return BallMax(w_star=w_star, dg_max=form.value(v), mu=0.0,
                        hard_case=False)
-
-    At, g, const = form.reduced(solved)
-    try:
-        eigval, V = np.linalg.eigh(At)
-    except np.linalg.LinAlgError as exc:
-        raise BallMaximizationError(f"eigendecomposition failed: {exc}") from exc
-    lam1 = float(eigval[-1])
-    gamma = V.T @ (g / 2.0)
-    gnorm = float(np.linalg.norm(g))
-
-    dist = np.empty_like(gamma)
-    buf = np.empty_like(gamma)
-
-    def secular(mu):
-        # |u(mu)|^2 and sum gamma^2 / (mu - lam)^3 = -d|u|^2/dmu / 2, as
-        # numpy scalars so that over- and underflow stay silent under the
-        # callers' np.errstate
-        np.subtract(mu, eigval, out=dist)
-        np.divide(gamma, dist, out=buf)
-        np.multiply(buf, buf, out=buf)
-        norm_sq = buf.sum()
-        np.divide(buf, dist, out=buf)
-        return norm_sq, buf.sum()
-
-    S2 = S * S
-    delta = 1e-14 * (1.0 + abs(lam1))
-    lo = hi = lam1 + delta
+    if spectrum is None:
+        spectrum = spectral_step(form, v)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nsq_lo, slope_lo = secular(lo)
-        hard = nsq_lo < S2
-        if not hard:
-            hi = lam1 + gnorm / (2.0 * S) + delta
-            nsq_hi, _ = secular(hi)
-            if nsq_hi > S2:
-                raise BallMaximizationError(
-                    f"secular bracket failed: |u({hi:.6g})| > S={S:.6g}")
-
-            def probe(mu):
-                # evaluate mu if strictly inside the bracket and move the
-                # end its |u| says; False when mu is outside (or nan)
-                nonlocal lo, nsq_lo, slope_lo, hi, nsq_hi
-                if not lo < mu < hi:
-                    return False
-                nsq, slope = secular(mu)
-                if nsq >= S2:
-                    lo, nsq_lo, slope_lo = mu, nsq, slope
-                else:
-                    hi, nsq_hi = mu, nsq
-                return True
-
-            for _ in range(_MAX_STEPS):
-                if (S2 - nsq_hi) * (hi - lo) <= \
-                        _TOL * max(1.0, abs(const) + hi * S2):
-                    break
-                moved = probe(lo + nsq_lo / slope_lo * (np.sqrt(nsq_lo) / S - 1.0))
-                norm_lo, norm_hi = np.sqrt(nsq_lo), np.sqrt(nsq_hi)
-                moved |= probe(lo + (hi - lo) * norm_hi * (norm_lo - S)
-                               / (S * (norm_lo - norm_hi)))
-                if not moved and not probe(0.5 * (lo + hi)):
-                    break
-
-    coef = gamma / (hi - eigval)  # u(hi) in the eigenbasis, |coef| <= S
-    value = const + hi * S2 + float(gamma @ coef)
-    rest = float(coef[:-1] @ coef[:-1])
-    coef[-1] = math.copysign(math.sqrt(max(S2 - rest, 0.0)), coef[-1])
-    w_star[solved] = 1.0 + V @ coef
-    return BallMax(w_star=w_star, dg_max=float(value), mu=float(hi),
+        if len(removed):
+            mu, hard, value, u = _bordered_secular(spectrum, form, removed[0],
+                                                   S)
+        else:
+            mu, hard, value, u = _own_secular(spectrum, S)
+    w_star[spectrum.solved] = 1.0 + u
+    return BallMax(w_star=w_star, dg_max=float(value), mu=float(mu),
                    hard_case=bool(hard))
 
 

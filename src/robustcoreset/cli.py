@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import bound
-from .data import ParseError, SplitError, gaussian_task, to_libsvm
+from .data import ParseError, SplitError, cv_split, gaussian_task, to_libsvm
 from .erm import LOSSES, TrainingError
 from .experiment import (ALGORITHMS, ALL_METHODS, DEFAULT_LAMBDA_GRID,
                          EXACT_MAX_N_TR, ROBUST_METHOD, ExperimentConfig,
@@ -111,11 +111,27 @@ def _warn_if_negative_weights(S, weights_may_be_negative):
                    "weights may leave the nonnegative orthant", err=True)
 
 
-def _fold_context(kwargs, fold, removal_fraction):
-    config = ExperimentConfig(**kwargs, removal_grid=(removal_fraction,))
+def _make_output_dir(config):
+    """Create the config's output directory, if it has one, before any work:
+    a path that cannot be a directory is a usage error, not a traceback
+    after the run."""
+    if config.output_dir is None:
+        return
+    try:
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.UsageError(f"--output-dir {config.output_dir!r} cannot "
+                               f"be created: {exc}") from exc
+
+
+def _fold_context(kwargs, fold, removal_fraction, output_dir=None):
+    config = ExperimentConfig(**kwargs, removal_grid=(removal_fraction,),
+                              output_dir=output_dir)
     config.check_fold(fold)
+    _make_output_dir(config)
     ds = load_inputs(config)
-    ctx = prepare_fold(ds, config, fold, resolve_lambda(config, ds))
+    ctx = prepare_fold(ds, config, fold, resolve_lambda(config, ds),
+                       cv_split(ds, config.folds, config.seed))
     _warn_if_negative_weights(ctx.S, ctx.weights_may_be_negative)
     return config, ctx
 
@@ -137,12 +153,11 @@ def main():
 @_guard
 def select_cmd(method, removal_fraction, fold, output_dir, **kwargs):
     """Select a coreset on one fold; writes trace JSON and kept indices."""
-    config, ctx = _fold_context(kwargs, fold, removal_fraction)
+    config, ctx = _fold_context(kwargs, fold, removal_fraction, output_dir)
     trace = _selection(ctx, config, method)
     kept_local = trace.kept_indices()
     kept_original = ctx.tr_idx[kept_local]
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {**trace.to_dict(), "fold": fold,
                "train_index_map": ctx.tr_idx.tolist(),
                "kept_original_indices": kept_original.tolist()}
@@ -179,11 +194,10 @@ def _coreset_mask(ctx, config, method, indices_file):
 @_guard
 def certify_cmd(method, removal_fraction, fold, indices, output_dir, **kwargs):
     """Certificate (radius, zeta, error bound) for a coreset."""
-    config, ctx = _fold_context(kwargs, fold, removal_fraction)
+    config, ctx = _fold_context(kwargs, fold, removal_fraction, output_dir)
     v, method = _coreset_mask(ctx, config, method, indices)
     report = certify_coreset(ctx, v)
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload.update(fold=fold, method=method, S=ctx.S, Q=ctx.Q,
                    m=int(v.sum()), n_train=len(ctx.y_tr),
@@ -225,6 +239,7 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
         methods=tuple(m.strip() for m in methods.split(",") if m.strip()),
         removal_grid=tuple(float(f) for f in removal_grid.split(",")),
         output_dir=output_dir, timing=timing)
+    _make_output_dir(config)
     report = run_experiment(config)
     for diag in report.gap_diagnostics:
         _warn_if_negative_weights(diag["S"], diag["weights_may_be_negative"])

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bound, select
-from .data import Dataset, cv_split, parse_libsvm, shift_radius
+from .data import Dataset, SplitPlan, cv_split, parse_libsvm, shift_radius
 from .erm import LOGISTIC, LOSSES, decision_scores, evaluate_gap, train
 from .kernel import KINDS, fold_kernels, load_precomputed
 
@@ -269,12 +269,12 @@ def resolve_lambda(config: ExperimentConfig, ds: Dataset) -> str:
 
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
-                 rule: str) -> FoldContext:
-    """Split, kernels, radii, reference model and gap quadratic of one fold;
-    ``ds`` and ``rule`` come from ``load_inputs`` and ``resolve_lambda``."""
+                 rule: str, plan: SplitPlan) -> FoldContext:
+    """Kernels, radii, reference model and gap quadratic of one fold;
+    ``ds``, ``rule`` and ``plan`` come from ``load_inputs``,
+    ``resolve_lambda`` and ``cv_split``."""
     config.check_fold(fold)
-    tr_idx, y_tr, y_va, K, Kx, kdiag = _fold(
-        ds, config, cv_split(ds, config.folds, config.seed), fold)
+    tr_idx, y_tr, y_va, K, Kx, kdiag = _fold(ds, config, plan, fold)
     model = train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
                   kind=config.loss)
     # A positive-class shift moves no weight of a validation part without
@@ -397,15 +397,18 @@ def _aggregate(rows):
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Full sweep; writes report.csv / report.json when output_dir is set.
 
-    On error, rows computed so far are flushed with a trailing status row
-    before the exception propagates.
+    The inputs, the lambda rule and the split are settled before any
+    report exists, so a bad one writes none.  On a later error, rows
+    computed so far are flushed with a trailing status row before the
+    exception propagates.
     """
     ds = load_inputs(config)
     rule = resolve_lambda(config, ds)
+    plan = cv_split(ds, config.folds, config.seed)
     report = RunReport(lambda_rule=rule)
     try:
         for fold in range(config.folds):
-            ctx = prepare_fold(ds, config, fold, rule)
+            ctx = prepare_fold(ds, config, fold, rule, plan)
             report.gap_diagnostics.append(_gap_diagnostics(ctx))
             n_del_grid = config.removal_counts(len(ctx.y_tr))
             for method in config.methods:

@@ -109,18 +109,36 @@ def greedy_exact(form, y, S, n_del, *,
                  preserve_classes: bool = False) -> SelectionTrace:
     """Remove one instance at a time, re-solving the ball maximization for
     every candidate and keeping the removal with the smallest worst-case
-    gap (ties to the smallest index).  The solve skips inert instances, so
-    every inert candidate scores the current maximum exactly."""
+    gap (ties to the smallest index).
+
+    Each removal takes one spectral step (``bound.spectral_step``) of the
+    current kept set and every candidate's solve reuses it: a live
+    candidate's solve is the bordered secular step without its coordinate,
+    and an inert one's is the current set's own solve, so every inert
+    candidate scores the current maximum exactly.  Removing an inert
+    instance leaves the solved set as it was, and the step with it.  No
+    step is taken when S = 0 or no kept instance is live, where every
+    solve is a plain evaluation of q."""
+    spectrum = None  # spectral step of the current kept set, while valid
 
     def scores(cand, v):
+        nonlocal spectrum
+        if spectrum is None and S > 0 and (form.live & (v != 0.0)).any():
+            spectrum = bound.spectral_step(form, v)
         out = np.empty(cand.size)
         for k, i in enumerate(cand):
             v[i] = 0.0
-            out[k] = bound.maximize_on_ball(form, v, S).dg_max
+            out[k] = bound.maximize_on_ball(form, v, S, spectrum).dg_max
             v[i] = 1.0
         return out
 
-    return _greedy("robust-exact", y, n_del, scores, lambda i, score: score,
+    def remove(i, score):
+        nonlocal spectrum
+        if form.live[i]:
+            spectrum = None
+        return score
+
+    return _greedy("robust-exact", y, n_del, scores, remove,
                    preserve_classes=preserve_classes)
 
 

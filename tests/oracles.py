@@ -207,3 +207,31 @@ def grid_max_dual_2d(K, y, lam, kind, steps=400):
             if val > best:
                 best, best_alpha = val, alpha
     return best_alpha, best
+
+
+def greedy_exact_fresh(maximize, form, y, S, n_del, preserve_classes=False):
+    """Exact greedy (Algorithm 1) as straight-line code: each step scores
+    every kept candidate by a fresh ``maximize(form, v, S)`` solve and
+    removes the smallest score, ties to the smallest index; with
+    ``preserve_classes`` the last kept instance of a class is skipped.
+    Returns the removal order and the winning scores."""
+    n = len(y)
+    v = np.ones(n)
+    order, gaps = [], []
+    for _ in range(n_del):
+        best_i, best = None, math.inf
+        for i in range(n):
+            if v[i] == 0.0:
+                continue
+            if preserve_classes and sum(
+                    1 for j in range(n) if v[j] != 0.0 and y[j] == y[i]) == 1:
+                continue
+            v[i] = 0.0
+            score = maximize(form, v, S).dg_max
+            v[i] = 1.0
+            if score < best:
+                best_i, best = i, score
+        v[best_i] = 0.0
+        order.append(best_i)
+        gaps.append(best)
+    return order, gaps

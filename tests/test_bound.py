@@ -190,6 +190,10 @@ def test_maximizer_validity_invariants():
     cases.append((_form_with_reduced_g(np.array([[2.0]]), np.array([0.5])),
                   np.ones(1), 0.7))  # m = 1
     cases.append((random_psd_form(rng, 2), np.ones(2), 0.9))  # m = 2
+    # |u| = S at the bracket's right end but for rounding
+    cases.append((_form_with_reduced_g(np.array([[0.2499071440222617]]),
+                                       np.array([13.606891864808249])),
+                  np.ones(1), 0.05))
     for form, v, S in cases:
         res = rc.maximize_on_ball(form, v, S)
         active = v != 0.0
@@ -274,6 +278,110 @@ def test_inert_removal_leaves_the_maximum_bit_identical(hinge_model, rbf_task):
         v[i] = 0.0
         assert rc.maximize_on_ball(form, v, S).dg_max == base, i
         v[i] = 1.0
+
+
+def assert_bordered_solve(form, v0, i, S):
+    """The solve of v0 less coordinate i from v0's spectral step against a
+    fresh solve: value within 1e-12, an upper bound on q at its own feasible
+    w_star, which keeps every coordinate outside v0's solved set at 1."""
+    spectrum = rc.spectral_step(form, v0)
+    v = np.array(v0, dtype=float)
+    v[i] = 0.0
+    res = rc.maximize_on_ball(form, v, S, spectrum)
+    ref = rc.maximize_on_ball(form, v, S)
+    assert abs(res.dg_max - ref.dg_max) <= 1e-12 * max(1.0, abs(ref.dg_max))
+    q = form.value(v * res.w_star)
+    assert res.dg_max >= q - 2.5e-14 * max(1.0, abs(q))
+    # up to the rounding of w = 1 + u in each coordinate
+    assert np.linalg.norm(res.w_star - 1.0) <= S + 1e-14
+    solved = (v != 0.0) & form.live
+    assert np.all(res.w_star[~solved] == 1.0)
+    return res, ref
+
+
+def test_bordered_solve_matches_a_fresh_solve():
+    rng = np.random.default_rng(79)
+    for dim, S in ((3, 0.4), (6, 1.3), (9, 0.05), (12, 30.0), (20, 2.0)):
+        form = random_psd_form(rng, dim)
+        v0 = np.ones(dim)
+        v0[rng.choice(dim, size=dim // 4, replace=False)] = 0.0
+        for i in np.flatnonzero(v0):
+            assert_bordered_solve(form, v0, i, S)
+    # rank-deficient A: repeated zero eigenvalues below the top
+    M = rng.standard_normal((8, 2))
+    form = rc.QuadraticGapForm(A=M @ M.T, b=rng.standard_normal(8), c=0.5)
+    for i in range(8):
+        assert_bordered_solve(form, np.ones(8), i, 0.7)
+
+
+def test_bordered_solve_edge_cases():
+    # r_m = 0: coordinate 0 has no weight on the top eigenvector e_2
+    A = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.0], [0.0, 0.0, 5.0]])
+    form = _form_with_reduced_g(A, np.array([0.4, -0.2, 0.3]))
+    assert abs(rc.spectral_step(form, np.ones(3)).V[0, -1]) <= 1e-15
+    for S in (0.1, 1.0, 20.0):
+        assert_bordered_solve(form, np.ones(3), 0, S)
+    # repeated top eigenvalue, in a rotated basis
+    Q, _ = np.linalg.qr(np.random.default_rng(83).standard_normal((4, 4)))
+    A = Q @ np.diag([0.5, 1.0, 2.0, 2.0]) @ Q.T
+    for g in (np.array([0.3, -0.2, 0.1, 0.4]), np.zeros(4)):
+        form = _form_with_reduced_g(A, g)
+        for i in range(4):
+            for S in (0.2, 3.0):
+                assert_bordered_solve(form, np.ones(4), i, S)
+    # removing coordinate 2 leaves diag(2, 1) with its linear term
+    # orthogonal to e_1: the shrunk problem's hard case at theta = 2, below
+    # the full block's top eigenvalue; then a near-hard one with its root
+    # between theta and that eigenvalue
+    A = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    for g_shrunk, hard in (((0.0, 0.2), True), ((0.01, 0.2), False)):
+        g = np.append(np.array(g_shrunk) + 2.0 * A[:2, 2], 0.3)
+        form = _form_with_reduced_g(A, g)
+        res, ref = assert_bordered_solve(form, np.ones(3), 2, 1.0)
+        assert res.hard_case == ref.hard_case == hard
+        assert res.mu < np.linalg.eigvalsh(A)[-1]
+    # shrunk roots below the full block's top eigenvalue, whose own terms
+    # cancel where the search starts, just above it
+    for A, g, S in (([[1.5, 0.0, -0.5], [0.0, 0.5, -1.0], [-0.5, -1.0, 5.0]],
+                     [4.0, 5.0, -5.0], 1.0),
+                    ([[0.5, 0.0, -0.25], [0.0, 1.0, 0.0], [-0.25, 0.0, 7.0]],
+                     [6.0, 0.0, -15.0], 0.5)):
+        form = _form_with_reduced_g(np.array(A), np.array(g))
+        res, _ = assert_bordered_solve(form, np.ones(3), 2, S)
+        assert res.mu < np.linalg.eigvalsh(A)[-1]
+    # m = 2 -> 1 and m = 1 -> 0
+    form = random_psd_form(np.random.default_rng(89), 2)
+    for i in range(2):
+        assert_bordered_solve(form, np.ones(2), i, 0.9)
+        v0 = np.eye(2)[i]
+        res = rc.maximize_on_ball(form, np.zeros(2), 0.9,
+                                  rc.spectral_step(form, v0))
+        assert res.dg_max == form.value(np.zeros(2))
+
+
+def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task):
+    # a dead candidate leaves the solved set as it was: same solve, bit
+    # for bit; any mask but v0's solved set or that less one is rejected
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(ds.n_plus, 1.05)
+    live = np.flatnonzero(form.live)
+    v0 = np.ones(ds.n)
+    v0[live[:3]] = 0.0
+    spectrum = rc.spectral_step(form, v0)
+    for v in (v0, np.where(form.live, v0, 0.0)):
+        res = rc.maximize_on_ball(form, v, S, spectrum)
+        ref = rc.maximize_on_ball(form, v, S)
+        assert (res.dg_max, res.mu, res.hard_case) == \
+            (ref.dg_max, ref.mu, ref.hard_case)
+        assert res.w_star.tobytes() == ref.w_star.tobytes()
+    v = v0.copy()
+    v[live[3:5]] = 0.0
+    added = v0.copy()
+    added[live[0]] = 1.0
+    for bad in (v, added, np.ones(ds.n)):
+        with pytest.raises(ValueError, match="spectrum"):
+            rc.maximize_on_ball(form, bad, S, spectrum)
 
 
 def test_maximize_hard_case():

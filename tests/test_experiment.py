@@ -353,12 +353,14 @@ def test_cli_trace_json_is_strict(tmp_path):
 
 
 def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
-    # the 0.0 rows keep every instance and certify with the fold's solve
+    # the 0.0 rows keep every instance and certify with the fold's solve;
+    # every fold of the run shares one split
+    import robustcoreset.experiment as experiment
     config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                               methods=("robust", "random"),
                               removal_grid=(0.0, 0.3, 0.5), folds=2, seed=3,
                               algorithm=2)
-    full_set_solves = []
+    full_set_solves, splits = [], []
     orig = bound.maximize_on_ball
 
     def counting(form, v, S, *args, **kwargs):
@@ -366,15 +368,22 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
             full_set_solves.append(form.n)
         return orig(form, v, S, *args, **kwargs)
 
+    def counting_split(*args):
+        splits.append(args)
+        return rc.cv_split(*args)
+
     monkeypatch.setattr(bound, "maximize_on_ball", counting)
+    monkeypatch.setattr(experiment, "cv_split", counting_split)
     run_experiment(config)
     assert len(full_set_solves) == config.folds
+    assert len(splits) == 1
     monkeypatch.undo()
     # the selectors must not zero the cached worst-case weight in place
     for algorithm in (2, 3):
         cfg = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                                folds=2, algorithm=algorithm)
-        ctx = prepare_fold(load_inputs(cfg), cfg, 0, "2.0")
+        ds = load_inputs(cfg)
+        ctx = prepare_fold(ds, cfg, 0, "2.0", rc.cv_split(ds, 2, cfg.seed))
         run_selection(ctx, cfg, "robust", 20)
         fresh = bound.maximize_on_ball(ctx.form_cert, np.ones(len(ctx.y_tr)),
                                        ctx.S).w_star
@@ -528,7 +537,8 @@ def test_sweep_fold_without_validation_positives(tmp_path):
     assert all(row["status"] == "ok" for row in rows)
     config = ExperimentConfig(dataset=str(data), folds=3, seed=4,
                               lambda_rule="n")
-    ctx = prepare_fold(load_inputs(config), config, 2, "n")
+    ds = load_inputs(config)
+    ctx = prepare_fold(ds, config, 2, "n", rc.cv_split(ds, 3, 4))
     assert (ctx.valset.y == -1).all() and ctx.Q == 0.0
     for method in config.methods:
         n_dels = config.removal_counts(len(ctx.y_tr))
@@ -587,6 +597,14 @@ def test_cli_config_error_exit_code(tmp_path):
         assert res.exit_code == 2, (options, res.output)
         assert options[-2] in res.output, (options, res.output)
         assert not (out / "report.csv").exists(), options
+    # more folds than rows: the split fails before any report exists
+    res = runner.invoke(cli_main, [
+        "sweep", "--dataset", str(data), "--lambda-rule", "n", "--folds",
+        "100", "--output-dir", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "fewer instances than folds" in res.output, res.output
+    assert not (out / "report.csv").exists()
+    assert not (out / "report.json").exists()
     # n*10^307 is finite at n = 1 but overflows at this dataset's n = 30
     for rule in ("nan", "inf", "n*10^400", "n*10^307"):
         res = runner.invoke(cli_main, [
@@ -667,6 +685,33 @@ def test_cli_rejects_fold_before_lambda_cv(tmp_path, monkeypatch):
         assert res.exit_code == 2, (command, res.output)
         assert "--fold" in res.output, (command, res.output)
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["select", "certify", "sweep"])
+def test_cli_uncreatable_output_dir_fails_before_any_work(tmp_path,
+                                                          monkeypatch, command):
+    # an --output-dir that is an existing file exits 2 before the data is
+    # read, not with a traceback after the run
+    import robustcoreset.cli as cli
+    import robustcoreset.experiment as experiment
+    runner = CliRunner()
+    data = tmp_path / "task.svm"
+    runner.invoke(cli_main, ["synth", "--n", "40", "--d", "2", "--seed", "1",
+                             "--out", str(data)])
+    reads = []
+
+    def counting_load_inputs(*args):
+        reads.append(args)
+        return load_inputs(*args)
+
+    for mod in (cli, experiment):
+        monkeypatch.setattr(mod, "load_inputs", counting_load_inputs)
+    res = runner.invoke(cli_main, [
+        command, "--dataset", str(data), "--lambda-rule", "1.0",
+        "--output-dir", str(data)])
+    assert res.exit_code == 2, res.output
+    assert "--output-dir" in res.output, res.output
+    assert reads == []
 
 
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])

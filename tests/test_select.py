@@ -100,6 +100,62 @@ def test_greedy_exact_removes_inert_instances_by_index(hinge_model, rbf_task):
     assert trace.gaps == [full] * inert.size
 
 
+def assert_matches_fresh_greedy(form, y, S, n_del, preserve_classes=False):
+    trace = rc.greedy_exact(form, y, S, n_del,
+                            preserve_classes=preserve_classes)
+    order, gaps = oracles.greedy_exact_fresh(rc.maximize_on_ball, form, y, S,
+                                             n_del, preserve_classes)
+    assert trace.removal_order == order
+    for got, ref in zip(trace.gaps, gaps):
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_greedy_exact_matches_a_fresh_solve_per_candidate(hinge_model, rbf_task):
+    # one spectral step per removal serves every candidate's solve; the
+    # orders must be those of a fresh solve per candidate, down to one
+    # kept instance (m = 2 -> 1 and 1 -> 0) and through dead coordinates
+    rng = np.random.default_rng(7)
+    for dim, S in ((5, 0.3), (8, 1.5), (10, 30.0)):
+        form = random_psd_form(rng, dim)
+        assert_matches_fresh_greedy(form, labels(dim), S, dim - 1)
+        A = form.A.copy()
+        dead = rng.choice(dim, size=2, replace=False)
+        A[dead, :] = A[:, dead] = 0.0
+        b = form.b.copy()
+        b[dead] = 0.0
+        assert_matches_fresh_greedy(rc.QuadraticGapForm(A=A, b=b, c=form.c),
+                                    labels(dim), S, dim - 1)
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(ds.n_plus, 1.05)
+    assert_matches_fresh_greedy(form, ds.labels, S, 30)
+    assert_matches_fresh_greedy(form, ds.labels, 3.0 * S, 12,
+                                preserve_classes=True)
+
+
+def test_greedy_exact_takes_one_eigh_per_changed_kept_set(hinge_model, rbf_task,
+                                                          monkeypatch):
+    # a step takes an eigendecomposition only when the last removal was
+    # live; an inert removal leaves the solved set, and the step, as it was
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(ds.n_plus, 1.05)
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    trace = rc.greedy_exact(form, ds.labels, S, 25)
+    live_before_last = int(form.live[trace.removal_order[:-1]].sum())
+    assert live_before_last > 0
+    assert len(calls) == 1 + live_before_last
+    calls.clear()
+    rc.greedy_exact(form, ds.labels, 0.0, 5)
+    assert calls == []
+
+
 def test_greedy_fixed_w_values_match_loop_evaluator():
     rng = np.random.default_rng(5)
     form = random_psd_form(rng, 6)
