@@ -167,10 +167,14 @@ def _solved_mask(form: QuadraticGapForm, v: np.ndarray) -> np.ndarray:
     return (v != 0.0) & form.live
 
 
-def spectral_step(form: QuadraticGapForm, v) -> Spectrum:
+def spectral_step(form: QuadraticGapForm, v,
+                  reuse: Spectrum | None = None) -> Spectrum:
     """Reduce q to the kept live coordinates of mask v and eigendecompose
-    that block, the one O(m^3) part of a ball solve."""
+    that block, the one O(m^3) part of a ball solve; ``reuse`` is returned
+    as it is when it already solves that set (an empty one included)."""
     solved = _solved_mask(form, np.asarray(v, dtype=float))
+    if reuse is not None and np.array_equal(reuse.solved, solved):
+        return reuse
     At, g, const = form.reduced(solved)
     try:
         eigval, V = np.linalg.eigh(At)

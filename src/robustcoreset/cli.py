@@ -6,8 +6,10 @@ validation accuracy), ``sweep`` (full experiment grid to CSV/JSON),
 ``lambda-cv`` (cross-validated regularization pick) and ``synth``
 (generate a LIBSVM-format demo dataset).
 
-Each command reads the dataset and any ``--kernel-file`` once and
-resolves the lambda rule once; each fold sizes it at its training size.
+``select``, ``certify``, ``evaluate`` and ``sweep`` start with
+``experiment.start_run`` (make ``--output-dir``, read the inputs once,
+split once, settle the lambda rule on that split); ``lambda-cv`` splits
+once itself.  Each fold sizes the rule at its training size.
 ``select``, ``certify`` and ``evaluate`` build a fold, size the coreset
 (``--removal-fraction``) and score it through the same ``experiment``
 calls as ``sweep``, so they match its rows; trace ``gaps`` are the
@@ -31,8 +33,8 @@ from .erm import LOSSES, TrainingError
 from .experiment import (ALGORITHMS, ALL_METHODS, DEFAULT_LAMBDA_GRID,
                          EXACT_MAX_N_TR, ROBUST_METHOD, ExperimentConfig,
                          certify_coreset, lambda_cv, load_inputs, prepare_fold,
-                         resolve_lambda, retrained_accuracy, run_experiment,
-                         run_selection)
+                         retrained_accuracy, run_experiment, run_selection,
+                         start_run)
 from .kernel import KINDS
 
 _DEFAULT = ExperimentConfig(dataset="")  # the one source of option defaults
@@ -111,27 +113,12 @@ def _warn_if_negative_weights(S, weights_may_be_negative):
                    "weights may leave the nonnegative orthant", err=True)
 
 
-def _make_output_dir(config):
-    """Create the config's output directory, if it has one, before any work:
-    a path that cannot be a directory is a usage error, not a traceback
-    after the run."""
-    if config.output_dir is None:
-        return
-    try:
-        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise click.UsageError(f"--output-dir {config.output_dir!r} cannot "
-                               f"be created: {exc}") from exc
-
-
 def _fold_context(kwargs, fold, removal_fraction, output_dir=None):
     config = ExperimentConfig(**kwargs, removal_grid=(removal_fraction,),
                               output_dir=output_dir)
     config.check_fold(fold)
-    _make_output_dir(config)
-    ds = load_inputs(config)
-    ctx = prepare_fold(ds, config, fold, resolve_lambda(config, ds),
-                       cv_split(ds, config.folds, config.seed))
+    ds, plan, rule = start_run(config)
+    ctx = prepare_fold(ds, config, fold, rule, plan)
     _warn_if_negative_weights(ctx.S, ctx.weights_may_be_negative)
     return config, ctx
 
@@ -239,7 +226,6 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
         methods=tuple(m.strip() for m in methods.split(",") if m.strip()),
         removal_grid=tuple(float(f) for f in removal_grid.split(",")),
         output_dir=output_dir, timing=timing)
-    _make_output_dir(config)
     report = run_experiment(config)
     for diag in report.gap_diagnostics:
         _warn_if_negative_weights(diag["S"], diag["weights_may_be_negative"])
@@ -263,7 +249,9 @@ def lambda_cv_cmd(grid, **kwargs):
     """Print the cross-validated lambda rule, usable as --lambda-rule."""
     config = ExperimentConfig(**kwargs)
     ds = load_inputs(config)
-    click.echo(lambda_cv(ds, [r.strip() for r in grid.split(",")], config))
+    plan = cv_split(ds, config.folds, config.seed)
+    click.echo(lambda_cv(ds, plan, [r.strip() for r in grid.split(",")],
+                         config))
 
 
 @main.command("synth")

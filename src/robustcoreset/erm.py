@@ -174,14 +174,19 @@ def _logistic_coord_root(q0, s, a0):
     return a
 
 
+def _max_passes(n_active: int) -> int:
+    """Pass cap of ``train``: 1000 passes, or more up to 4e6 updates."""
+    return max(1000, int(math.ceil(4_000_000 / n_active)))
+
+
 def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
-          tol: float = 1e-8, max_passes: int | None = None) -> Model:
+          tol: float = 1e-8) -> Model:
     """Fit the dual of the weighted sum-form problem at strength ``lam_abs``
     until the duality gap per unit weight is <= tol.
 
     Cyclic coordinate ascent, deterministic.  Raises TrainingError (with
-    the best gap reached) when the pass cap is hit, ValueError for an
-    empty active set or nonpositive active weights.
+    the best gap reached) when the pass cap ``_max_passes`` is hit,
+    ValueError for an empty active set or nonpositive active weights.
     """
     _check_kind(kind)
     K = np.asarray(K, dtype=float)
@@ -204,8 +209,7 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
     ya = y[act]
     Ka = K[np.ix_(act, act)]
     E = float(wa.sum())
-    if max_passes is None:
-        max_passes = max(1000, int(math.ceil(4_000_000 / act.size)))
+    max_passes = _max_passes(act.size)
 
     a = np.full(act.size, 0.5 if kind == LOGISTIC else 0.0)
     z = wa * ya * a

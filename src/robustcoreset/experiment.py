@@ -9,10 +9,10 @@ and attach the certified lower bound.  Rows land in ``report.csv`` /
 
 The regularization strength is quoted in sum-form units as a rule ("n",
 "n*10^-1.5", "n*10^-3", a numeric literal, or "cv-best", which
-``lambda_cv`` turns into one of the others).  The rule travels to each
-fold, and each fold resolves it at its own training size, so the lambda
-a fold reports is the one it trained with.  Retraining on a coreset keeps
-the reference model's strength.
+``lambda_cv`` turns into one of the others on the run's own split, drawn
+once by ``start_run``).  Each fold resolves the rule at its own training
+size, so the lambda a fold reports is the one it trained with.
+Retraining on a coreset keeps the reference model's strength.
 """
 
 import csv
@@ -47,7 +47,7 @@ __all__ = [
     "load_dataset",
     "load_inputs",
     "min_max_scaled",
-    "resolve_lambda",
+    "start_run",
     "prepare_fold",
     "run_selection",
     "retrained_accuracy",
@@ -95,11 +95,13 @@ class ExperimentConfig:
         for frac in self.removal_grid:
             if not 0.0 <= frac < 1.0:
                 raise ValueError(f"removal fraction {frac} outside [0, 1)")
-        if not self.methods:
-            raise ValueError("--methods lists no method")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        for option, entries in (("--methods", self.methods),
+                                ("--removal-grid", self.removal_grid)):
+            if not entries or len(set(entries)) < len(entries):
+                raise ValueError(f"{option} lists no entry or a repeated one")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"--algorithm must be one of {ALGORITHMS}")
         for option, value in (("--a", self.a), ("--q-factor", self.q_factor),
@@ -191,14 +193,13 @@ def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int):
                           tr_idx, va_idx))
 
 
-def lambda_cv(ds: Dataset, grid, config: ExperimentConfig) -> str:
+def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig) -> str:
     """Grid rule maximizing mean unweighted validation accuracy over the
-    config's folds, each fold resolving every rule at its own training
-    size; ties break toward the smaller lambda at ``ds.n``."""
+    config's folds of the run's split ``plan``, each resolving every rule
+    at its own training size; ties break toward the smaller lambda at n."""
     grid = sorted(grid, key=lambda rule: resolve_lambda_rule(rule, ds.n))
     if not grid:
         raise ValueError("empty lambda grid")
-    plan = cv_split(ds, config.folds, config.seed)
     accs = [[] for _ in grid]
     for k in range(config.folds):
         _, y_tr, y_va, K, Kx, _ = _fold(ds, config, plan, k)
@@ -258,21 +259,31 @@ class FoldContext:
         return self.S > 1.0
 
 
-def resolve_lambda(config: ExperimentConfig, ds: Dataset) -> str:
-    """The config's lambda rule; for "cv-best", the ``lambda_cv`` pick
-    over ``DEFAULT_LAMBDA_GRID``.  Each fold resolves it at its own size."""
+def start_run(config: ExperimentConfig) -> tuple[Dataset, SplitPlan, str]:
+    """The run's data, split and lambda rule, settled before any fold is
+    built: make the output directory, read the inputs once, check a fixed
+    rule at ``ds.n`` (no fold is larger), split once and, for "cv-best",
+    pick the rule on that split.  Each fold resolves it at its own size."""
+    if config.output_dir is not None:
+        try:
+            Path(config.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--output-dir {config.output_dir!r} cannot be "
+                             f"created: {exc}") from exc
+    ds = load_inputs(config)
     rule = config.lambda_rule.strip()
+    if rule != "cv-best":
+        resolve_lambda_rule(rule, ds.n)
+    plan = cv_split(ds, config.folds, config.seed)
     if rule == "cv-best":
-        return lambda_cv(ds, DEFAULT_LAMBDA_GRID, config)
-    resolve_lambda_rule(rule, ds.n)  # no fold is larger, so none overflows
-    return rule
+        rule = lambda_cv(ds, plan, DEFAULT_LAMBDA_GRID, config)
+    return ds, plan, rule
 
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
                  rule: str, plan: SplitPlan) -> FoldContext:
     """Kernels, radii, reference model and gap quadratic of one fold;
-    ``ds``, ``rule`` and ``plan`` come from ``load_inputs``,
-    ``resolve_lambda`` and ``cv_split``."""
+    ``ds``, ``rule`` and ``plan`` come from ``start_run``."""
     config.check_fold(fold)
     tr_idx, y_tr, y_va, K, Kx, kdiag = _fold(ds, config, plan, fold)
     model = train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
@@ -356,7 +367,6 @@ def _write_reports(config: ExperimentConfig, report: RunReport):
     if config.output_dir is None:
         return
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -397,14 +407,12 @@ def _aggregate(rows):
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Full sweep; writes report.csv / report.json when output_dir is set.
 
-    The inputs, the lambda rule and the split are settled before any
-    report exists, so a bad one writes none.  On a later error, rows
-    computed so far are flushed with a trailing status row before the
-    exception propagates.
+    ``start_run`` settles the inputs, the split and the lambda rule
+    before any report exists, so a bad one writes none.  On a later
+    error, rows computed so far are flushed with a trailing status row
+    before the exception propagates.
     """
-    ds = load_inputs(config)
-    rule = resolve_lambda(config, ds)
-    plan = cv_split(ds, config.folds, config.seed)
+    ds, plan, rule = start_run(config)
     report = RunReport(lambda_rule=rule)
     try:
         for fold in range(config.folds):

@@ -116,15 +116,15 @@ def greedy_exact(form, y, S, n_del, *,
     candidate's solve is the bordered secular step without its coordinate,
     and an inert one's is the current set's own solve, so every inert
     candidate scores the current maximum exactly.  Removing an inert
-    instance leaves the solved set as it was, and the step with it.  No
-    step is taken when S = 0 or no kept instance is live, where every
+    instance leaves the solved set as it was, and ``spectral_step`` hands
+    the step back unchanged.  No step is taken when S = 0, where every
     solve is a plain evaluation of q."""
-    spectrum = None  # spectral step of the current kept set, while valid
+    spectrum = None  # spectral step of the last scored kept set
 
     def scores(cand, v):
         nonlocal spectrum
-        if spectrum is None and S > 0 and (form.live & (v != 0.0)).any():
-            spectrum = bound.spectral_step(form, v)
+        if S > 0:
+            spectrum = bound.spectral_step(form, v, spectrum)
         out = np.empty(cand.size)
         for k, i in enumerate(cand):
             v[i] = 0.0
@@ -132,13 +132,7 @@ def greedy_exact(form, y, S, n_del, *,
             v[i] = 1.0
         return out
 
-    def remove(i, score):
-        nonlocal spectrum
-        if form.live[i]:
-            spectrum = None
-        return score
-
-    return _greedy("robust-exact", y, n_del, scores, remove,
+    return _greedy("robust-exact", y, n_del, scores, lambda i, score: score,
                    preserve_classes=preserve_classes)
 
 

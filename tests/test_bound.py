@@ -384,6 +384,26 @@ def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task)
             rc.maximize_on_ball(form, bad, S, spectrum)
 
 
+def test_spectral_step_reuses_a_step_of_the_same_solved_set(hinge_model):
+    # a step is handed back as it is for any mask with its solved set, the
+    # empty set included, and taken afresh for any other
+    form = rc.quadratic_form(hinge_model)
+    live = np.flatnonzero(form.live)
+    v0 = np.ones(form.n)
+    v0[live[:3]] = 0.0
+    spectrum = rc.spectral_step(form, v0)
+    assert rc.spectral_step(form, np.where(form.live, v0, 0.0),
+                            spectrum) is spectrum
+    v = v0.copy()
+    v[live[3]] = 0.0
+    fresh = rc.spectral_step(form, v, spectrum)
+    assert fresh is not spectrum
+    assert fresh.solved.tolist() == rc.spectral_step(form, v).solved.tolist()
+    empty = rc.spectral_step(form, np.where(form.live, 0.0, 1.0))
+    assert empty.eigval.shape == (0,) and empty.gamma.shape == (0,)
+    assert rc.spectral_step(form, np.zeros(form.n), empty) is empty
+
+
 def test_maximize_hard_case():
     A = np.diag([2.0, 1.0])
     b = np.array([0.0, 0.2])

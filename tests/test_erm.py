@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
+from robustcoreset import erm
 from robustcoreset.erm import TrainingError, dual_objective, primal_objective
 
 import oracles
@@ -104,12 +105,18 @@ def test_train_rejects_nonpositive_weights():
         rc.train(K, np.array([1.0, -1.0]), 1.0, w=np.array([1.0, 0.0]))
 
 
-def test_train_nonconvergence_carries_best_gap(rbf_task):
+def test_train_nonconvergence_carries_best_gap(rbf_task, monkeypatch):
     ds, K, lam_abs = rbf_task
-    with pytest.raises(TrainingError) as err:
-        rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC, tol=1e-14,
-                 max_passes=1)
+    monkeypatch.setattr(erm, "_max_passes", lambda n_active: 1)
+    with pytest.raises(TrainingError, match="after 1 passes") as err:
+        rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC, tol=1e-14)
     assert err.value.best_gap is not None and err.value.best_gap > 0
+
+
+def test_train_pass_cap():
+    assert erm._max_passes(1) == 4_000_000
+    assert erm._max_passes(3_999) == 1001
+    assert erm._max_passes(4_000) == erm._max_passes(10**6) == 1000
 
 
 def _reference_logistic_root(q0, s, a0):
@@ -202,21 +209,20 @@ def _random_training_problem(seed, kind, kernel):
 
 @pytest.mark.parametrize("kernel", ["linear", "rbf"])
 @pytest.mark.parametrize("kind", [rc.HINGE, rc.LOGISTIC])
-def test_train_bit_identical_to_reference_loop(kind, kernel):
+def test_train_bit_identical_to_reference_loop(kind, kernel, monkeypatch):
     for seed in range(12):
         K, y, v, w, lam_abs = _random_training_problem(seed, kind, kernel)
         for max_passes in (2, 1000):
+            monkeypatch.setattr(erm, "_max_passes", lambda n_active: max_passes)
             try:
                 ref = reference_train(K, y, lam_abs, v, w, kind,
                                       max_passes=max_passes)
             except TrainingError as exc:
                 with pytest.raises(TrainingError) as err:
-                    rc.train(K, y, lam_abs, v=v, w=w, kind=kind,
-                             max_passes=max_passes)
+                    rc.train(K, y, lam_abs, v=v, w=w, kind=kind)
                 assert err.value.best_gap == exc.best_gap, (seed, max_passes)
                 continue
-            model = rc.train(K, y, lam_abs, v=v, w=w, kind=kind,
-                             max_passes=max_passes)
+            model = rc.train(K, y, lam_abs, v=v, w=w, kind=kind)
             assert model.alpha.tobytes() == ref[0].tobytes(), seed
             assert model.rep_coef.tobytes() == ref[1].tobytes(), seed
             assert model.certified_gap == ref[2], seed

@@ -73,15 +73,16 @@ def cv_config(folds, seed):
 
 def test_lambda_cv_single_element():
     ds = rc.gaussian_task(40, 3, seed=0)
-    assert rc.lambda_cv(ds, ["2.5"], cv_config(4, 0)) == "2.5"
+    assert rc.lambda_cv(ds, rc.cv_split(ds, 4, 0), ["2.5"],
+                        cv_config(4, 0)) == "2.5"
 
 
 def test_lambda_cv_prefers_better_lambda():
     ds = rc.gaussian_task(80, 3, seed=1, separation=4.0)
     grid = ["n*10^-3", "n"]
-    best = rc.lambda_cv(ds, grid, cv_config(4, 0))
-    accs = {}
     plan = rc.cv_split(ds, 4, 0)
+    best = rc.lambda_cv(ds, plan, grid, cv_config(4, 0))
+    accs = {}
     for rule in grid:
         fold_accs = []
         for k in range(4):
@@ -104,7 +105,9 @@ def test_lambda_cv_deterministic():
     ds = rc.gaussian_task(50, 3, seed=2)
     grid = ["5.0", "n*10^-3"]
     config = cv_config(5, 7)
-    assert rc.lambda_cv(ds, grid, config) == rc.lambda_cv(ds, grid, config)
+    plan = rc.cv_split(ds, 5, 7)
+    assert (rc.lambda_cv(ds, plan, grid, config)
+            == rc.lambda_cv(ds, plan, grid, config))
 
 
 def test_min_max_scaled():
@@ -225,6 +228,9 @@ def test_config_validation(synth_file):
                         (dict(lambda_rule="inf"), "lambda rule"),
                         (dict(lambda_rule="n*10^400"), "lambda rule"),
                         (dict(methods=()), "--methods"),
+                        (dict(methods=("robust", "robust")), "--methods"),
+                        (dict(removal_grid=(0.1, 0.1)), "--removal-grid"),
+                        (dict(removal_grid=()), "--removal-grid"),
                         (dict(kernel="poly"), "--kernel"),
                         (dict(loss="foo"), "--loss")):
         with pytest.raises(ValueError, match=option):
@@ -354,7 +360,7 @@ def test_cli_trace_json_is_strict(tmp_path):
 
 def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
     # the 0.0 rows keep every instance and certify with the fold's solve;
-    # every fold of the run shares one split
+    # every fold of the run shares one split, which cv-best picks on too
     import robustcoreset.experiment as experiment
     config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                               methods=("robust", "random"),
@@ -377,6 +383,11 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
     run_experiment(config)
     assert len(full_set_solves) == config.folds
     assert len(splits) == 1
+    splits.clear()
+    run_experiment(ExperimentConfig(dataset=synth_file, lambda_rule="cv-best",
+                                    methods=("random",), removal_grid=(0.5,),
+                                    folds=2, seed=3))
+    assert [args[1:] for args in splits] == [(2, 3)]
     monkeypatch.undo()
     # the selectors must not zero the cached worst-case weight in place
     for algorithm in (2, 3):
@@ -589,7 +600,9 @@ def test_cli_config_error_exit_code(tmp_path):
     for options in (["--bandwidth", "0"], ["--kernel", "linear", "--bandwidth", "5"],
                     ["--q-factor", "-1"], ["--methods", ""], ["--a", "nan"],
                     ["--a", "inf"], ["--q-factor", "nan"], ["--bandwidth", "nan"],
-                    ["--folds", "0"], ["--folds", "1"], ["--seed", "-1"]):
+                    ["--folds", "0"], ["--folds", "1"], ["--seed", "-1"],
+                    ["--methods", "robust,robust"],
+                    ["--removal-grid", "0.1,0.1"]):
         out = tmp_path / "ignored"
         res = runner.invoke(cli_main, [
             "sweep", "--dataset", str(data), "--lambda-rule", "1.0", *options,
@@ -763,3 +776,42 @@ def test_cli_numerical_error_exit_code(tmp_path):
         "evaluate", "--dataset", str(data), "--lambda-rule", "1.0",
         "--folds", "5"])
     assert res.exit_code == 3
+
+
+def test_cli_sweep_error_mid_run_keeps_earlier_rows(synth_file, tmp_path,
+                                                    monkeypatch):
+    # fold 1's reference training fails: the report keeps fold 0's rows and
+    # one error row, the aggregates count only the ok rows, and sweep exits 3
+    import robustcoreset.experiment as experiment
+    from robustcoreset.erm import TrainingError
+    train, reference_fits = experiment.train, []
+
+    def failing_train(*args, **kwargs):
+        if "v" not in kwargs:  # a reference fit, not a coreset retrain
+            reference_fits.append(args)
+            if len(reference_fits) == 2:
+                raise TrainingError("no convergence on fold 1")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "train", failing_train)
+    res = CliRunner().invoke(cli_main, [
+        "sweep", "--dataset", synth_file, "--lambda-rule", "2.0",
+        "--folds", "3", "--methods", "robust,random",
+        "--removal-grid", "0.1,0.3", "--output-dir", str(tmp_path)])
+    assert res.exit_code == 3, res.output
+    assert "no convergence on fold 1" in res.output
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["0"] * 4 + ["-1"]
+    assert [row[-1] for row in rows[:4]] == ["ok"] * 4
+    assert rows[-1][-1] == "error: no convergence on fold 1"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sorted(report["aggregates"]) == ["random", "robust"]
+    for method, per_frac in report["aggregates"].items():
+        assert sorted(per_frac) == ["0.1", "0.3"]
+        for frac, agg in per_frac.items():
+            (row,) = [r for r in report["rows"] if r["method"] == method
+                      and r["fraction_removed"] == float(frac)]
+            assert agg["folds"] == 1
+            assert agg["wc_accuracy_mean"] == row["wc_accuracy"]
+            assert agg["certified_lb_mean"] == row["certified_lb"]
