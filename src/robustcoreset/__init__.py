@@ -7,8 +7,8 @@ from .bound import (BoundReport, QuadraticGapForm, certificate, certify,
                     radius, spectral_step, worst_case_error_ub)
 from .data import (Dataset, SplitPlan, cv_split, gaussian_task, parse_libsvm,
                    shift_radius, to_libsvm)
-from .erm import (HINGE, LOGISTIC, Model, Objectives, conjugate_eval,
-                  decision_scores, evaluate_gap, loss_eval, train)
+from .erm import (HINGE, LOGISTIC, Model, conjugate_eval, decision_scores,
+                  loss_eval, train)
 from .experiment import (ExperimentConfig, RunReport,
                          evaluate_worst_case_accuracy, lambda_cv,
                          run_experiment)
@@ -24,8 +24,8 @@ __all__ = [
     "spectral_step", "worst_case_error_ub",
     "Dataset", "SplitPlan", "cv_split", "gaussian_task",
     "parse_libsvm", "shift_radius", "to_libsvm",
-    "HINGE", "LOGISTIC", "Model", "Objectives", "conjugate_eval",
-    "decision_scores", "evaluate_gap", "loss_eval", "train",
+    "HINGE", "LOGISTIC", "Model", "conjugate_eval", "decision_scores",
+    "loss_eval", "train",
     "ExperimentConfig", "RunReport", "evaluate_worst_case_accuracy",
     "lambda_cv", "run_experiment",
     "bandwidth_heuristic", "gram",

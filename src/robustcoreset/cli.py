@@ -64,7 +64,8 @@ def _options(*opts):
     return apply
 
 
-_common = _options(
+# the data, kernel and split: every command that reads data
+_data_options = _options(
     click.option("--dataset", required=True, type=click.Path(exists=True),
                  help="LIBSVM-format data file."),
     click.option("--loss", type=click.Choice(LOSSES), default=_DEFAULT.loss),
@@ -75,6 +76,13 @@ _common = _options(
                  default=_DEFAULT.kernel_file,
                  help="Symmetric PSD CSV matrix over all rows of "
                       "--dataset, for --kernel precomputed."),
+    click.option("--folds", type=int, default=_DEFAULT.folds),
+    click.option("--seed", type=int, default=_DEFAULT.seed),
+    click.option("--min-max-scale", is_flag=True,
+                 help="Scale features to [0,1] before splitting."))
+
+# the run on that data: every command but lambda-cv
+_run_options = _options(
     click.option("--lambda-rule", default=_DEFAULT.lambda_rule,
                  help="'n', 'n*10^-1.5', 'n*10^-3', a number, or 'cv-best'; "
                       "n is each fold's training size."),
@@ -82,16 +90,14 @@ _common = _options(
                  help="Training-side shift factor; sets S."),
     click.option("--q-factor", type=float, default=_DEFAULT.q_factor,
                  help="Validation-side shift factor; defaults to --a."),
-    click.option("--folds", type=int, default=_DEFAULT.folds),
-    click.option("--seed", type=int, default=_DEFAULT.seed),
     click.option("--algorithm", type=click.Choice(ALGORITHMS),
                  default=_DEFAULT.algorithm,
                  help="Greedy variant; 0 picks 1 when the fold's training "
                       f"size n_tr <= {EXACT_MAX_N_TR}, else 2."),
     click.option("--preserve-classes", is_flag=True,
-                 help="Never remove the last instance of a class."),
-    click.option("--min-max-scale", is_flag=True,
-                 help="Scale features to [0,1] before splitting."))
+                 help="Never remove the last instance of a class."))
+
+_common = _options(_data_options, _run_options)
 
 _fold_options = _options(
     click.option("--method", type=click.Choice(ALL_METHODS), default=ROBUST_METHOD),
@@ -240,7 +246,7 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 
 
 @main.command("lambda-cv")
-@_common
+@_data_options
 @click.option("--grid", default=",".join(DEFAULT_LAMBDA_GRID),
               help="Comma-separated lambda rules (as for --lambda-rule, "
                    "without cv-best).  Prints the winning rule.")

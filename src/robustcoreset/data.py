@@ -184,27 +184,27 @@ def to_libsvm(ds: Dataset) -> str:
 def cv_split(ds: Dataset, folds: int = 5, seed: int = 0) -> SplitPlan:
     """Deterministic k-fold split with both classes in every training portion.
 
-    Fold sizes differ by at most one.  Reshuffles up to
-    ``_MAX_SPLIT_ATTEMPTS`` times when a training portion would lose a
-    class, then raises SplitError.
+    Fold sizes differ by at most one.  A class with fewer than two
+    instances is a ValueError, as no split keeps it in every training
+    portion.  Reshuffles up to ``_MAX_SPLIT_ATTEMPTS`` times when a
+    training portion would lose a class, then raises SplitError.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
     if ds.n < folds:
         raise ValueError("fewer instances than folds")
+    for label in (1, -1):
+        if (count := int(np.sum(ds.labels == label))) < 2:
+            raise ValueError(f"class {label:+d} has {count} instance(s); a "
+                             "split needs at least 2 of each class")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_SPLIT_ATTEMPTS):
         perm = rng.permutation(ds.n)
         assignments = np.empty(ds.n, dtype=int)
         for k, chunk in enumerate(np.array_split(perm, folds)):
             assignments[chunk] = k
-        ok = True
-        for k in range(folds):
-            y_tr = ds.labels[assignments != k]
-            if not ((y_tr == 1).any() and (y_tr == -1).any()):
-                ok = False
-                break
-        if ok:
+        y_tr = (ds.labels[assignments != k] for k in range(folds))
+        if all((y == 1).any() and (y == -1).any() for y in y_tr):
             return SplitPlan(assignments)
     raise SplitError(f"no class-balanced split in {_MAX_SPLIT_ATTEMPTS} attempts")
 

@@ -29,14 +29,10 @@ __all__ = [
     "HINGE",
     "LOSSES",
     "Model",
-    "Objectives",
     "TrainingError",
     "loss_eval",
     "conjugate_eval",
-    "primal_objective",
-    "dual_objective",
     "train",
-    "evaluate_gap",
     "decision_scores",
 ]
 
@@ -69,7 +65,7 @@ def loss_eval(kind: str, y, scores) -> np.ndarray:
 
 def conjugate_eval(kind: str, alpha) -> np.ndarray:
     """Elementwise convex conjugate loss*(-alpha) on its domain [0, 1];
-    callers keep alpha there (``dual_objective`` is -inf outside it)."""
+    callers keep alpha there (the dual is -inf outside it)."""
     _check_kind(kind)
     if kind == HINGE:
         return -alpha
@@ -81,20 +77,14 @@ def conjugate_eval(kind: str, alpha) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Objectives:
-    primal: float
-    dual: float
-    gap: float
-
-
-@dataclass(frozen=True)
 class Model:
     """Trained classifier: dual variables plus representer coefficients.
 
     ``rep_coef`` is v*w*y*alpha/lam_abs; scores of new points are
-    K_cross.T @ rep_coef.  ``gram_ref`` keeps the training self-Gram so
-    gaps under new (v, w) can be evaluated later.  ``certified_gap`` is
-    the final duality gap per unit weight, the quantity ``tol`` bounds.
+    K_cross.T @ rep_coef.  ``gram_ref`` keeps the training self-Gram, from
+    which ``bound.quadratic_form`` builds the gap under new (v, w).
+    ``certified_gap`` is the final duality gap per unit weight, the
+    quantity ``tol`` bounds.
     """
 
     alpha: np.ndarray
@@ -109,34 +99,6 @@ class Model:
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
-
-
-def _effective_weights(v, w) -> np.ndarray:
-    vw = np.asarray(v, dtype=float) * np.asarray(w, dtype=float)
-    if vw.sum() <= 0:
-        raise ValueError("sum of effective weights must be positive")
-    return vw
-
-
-def primal_objective(K, y, v, w, lam_abs, kind, coef) -> float:
-    """P(beta) for beta given through representer coefficients (f = K coef)."""
-    _check_kind(kind)
-    vw = _effective_weights(v, w)
-    f = K @ coef
-    return float(vw @ loss_eval(kind, y, f)) + 0.5 * lam_abs * float(coef @ f)
-
-
-def dual_objective(K, y, v, w, lam_abs, kind, alpha) -> float:
-    """D(alpha); -inf when any active alpha leaves [0, 1]."""
-    _check_kind(kind)
-    vw = _effective_weights(v, w)
-    alpha = np.asarray(alpha, dtype=float)
-    active = vw != 0.0
-    if ((alpha[active] < 0.0) | (alpha[active] > 1.0)).any():
-        return -math.inf
-    z = vw * y * alpha
-    quad = float(z @ (K @ z)) / (2.0 * lam_abs)
-    return -float(vw @ conjugate_eval(kind, alpha)) - quad
 
 
 _A_MIN = 1e-15
@@ -270,18 +232,6 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
     return Model(alpha=alpha, lam_abs=lam_abs, loss=kind, gram_ref=K,
                  certified_gap=gap, y=y.astype(float), rep_coef=rep_coef,
                  train_scores=K @ rep_coef)
-
-
-def evaluate_gap(model: Model, v, w) -> Objectives:
-    """Sum-form primal/dual objectives at the reference solution under new
-    (v, w).  For a model trained with unit weights the gap equals the
-    ``bound.quadratic_form`` quadratic at v*w, up to rounding.
-    """
-    p = primal_objective(model.gram_ref, model.y, v, w, model.lam_abs,
-                         model.loss, model.rep_coef)
-    d = dual_objective(model.gram_ref, model.y, v, w, model.lam_abs,
-                       model.loss, model.alpha)
-    return Objectives(primal=p, dual=d, gap=p - d)
 
 
 def decision_scores(model: Model, K_cross) -> np.ndarray:

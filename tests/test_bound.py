@@ -616,8 +616,11 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
         assert dist <= R + 1e-6
 
         # the direct gap at this very w certifies the same retrain
-        direct = rc.evaluate_gap(model, v, w)
-        assert dist <= math.sqrt(2.0 * max(direct.gap, 0.0) / lam_abs) + 1e-6
+        direct = oracles.sum_form_gap(K.tolist(), model.y.tolist(),
+                                      model.alpha.tolist(), lam_abs,
+                                      model.train_scores.tolist(), kind,
+                                      (v * w).tolist())
+        assert dist <= math.sqrt(2.0 * max(direct, 0.0) / lam_abs) + 1e-6
 
         zeta, _ = rc.certify(model, K_cross, kdiag, va.labels, R)
         margins = va.labels * rc.decision_scores(retrained, K_cross)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
+from robustcoreset import data
 from robustcoreset.data import ParseError, SplitError
 
 from table_data import load_table_dataset
@@ -30,6 +31,16 @@ def test_parse_nonincreasing_indices():
 def test_parse_duplicate_index():
     with pytest.raises(ParseError, match="line 2.*duplicate"):
         rc.parse_libsvm("+1 1:1\n-1 2:1 2:3")
+
+
+def test_parse_token_without_colon():
+    with pytest.raises(ParseError, match="line 2: expected index:value"):
+        rc.parse_libsvm("+1 1:1\n-1 2:1 3")
+
+
+def test_parse_zero_index():
+    with pytest.raises(ParseError, match="line 3: index 0 is not 1-based"):
+        rc.parse_libsvm("+1 1:1\n-1 1:2\n+1 0:1")
 
 
 def test_parse_bad_value():
@@ -119,11 +130,18 @@ def test_cv_split_keeps_classes_in_training():
         assert (y_tr == 1).any() and (y_tr == -1).any()
 
 
-def test_cv_split_degenerate_raises():
+def test_cv_split_degenerate_raises(monkeypatch):
+    # a lone instance of a class leaves the training part of the fold that
+    # validates on it without that class, so no split exists: a bad input
     X = np.arange(10).reshape(5, 2)
     ds = rc.Dataset.from_arrays(X, [1, -1, -1, -1, -1])
-    with pytest.raises(SplitError):
+    with pytest.raises(ValueError, match=r"class \+1 has 1 instance"):
         rc.cv_split(ds, folds=5, seed=0)
+    # two of each class admit a split; only the retry cap can miss it
+    ds = rc.Dataset.from_arrays(X[:4], [1, 1, -1, -1])
+    monkeypatch.setattr(data, "_MAX_SPLIT_ATTEMPTS", 0)
+    with pytest.raises(SplitError):
+        rc.cv_split(ds, folds=2, seed=0)
 
 
 def test_shift_radius_values():

@@ -13,7 +13,9 @@ from robustcoreset.experiment import (DEFAULT_LAMBDA_GRID, ExperimentConfig,
                                       load_dataset, load_inputs,
                                       min_max_scaled, prepare_fold,
                                       resolve_lambda_rule, run_experiment,
-                                      run_selection)
+                                      run_selection, start_run)
+
+import oracles
 
 
 def dummy_model(scores):
@@ -135,6 +137,9 @@ def test_run_experiment_row_count(synth_file, tmp_path):
     # S = sqrt(n_plus) * 0.5 > 1: the training ball reaches negative weights
     assert [d["weights_may_be_negative"] for d in report.gap_diagnostics] == [True] * 2
     assert all(d["S"] > 1.0 for d in report.gap_diagnostics)
+    assert all(set(d) == {"fold", "lambda", "q_exact_full", "q_exact_worst_w",
+                          "S", "weights_may_be_negative"}
+               for d in report.gap_diagnostics)
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0] == ("fold,method,m,fraction_removed,wc_accuracy,"
@@ -196,9 +201,16 @@ def test_direct_gap_matches_quadratic_at_worst_weight(synth_file, loss):
                               lambda_rule="n*10^-1.5", a=1.2,
                               methods=("random",), removal_grid=(0.5,),
                               folds=3, seed=3)
-    for diag in run_experiment(config).gap_diagnostics:
-        q = diag["q_exact_worst_w"]
-        assert abs(diag["direct_gap_worst_w"] - q) <= 1e-9 * max(1.0, abs(q))
+    ds, plan, rule = start_run(config)
+    for fold in range(config.folds):
+        ctx = prepare_fold(ds, config, fold, rule, plan)
+        model, w_worst = ctx.model, ctx.full_ball.w_star
+        q = ctx.form_cert.value(w_worst)
+        direct = oracles.sum_form_gap(ctx.K.tolist(), model.y.tolist(),
+                                      model.alpha.tolist(), model.lam_abs,
+                                      model.train_scores.tolist(), loss,
+                                      w_worst.tolist())
+        assert abs(direct - q) <= 1e-9 * max(1.0, abs(q))
 
 
 def test_config_validation(synth_file):
@@ -490,6 +502,22 @@ def test_cli_lambda_cv(tmp_path):
     assert res.output.strip() in ("0.5", "5.0")
 
 
+def test_cli_lambda_cv_rejects_run_options(tmp_path):
+    # lambda-cv reads the data options and --grid only; an option of the
+    # run it does not make is a usage error, not ignored
+    runner = CliRunner()
+    data = tmp_path / "task.svm"
+    runner.invoke(cli_main, ["synth", "--n", "60", "--seed", "1",
+                             "--out", str(data)])
+    for option in (["--lambda-rule", "5.0"], ["--a", "1.6"],
+                   ["--q-factor", "2"], ["--algorithm", "3"],
+                   ["--preserve-classes"]):
+        res = runner.invoke(cli_main, ["lambda-cv", "--dataset", str(data),
+                                       "--folds", "3", *option])
+        assert res.exit_code == 2, (option, res.output)
+        assert option[0] in res.output, (option, res.output)
+
+
 @pytest.fixture(scope="module")
 def uneven_file(tmp_path_factory):
     # 68 rows over 3 folds: the training parts hold 45, 45 and 46 rows
@@ -618,6 +646,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert "fewer instances than folds" in res.output, res.output
     assert not (out / "report.csv").exists()
     assert not (out / "report.json").exists()
+    # a class with one instance leaves the training part of the fold that
+    # validates on it without that class, so no split exists; a labels-only
+    # file has no feature for the rbf bandwidth heuristic
+    lone, labels_only = tmp_path / "lone.svm", tmp_path / "labels.svm"
+    lone.write_text("-1 1:1\n" + "".join(f"+1 1:{v}\n" for v in range(2, 7)))
+    labels_only.write_text("+1\n-1\n" * 4)
+    for bad, message in ((lone, "class -1 has 1 instance"),
+                         (labels_only, "no non-intercept columns")):
+        res = runner.invoke(cli_main, [
+            "sweep", "--dataset", str(bad), "--folds", "2", "--lambda-rule",
+            "n", "--output-dir", str(tmp_path / bad.stem)])
+        assert res.exit_code == 2, (bad.name, res.output)
+        assert message in res.output, (bad.name, res.output)
+    assert not (tmp_path / "lone" / "report.csv").exists()
     # n*10^307 is finite at n = 1 but overflows at this dataset's n = 30
     for rule in ("nan", "inf", "n*10^400", "n*10^307"):
         res = runner.invoke(cli_main, [
@@ -664,12 +706,15 @@ def test_cli_config_error_exit_code(tmp_path):
             assert res.exit_code == 2, (command, fold, res.output)
             assert "--fold" in res.output, (command, fold, res.output)
     assert not (tmp_path / "fold").exists()
-    fold0_train = rc.cv_split(load_dataset(str(data)), 5, 0).train_indices(0)
+    plan = rc.cv_split(load_dataset(str(data)), 5, 0)
+    fold0_train, fold0_val = plan.train_indices(0), plan.val_indices(0)
     empty, repeated = tmp_path / "empty.txt", tmp_path / "repeated.txt"
+    outside = tmp_path / "outside.txt"
     empty.write_text("")
     repeated.write_text("".join(f"{i}\n" for i in list(fold0_train[:3]) * 2))
+    outside.write_text(f"{fold0_val[0]}\n")
     for command in ("certify", "evaluate"):
-        for indices in (empty, repeated):
+        for indices in (empty, repeated, outside):
             res = runner.invoke(cli_main, [
                 command, "--dataset", str(data), "--lambda-rule", "1.0",
                 "--indices", str(indices)], catch_exceptions=False)
@@ -767,15 +812,21 @@ def test_precomputed_kernel_matches_computed(tmp_path, loss):
                     kind, key, a, b)
 
 
-def test_cli_numerical_error_exit_code(tmp_path):
+def test_cli_numerical_error_exit_code(tmp_path, monkeypatch):
+    # a split search that hits its retry cap is a numerical failure; two
+    # instances per class admit a split, so only the cap can miss one
+    import robustcoreset.data as data_module
+    monkeypatch.setattr(data_module, "_MAX_SPLIT_ATTEMPTS", 0)
     runner = CliRunner()
-    data = tmp_path / "bad.svm"
-    lines = ["+1 1:1"] + [f"-1 1:{v}" for v in (2.0, 3.0, 4.0, 5.0)]
+    data = tmp_path / "task.svm"
+    lines = [f"+1 1:{v}" for v in (1.0, 2.0)] + [
+        f"-1 1:{v}" for v in (3.0, 4.0, 5.0)]
     data.write_text("\n".join(lines) + "\n")
     res = runner.invoke(cli_main, [
         "evaluate", "--dataset", str(data), "--lambda-rule", "1.0",
         "--folds", "5"])
-    assert res.exit_code == 3
+    assert res.exit_code == 3, res.output
+    assert "numerical failure" in res.output
 
 
 def test_cli_sweep_error_mid_run_keeps_earlier_rows(synth_file, tmp_path,
