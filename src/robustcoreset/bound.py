@@ -36,7 +36,10 @@ weights:
    kept set less any one coordinate: that is a trust-region problem on a
    subspace of the same eigenbasis, whose secular function costs O(m) per
    evaluation (Golub 1973), so exact greedy takes one eigendecomposition
-   per removal, not one per candidate.
+   per removal, not one per candidate.  A spectrum keeps its own secular
+   step per radius S, so the kept set's own solve runs once per spectral
+   step however many callers (exact greedy's inert candidates among them)
+   ask for it.
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. Validation points whose score interval stays positive are certified
@@ -46,7 +49,7 @@ weights:
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -150,7 +153,8 @@ class Spectrum:
     """Spectral step of a kept mask: the mask ``solved`` of its kept live
     coordinates, their reduced problem (At, g, const) from
     ``QuadraticGapForm.reduced`` and At = V diag(eigval) V' with
-    gamma = V'g/2."""
+    gamma = V'g/2.  ``_own`` memoizes the secular step on ``solved``
+    itself by radius S, filled by ``maximize_on_ball`` on first use."""
 
     solved: np.ndarray
     eigval: np.ndarray
@@ -158,6 +162,8 @@ class Spectrum:
     gamma: np.ndarray
     g: np.ndarray
     const: float
+    _own: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
 
 def _solved_mask(form: QuadraticGapForm, v: np.ndarray) -> np.ndarray:
@@ -370,11 +376,12 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
 
     ``spectrum``, a ``spectral_step(form, v0)``, replaces the solve's own
     spectral step.  Its solved set must be v's, which gives a fresh solve's
-    result bit for bit, or v's plus one coordinate i (v is v0 less a
-    candidate i).  Then ``_bordered_secular`` solves with w_i = 1 from v0's
-    eigenpairs, in O(m) per secular evaluation and through the same root
-    find, and w_star is u(mu) scaled onto the sphere.  Any other mask
-    raises ValueError.
+    result bit for bit (the secular step runs once per spectrum and S, and
+    every later call reads it back into a new w_star), or v's plus one
+    coordinate i (v is v0 less a candidate i).  Then ``_bordered_secular``
+    solves with w_i = 1 from v0's eigenpairs, in O(m) per secular
+    evaluation and through the same root find, and w_star is u(mu) scaled
+    onto the sphere.  Any other mask raises ValueError.
     """
     if not S >= 0:
         raise ValueError("S must be nonnegative")
@@ -397,7 +404,9 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
             mu, hard, value, u = _bordered_secular(spectrum, form, removed[0],
                                                    S)
         else:
-            mu, hard, value, u = _own_secular(spectrum, S)
+            if S not in spectrum._own:
+                spectrum._own[S] = _own_secular(spectrum, S)
+            mu, hard, value, u = spectrum._own[S]
     w_star[spectrum.solved] = 1.0 + u
     return BallMax(w_star=w_star, dg_max=float(value), mu=float(mu),
                    hard_case=bool(hard))

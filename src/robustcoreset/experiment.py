@@ -30,7 +30,7 @@ import numpy as np
 from . import bound, select
 from .data import Dataset, SplitPlan, cv_split, parse_libsvm, shift_radius
 from .erm import LOGISTIC, LOSSES, decision_scores, train
-from .kernel import KINDS, fold_kernels, load_precomputed
+from .kernel import KINDS, check_rows, fold_kernels, load_precomputed
 
 __all__ = [
     "ExperimentConfig",
@@ -261,9 +261,10 @@ class FoldContext:
 
 def start_run(config: ExperimentConfig) -> tuple[Dataset, SplitPlan, str]:
     """The run's data, split and lambda rule, settled before any fold is
-    built: make the output directory, read the inputs once, check a fixed
-    rule at ``ds.n`` (no fold is larger), split once and, for "cv-best",
-    pick the rule on that split.  Each fold resolves it at its own size."""
+    built: make the output directory, read the inputs once, check that a
+    kernel can be built from them and a fixed rule at ``ds.n`` (no fold is
+    larger), split once and, for "cv-best", pick the rule on that split.
+    Each fold resolves it at its own size."""
     if config.output_dir is not None:
         try:
             Path(config.output_dir).mkdir(parents=True, exist_ok=True)
@@ -271,6 +272,7 @@ def start_run(config: ExperimentConfig) -> tuple[Dataset, SplitPlan, str]:
             raise ValueError(f"--output-dir {config.output_dir!r} cannot be "
                              f"created: {exc}") from exc
     ds = load_inputs(config)
+    check_rows(ds.features, config.kernel, config.bandwidth)
     rule = config.lambda_rule.strip()
     if rule != "cv-best":
         resolve_lambda_rule(rule, ds.n)

@@ -4,13 +4,14 @@
 bandwidth d' * Var(X) (d' excludes the intercept column; the reciprocal of
 sklearn's ``gamma='scale'``), "linear" is x . x', and "precomputed" is a
 validated Gram matrix (``load_precomputed``) whose rows stand in for the
-features.  ``fold_kernels`` gives one fold's three kernel arrays.
+features.  ``check_rows`` rejects rows no fold can build a kernel from, and
+``fold_kernels`` gives one fold's three kernel arrays.
 """
 
 import numpy as np
 
-__all__ = ["KINDS", "bandwidth_heuristic", "gram", "fold_kernels",
-           "load_precomputed"]
+__all__ = ["KINDS", "bandwidth_heuristic", "gram", "check_rows",
+           "fold_kernels", "load_precomputed"]
 
 KINDS = ("rbf", "linear", "precomputed")
 
@@ -54,6 +55,15 @@ def gram(X1, X2, bandwidth: float | None = None) -> np.ndarray:
     if X1 is X2 or (X1.shape == X2.shape and np.array_equal(X1, X2)):
         np.fill_diagonal(d2, 0.0)
     return np.exp(-d2 / bandwidth)
+
+
+def check_rows(X, kind: str, bandwidth: float | None):
+    """Reject the rows ``X`` of a whole dataset when no fold could build its
+    kernel from them: rbf without a bandwidth takes the heuristic on each
+    fold's training rows, which fails on every fold when the data has no
+    non-intercept column or no variance at all."""
+    if kind == "rbf" and bandwidth is None:
+        bandwidth_heuristic(X)
 
 
 def fold_kernels(X, kind: str, bandwidth: float | None, tr_idx, va_idx):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
+from robustcoreset import bound
 
 import oracles
 
@@ -382,6 +383,35 @@ def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task)
     for bad in (v, added, np.ones(ds.n)):
         with pytest.raises(ValueError, match="spectrum"):
             rc.maximize_on_ball(form, bad, S, spectrum)
+
+
+def test_spectrum_solves_its_own_set_once_per_radius(hinge_model, rbf_task,
+                                                    monkeypatch):
+    # repeated own-set solves on one spectrum read its memo: each returns a
+    # fresh solve's result bit for bit, in a w_star of its own
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(ds.n_plus, 1.05)
+    v = np.ones(ds.n)
+    v[np.flatnonzero(form.live)[:3]] = 0.0
+    own_secular, own = bound._own_secular, []
+
+    def counting_own(*args):
+        own.append(args[1])
+        return own_secular(*args)
+
+    monkeypatch.setattr(bound, "_own_secular", counting_own)
+    spectrum = rc.spectral_step(form, v)
+    for radius in (S, 2.0 * S):
+        ref = rc.maximize_on_ball(form, v, radius)
+        own.clear()
+        for _ in range(3):
+            res = rc.maximize_on_ball(form, v, radius, spectrum)
+            assert (res.dg_max, res.mu, res.hard_case) == \
+                (ref.dg_max, ref.mu, ref.hard_case)
+            assert res.w_star.tobytes() == ref.w_star.tobytes()
+            res.w_star[:] = -1.0
+        assert own == [radius]
 
 
 def test_spectral_step_reuses_a_step_of_the_same_solved_set(hinge_model):

@@ -648,18 +648,29 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not (out / "report.json").exists()
     # a class with one instance leaves the training part of the fold that
     # validates on it without that class, so no split exists; a labels-only
-    # file has no feature for the rbf bandwidth heuristic
+    # or constant file gives the rbf bandwidth heuristic nothing to measure
     lone, labels_only = tmp_path / "lone.svm", tmp_path / "labels.svm"
+    constant = tmp_path / "constant.svm"
     lone.write_text("-1 1:1\n" + "".join(f"+1 1:{v}\n" for v in range(2, 7)))
-    labels_only.write_text("+1\n-1\n" * 4)
+    labels_only.write_text("+1\n-1\n" * 3)
+    constant.write_text("+1 1:2\n-1 1:2\n" * 3)
     for bad, message in ((lone, "class -1 has 1 instance"),
-                         (labels_only, "no non-intercept columns")):
+                         (labels_only, "no non-intercept columns"),
+                         (constant, "zero variance")):
         res = runner.invoke(cli_main, [
             "sweep", "--dataset", str(bad), "--folds", "2", "--lambda-rule",
             "n", "--output-dir", str(tmp_path / bad.stem)])
         assert res.exit_code == 2, (bad.name, res.output)
         assert message in res.output, (bad.name, res.output)
-    assert not (tmp_path / "lone" / "report.csv").exists()
+        assert not (tmp_path / bad.stem / "report.csv").exists(), bad.name
+        assert not (tmp_path / bad.stem / "report.json").exists(), bad.name
+    # a given bandwidth needs no feature
+    res = runner.invoke(cli_main, [
+        "sweep", "--dataset", str(labels_only), "--folds", "2",
+        "--lambda-rule", "n", "--bandwidth", "1.0", "--output-dir",
+        str(tmp_path / "bandwidth")])
+    assert res.exit_code == 0, res.output
+    assert (tmp_path / "bandwidth" / "report.csv").exists()
     # n*10^307 is finite at n = 1 but overflows at this dataset's n = 30
     for rule in ("nan", "inf", "n*10^400", "n*10^307"):
         res = runner.invoke(cli_main, [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
+from robustcoreset import bound
 from robustcoreset.select import (_herding_order, _kcenter_order,
                                   baseline_select)
 
@@ -136,24 +137,43 @@ def test_greedy_exact_matches_a_fresh_solve_per_candidate(hinge_model, rbf_task)
 def test_greedy_exact_takes_one_eigh_per_changed_kept_set(hinge_model, rbf_task,
                                                           monkeypatch):
     # a step takes an eigendecomposition only when the last removal was
-    # live; an inert removal leaves the solved set, and the step, as it was
+    # live; an inert removal leaves the solved set, and the step, as it was.
+    # The kept set's own secular solve runs once per step that scores an
+    # inert candidate, not once per inert candidate.
     ds, _, _ = rbf_task
     form = rc.quadratic_form(hinge_model)
     S = rc.shift_radius(ds.n_plus, 1.05)
     eigh, calls = np.linalg.eigh, []
+    own_secular, own = bound._own_secular, []
 
     def counting_eigh(a):
         calls.append(a.shape[0])
         return eigh(a)
 
+    def counting_own(*args):
+        own.append(args[1])
+        return own_secular(*args)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(bound, "_own_secular", counting_own)
     trace = rc.greedy_exact(form, ds.labels, S, 25)
-    live_before_last = int(form.live[trace.removal_order[:-1]].sum())
+    order = trace.removal_order
+    live_before_last = int(form.live[order[:-1]].sum())
     assert live_before_last > 0
     assert len(calls) == 1 + live_before_last
+    # per removal: the live removals before it (naming its step) and the
+    # inert candidates it scores
+    steps = [frozenset(i for i in order[:k] if form.live[i])
+             for k in range(len(order))]
+    inert = [int(np.sum(~form.live)) - int(np.sum(~form.live[order[:k]]))
+             for k in range(len(order))]
+    steps_scoring_inert = len({s for s, n in zip(steps, inert) if n})
+    assert sum(inert) > steps_scoring_inert > 0
+    assert own == [S] * steps_scoring_inert
     calls.clear()
+    own.clear()
     rc.greedy_exact(form, ds.labels, 0.0, 5)
-    assert calls == []
+    assert calls == [] and own == []
 
 
 def test_greedy_fixed_w_values_match_loop_evaluator():
