@@ -4,7 +4,7 @@ perturbations."""
 
 from .bound import (BoundReport, QuadraticGapForm, certificate, certify,
                     maximize_on_ball, min_weighted_indicator, quadratic_form,
-                    radius, spectral_step, worst_case_error_ub)
+                    radius, spectral_step, worst_case_accuracy)
 from .data import (Dataset, SplitPlan, cv_split, gaussian_task, parse_libsvm,
                    shift_radius, to_libsvm)
 from .erm import (HINGE, LOGISTIC, Model, conjugate_eval, decision_scores,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "QuadraticGapForm", "certificate", "certify",
     "maximize_on_ball", "min_weighted_indicator", "quadratic_form", "radius",
-    "spectral_step", "worst_case_error_ub",
+    "spectral_step", "worst_case_accuracy",
     "Dataset", "SplitPlan", "cv_split", "gaussian_task",
     "parse_libsvm", "shift_radius", "to_libsvm",
     "HINGE", "LOGISTIC", "Model", "conjugate_eval", "decision_scores",

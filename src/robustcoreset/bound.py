@@ -43,8 +43,9 @@ weights:
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. Validation points whose score interval stays positive are certified
-   correct (zeta); minimizing the certified weight mass over the
-   validation ball has a closed form, yielding the error upper bound.
+   correct (zeta).  ``worst_case_accuracy``, the one evaluator of the
+   validation ball, minimizes a 0/1 indicator's mean over it in closed
+   form: one less its value at zeta is the error upper bound.
 """
 
 import functools
@@ -70,7 +71,7 @@ __all__ = [
     "radius",
     "certify",
     "min_weighted_indicator",
-    "worst_case_error_ub",
+    "worst_case_accuracy",
     "certificate",
 ]
 
@@ -246,16 +247,11 @@ def _own_secular(spec: Spectrum, S: float):
     """Secular step on the spectrum's own solved set: (mu, hard, D(mu), u)
     with D(mu) = const + mu S^2 + sum gamma^2 / (mu - lam)."""
     eigval, gamma = spec.eigval, spec.gamma
-    dist = np.empty_like(gamma)
-    buf = np.empty_like(gamma)
 
     def secular(mu):
-        np.subtract(mu, eigval, out=dist)
-        np.divide(gamma, dist, out=buf)
-        np.multiply(buf, buf, out=buf)
-        norm_sq = buf.sum()
-        np.divide(buf, dist, out=buf)
-        return norm_sq, buf.sum()
+        dist = mu - eigval
+        sq = (gamma / dist) ** 2
+        return sq.sum(), (sq / dist).sum()
 
     lam1 = float(eigval[-1])
     delta = 1e-14 * (1.0 + abs(lam1))
@@ -473,11 +469,12 @@ def min_weighted_indicator(zeta, Q: float) -> WeightedIndicatorMin:
     return WeightedIndicatorMin(total - Q * rad, w)
 
 
-def worst_case_error_ub(zeta, Q: float) -> float:
-    """Upper bound on the weighted validation error over the validation ball."""
-    zeta = np.asarray(zeta, dtype=float)
-    value = min_weighted_indicator(zeta, Q).value
-    return min(1.0, max(0.0, 1.0 - value / zeta.shape[0]))
+def worst_case_accuracy(indicator, Q: float) -> float:
+    """Mean of a 0/1 ``indicator`` over the validation instances, minimized
+    over the validation ball and clipped to [0, 1]: a model's worst-case
+    accuracy from its correct predictions, the certified bound from zeta."""
+    value = min_weighted_indicator(indicator, Q).value
+    return min(1.0, max(0.0, value / len(indicator)))
 
 
 @dataclass(frozen=True)
@@ -511,6 +508,6 @@ def certificate(model_ref: Model, ball: BallMax, Q: float, K_val_cross,
     """Bound pipeline from a kept mask's ball maximum: radius, zeta, ub."""
     R = radius(ball.dg_max, model_ref.lam_abs)
     zeta, counts = certify(model_ref, K_val_cross, k_val_diag, y_val, R)
-    ub = worst_case_error_ub(zeta, Q)
+    ub = 1.0 - worst_case_accuracy(zeta, Q)
     return BoundReport(dg_max=ball.dg_max, w_star=ball.w_star, radius=R,
                        zeta=zeta, counts=counts, ub=ub)

@@ -6,10 +6,11 @@ validation accuracy), ``sweep`` (full experiment grid to CSV/JSON),
 ``lambda-cv`` (cross-validated regularization pick) and ``synth``
 (generate a LIBSVM-format demo dataset).
 
-``select``, ``certify``, ``evaluate`` and ``sweep`` start with
-``experiment.start_run`` (make ``--output-dir``, read the inputs once,
-split once, settle the lambda rule on that split); ``lambda-cv`` splits
-once itself.  Each fold sizes the rule at its training size.
+Every command but ``synth`` starts with ``experiment.start_run`` (make
+``--output-dir``, read the inputs once, split once, settle the lambda
+rule on that split); ``lambda-cv`` is that start under "cv-best" with its
+own ``--grid``, so it prints the rule ``sweep`` reports.  Each fold sizes
+the rule at its training size.
 ``select``, ``certify`` and ``evaluate`` build a fold, size the coreset
 (``--removal-fraction``) and score it through the same ``experiment``
 calls as ``sweep``, so they match its rows; trace ``gaps`` are the
@@ -28,13 +29,12 @@ import click
 import numpy as np
 
 from . import bound
-from .data import ParseError, SplitError, cv_split, gaussian_task, to_libsvm
+from .data import ParseError, SplitError, gaussian_task, to_libsvm
 from .erm import LOSSES, TrainingError
 from .experiment import (ALGORITHMS, ALL_METHODS, DEFAULT_LAMBDA_GRID,
                          EXACT_MAX_N_TR, ROBUST_METHOD, ExperimentConfig,
-                         certify_coreset, lambda_cv, load_inputs, prepare_fold,
-                         retrained_accuracy, run_experiment, run_selection,
-                         start_run)
+                         certify_coreset, prepare_fold, retrained_accuracy,
+                         run_experiment, run_selection, start_run)
 from .kernel import KINDS
 
 _DEFAULT = ExperimentConfig(dataset="")  # the one source of option defaults
@@ -104,7 +104,8 @@ _fold_options = _options(
     click.option("--removal-fraction", type=float, default=0.5,
                  help="Fraction of the fold's training instances to remove, "
                       "in [0, 1); like a --removal-grid entry of sweep, it "
-                      "removes min(round(f*n_tr), n_tr - 1)."),
+                      "removes min(round(f*n_tr), n_tr - 1), or at most "
+                      "n_tr - 2 with --preserve-classes."),
     click.option("--fold", type=int, default=0))
 
 _indices = click.option(
@@ -113,19 +114,23 @@ _indices = click.option(
          "replaces selection, so method is reported as null.")
 
 
-def _warn_if_negative_weights(S, weights_may_be_negative):
-    if weights_may_be_negative:
-        click.echo(f"warning: training ball radius S={S:.4g} exceeds 1; "
-                   "weights may leave the nonnegative orthant", err=True)
+def _warn_if_negative_weights(S, Q, weights_may_be_negative):
+    limits = {"training": ("S", S, "1"),
+              "validation": ("Q", Q, "sqrt(n'/(n'-1))")}
+    for ball in weights_may_be_negative:
+        name, value, limit = limits[ball]
+        click.echo(f"warning: {ball} ball radius {name}={value:.4g} exceeds "
+                   f"{limit}; weights may leave the nonnegative orthant",
+                   err=True)
 
 
 def _fold_context(kwargs, fold, removal_fraction, output_dir=None):
     config = ExperimentConfig(**kwargs, removal_grid=(removal_fraction,),
                               output_dir=output_dir)
     config.check_fold(fold)
-    ds, plan, rule = start_run(config)
-    ctx = prepare_fold(ds, config, fold, rule, plan)
-    _warn_if_negative_weights(ctx.S, ctx.weights_may_be_negative)
+    ds, plan, rule, folds = start_run(config)
+    ctx = prepare_fold(ds, config, fold, rule, plan, folds)
+    _warn_if_negative_weights(ctx.S, ctx.Q, ctx.weights_may_be_negative)
     return config, ctx
 
 
@@ -234,7 +239,8 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
         output_dir=output_dir, timing=timing)
     report = run_experiment(config)
     for diag in report.gap_diagnostics:
-        _warn_if_negative_weights(diag["S"], diag["weights_may_be_negative"])
+        _warn_if_negative_weights(diag["S"], diag["Q"],
+                                  diag["weights_may_be_negative"])
     click.echo(f"lambda={report.lambda_rule}; {len(report.rows)} rows -> "
                f"{Path(output_dir) / 'report.csv'}")
     for method, per_frac in sorted(report.aggregates.items()):
@@ -253,11 +259,9 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 @_guard
 def lambda_cv_cmd(grid, **kwargs):
     """Print the cross-validated lambda rule, usable as --lambda-rule."""
-    config = ExperimentConfig(**kwargs)
-    ds = load_inputs(config)
-    plan = cv_split(ds, config.folds, config.seed)
-    click.echo(lambda_cv(ds, plan, [r.strip() for r in grid.split(",")],
-                         config))
+    _, _, rule, _ = start_run(ExperimentConfig(**kwargs, lambda_rule="cv-best"),
+                              [r.strip() for r in grid.split(",")])
+    click.echo(rule)
 
 
 @main.command("synth")

@@ -13,6 +13,12 @@ The regularization strength is quoted in sum-form units as a rule ("n",
 once by ``start_run``).  Each fold resolves the rule at its own training
 size, so the lambda a fold reports is the one it trained with.
 Retraining on a coreset keeps the reference model's strength.
+
+Each fold is built once (``_fold``: its kernels and its reference model).
+Under "cv-best", ``lambda_cv`` builds every fold with a model per grid
+rule and ``start_run`` hands on each fold with its model at the winning
+rule, which ``prepare_fold`` uses as it is, so the run holds every fold's
+kernels at once; under a fixed rule ``prepare_fold`` builds its own fold.
 """
 
 import csv
@@ -132,9 +138,12 @@ class ExperimentConfig:
             raise ValueError(f"--fold {fold} outside [0, {self.folds})")
 
     def removal_counts(self, n_tr: int) -> list:
-        """Removals per grid fraction, min(round(f*n_tr), n_tr - 1); the
-        sweep rows and the single-fold CLI commands share this rule."""
-        return [min(int(round(f * n_tr)), n_tr - 1) for f in self.removal_grid]
+        """Removals per grid fraction, min(round(f*n_tr), n_tr - 1), or
+        n_tr - 2 with ``preserve_classes`` (every training part holds both
+        classes); the sweep rows and the single-fold CLI commands share
+        this rule."""
+        cap = n_tr - (2 if self.preserve_classes else 1)
+        return [min(int(round(f * n_tr)), cap) for f in self.removal_grid]
 
 
 def min_max_scaled(ds: Dataset) -> Dataset:
@@ -184,44 +193,41 @@ def resolve_lambda_rule(rule: str, n: int) -> float:
     return value
 
 
-def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int):
-    """Training indices, training and validation labels, training Gram,
-    training-by-validation Gram and validation diagonal of one fold."""
+def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, rules):
+    """(parts, models) of one fold, built once: training indices, training
+    and validation labels, training Gram, training-by-validation Gram and
+    validation diagonal, and the reference model at each rule."""
     tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
-    return (tr_idx, ds.labels[tr_idx], ds.labels[va_idx],
-            *fold_kernels(ds.features, config.kernel, config.bandwidth,
-                          tr_idx, va_idx))
+    y_tr = ds.labels[tr_idx]
+    K, Kx, kdiag = fold_kernels(ds.features, config.kernel, config.bandwidth,
+                                tr_idx, va_idx)
+    models = [train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
+                    kind=config.loss) for rule in rules]
+    return (tr_idx, y_tr, ds.labels[va_idx], K, Kx, kdiag), models
 
 
-def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig) -> str:
-    """Grid rule maximizing mean unweighted validation accuracy over the
-    config's folds of the run's split ``plan``, each resolving every rule
-    at its own training size; ties break toward the smaller lambda at n."""
+def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig):
+    """(rule, folds): the grid rule maximizing mean unweighted validation
+    accuracy over the config's folds of ``plan``, each resolving every rule
+    at its own training size (ties break toward the smaller lambda at n),
+    and each fold's parts and reference model at that rule, as ``_fold``."""
     grid = sorted(grid, key=lambda rule: resolve_lambda_rule(rule, ds.n))
     if not grid:
         raise ValueError("empty lambda grid")
-    accs = [[] for _ in grid]
-    for k in range(config.folds):
-        _, y_tr, y_va, K, Kx, _ = _fold(ds, config, plan, k)
-        for rule, fold_accs in zip(grid, accs):
-            model = train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
-                          kind=config.loss)
-            scores = decision_scores(model, Kx)
-            fold_accs.append(float(np.mean(y_va * scores > 0)))
-    means = [float(np.mean(fold_accs)) for fold_accs in accs]
-    return grid[means.index(max(means))]
+    built = [_fold(ds, config, plan, k, grid) for k in range(config.folds)]
+    means = [float(np.mean([
+        evaluate_worst_case_accuracy(models[j], Kx, y_va, 0.0)
+        for (_, _, y_va, _, Kx, _), models in built])) for j in range(len(grid))]
+    best = means.index(max(means))
+    return grid[best], [(parts, models[best:best + 1])
+                        for parts, models in built]
 
 
 def evaluate_worst_case_accuracy(model, K_val_cross, y_val, Q: float) -> float:
-    """Weighted validation accuracy minimized over the validation ball.
-
-    Uses the closed-form minimum of the correctness-indicator mass; a
-    zero score counts as incorrect.
-    """
-    y_val = np.asarray(y_val, dtype=float)
-    correct = (y_val * decision_scores(model, K_val_cross) > 0).astype(float)
-    value = bound.min_weighted_indicator(correct, Q).value
-    return min(1.0, max(0.0, value / y_val.size))
+    """Weighted validation accuracy minimized over the validation ball
+    (``bound.worst_case_accuracy``); a zero score counts as incorrect."""
+    scores = decision_scores(model, K_val_cross)
+    return bound.worst_case_accuracy(np.multiply(y_val, scores) > 0, Q)
 
 
 class ValidationSet(NamedTuple):
@@ -254,17 +260,25 @@ class FoldContext:
                                       self.S)
 
     @property
-    def weights_may_be_negative(self) -> bool:
-        """The training ball ||w - 1|| <= S holds a negative weight iff S > 1."""
-        return self.S > 1.0
+    def weights_may_be_negative(self) -> list:
+        """Names of the balls that hold a negative weight: the training ball
+        ||w - 1|| <= S iff S > 1, the validation ball ||w' - 1|| <= Q with
+        sum(w') = n' iff Q > sqrt(n' / (n' - 1)).  Such a ball is flagged,
+        not rejected: the minima over it run over a superset of the weight
+        distributions, so they stay lower bounds."""
+        n_va = self.valset.y.size
+        return [ball for ball, negative in (
+            ("training", self.S > 1.0),
+            ("validation", n_va > 1 and self.Q > math.sqrt(n_va / (n_va - 1))))
+            if negative]
 
 
-def start_run(config: ExperimentConfig) -> tuple[Dataset, SplitPlan, str]:
-    """The run's data, split and lambda rule, settled before any fold is
-    built: make the output directory, read the inputs once, check that a
-    kernel can be built from them and a fixed rule at ``ds.n`` (no fold is
-    larger), split once and, for "cv-best", pick the rule on that split.
-    Each fold resolves it at its own size."""
+def start_run(config: ExperimentConfig, grid=DEFAULT_LAMBDA_GRID):
+    """(ds, plan, rule, folds), settled before any report exists: make the
+    output directory, read the inputs once, check that a kernel can be
+    built from them and a fixed rule at ``ds.n`` (no fold is larger), split
+    once and, for "cv-best", pick the rule from ``grid`` on that split and
+    keep ``lambda_cv``'s folds for ``prepare_fold`` (else folds is None)."""
     if config.output_dir is not None:
         try:
             Path(config.output_dir).mkdir(parents=True, exist_ok=True)
@@ -273,23 +287,23 @@ def start_run(config: ExperimentConfig) -> tuple[Dataset, SplitPlan, str]:
                              f"created: {exc}") from exc
     ds = load_inputs(config)
     check_rows(ds.features, config.kernel, config.bandwidth)
-    rule = config.lambda_rule.strip()
+    rule, folds = config.lambda_rule.strip(), None
     if rule != "cv-best":
         resolve_lambda_rule(rule, ds.n)
     plan = cv_split(ds, config.folds, config.seed)
     if rule == "cv-best":
-        rule = lambda_cv(ds, plan, DEFAULT_LAMBDA_GRID, config)
-    return ds, plan, rule
+        rule, folds = lambda_cv(ds, plan, grid, config)
+    return ds, plan, rule, folds
 
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
-                 rule: str, plan: SplitPlan) -> FoldContext:
-    """Kernels, radii, reference model and gap quadratic of one fold;
-    ``ds``, ``rule`` and ``plan`` come from ``start_run``."""
+                 rule: str, plan: SplitPlan, folds=None) -> FoldContext:
+    """Kernels, radii, reference model and gap quadratic of one fold, taken
+    from ``folds`` when given; ``ds``, ``rule``, ``plan`` and ``folds`` come
+    from ``start_run``."""
     config.check_fold(fold)
-    tr_idx, y_tr, y_va, K, Kx, kdiag = _fold(ds, config, plan, fold)
-    model = train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
-                  kind=config.loss)
+    (tr_idx, y_tr, y_va, K, Kx, kdiag), (model,) = (
+        _fold(ds, config, plan, fold, [rule]) if folds is None else folds[fold])
     # A positive-class shift moves no weight of a validation part without
     # positives: its ball is the single point w = 1.
     n_plus_va = int(np.sum(y_va == 1))
@@ -346,14 +360,15 @@ class RunReport:
 
 def _gap_diagnostics(ctx: FoldContext):
     """Gap quadratic at the full set and at the worst-case weight, the
-    training ball radius and whether it reaches negative weights; logged
-    per fold."""
+    training and validation ball radii and the balls that reach negative
+    weights; logged per fold."""
     return {
         "fold": ctx.fold,
         "lambda": ctx.model.lam_abs,
         "q_exact_full": ctx.form_cert.value(np.ones(ctx.form_cert.n)),
         "q_exact_worst_w": ctx.form_cert.value(ctx.full_ball.w_star),
         "S": ctx.S,
+        "Q": ctx.Q,
         "weights_may_be_negative": ctx.weights_may_be_negative,
     }
 
@@ -413,11 +428,11 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     error, rows computed so far are flushed with a trailing status row
     before the exception propagates.
     """
-    ds, plan, rule = start_run(config)
+    ds, plan, rule, folds = start_run(config)
     report = RunReport(lambda_rule=rule)
     try:
         for fold in range(config.folds):
-            ctx = prepare_fold(ds, config, fold, rule, plan)
+            ctx = prepare_fold(ds, config, fold, rule, plan, folds)
             report.gap_diagnostics.append(_gap_diagnostics(ctx))
             n_del_grid = config.removal_counts(len(ctx.y_tr))
             for method in config.methods:

@@ -578,9 +578,9 @@ def test_min_weighted_indicator_matches_oracle_random():
 
 
 def test_worst_case_error_ub_values():
-    assert rc.worst_case_error_ub(np.ones(7), 1.3) == 0.0
-    assert rc.worst_case_error_ub(np.zeros(7), 1.3) == 1.0
-    ub = rc.worst_case_error_ub(np.array([1.0, 0, 0, 0]), 1.0)
+    assert 1.0 - rc.worst_case_accuracy(np.ones(7), 1.3) == 0.0
+    assert 1.0 - rc.worst_case_accuracy(np.zeros(7), 1.3) == 1.0
+    ub = 1.0 - rc.worst_case_accuracy(np.array([1.0, 0, 0, 0]), 1.0)
     assert ub == pytest.approx(1.0 - 0.1339745962 / 4.0, abs=1e-9)
     assert ub == pytest.approx(0.966506, abs=1e-6)
 
@@ -596,13 +596,13 @@ def test_ub_monotone_in_R_and_Q():
     prev_ub = -1.0
     for R in np.linspace(0.0, 1.5, 12):
         zeta, _ = rc.certify(model, K_cross, np.ones(25), y_val, R)
-        ub = rc.worst_case_error_ub(zeta, 0.4)
+        ub = 1.0 - rc.worst_case_accuracy(zeta, 0.4)
         assert ub >= prev_ub - 1e-12
         prev_ub = ub
     zeta, _ = rc.certify(model, K_cross, np.ones(25), y_val, 0.3)
     prev = -1.0
     for Q in np.linspace(0.0, 2.0, 15):
-        ub = rc.worst_case_error_ub(zeta, Q)
+        ub = 1.0 - rc.worst_case_accuracy(zeta, Q)
         assert ub >= prev - 1e-12
         prev = Q and ub
 
@@ -656,7 +656,7 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
         margins = va.labels * rc.decision_scores(retrained, K_cross)
         assert np.all(margins[zeta == 1] > 0)
 
-        ub = rc.worst_case_error_ub(zeta, Q)
+        ub = 1.0 - rc.worst_case_accuracy(zeta, Q)
         correct = (margins > 0).astype(float)
         realized = 1.0 - rc.min_weighted_indicator(correct, Q).value / va.n
         assert realized <= ub + 1e-6

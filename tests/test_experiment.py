@@ -75,15 +75,15 @@ def cv_config(folds, seed):
 
 def test_lambda_cv_single_element():
     ds = rc.gaussian_task(40, 3, seed=0)
-    assert rc.lambda_cv(ds, rc.cv_split(ds, 4, 0), ["2.5"],
-                        cv_config(4, 0)) == "2.5"
+    rule, _ = rc.lambda_cv(ds, rc.cv_split(ds, 4, 0), ["2.5"], cv_config(4, 0))
+    assert rule == "2.5"
 
 
 def test_lambda_cv_prefers_better_lambda():
     ds = rc.gaussian_task(80, 3, seed=1, separation=4.0)
     grid = ["n*10^-3", "n"]
     plan = rc.cv_split(ds, 4, 0)
-    best = rc.lambda_cv(ds, plan, grid, cv_config(4, 0))
+    best, _ = rc.lambda_cv(ds, plan, grid, cv_config(4, 0))
     accs = {}
     for rule in grid:
         fold_accs = []
@@ -108,8 +108,8 @@ def test_lambda_cv_deterministic():
     grid = ["5.0", "n*10^-3"]
     config = cv_config(5, 7)
     plan = rc.cv_split(ds, 5, 7)
-    assert (rc.lambda_cv(ds, plan, grid, config)
-            == rc.lambda_cv(ds, plan, grid, config))
+    assert (rc.lambda_cv(ds, plan, grid, config)[0]
+            == rc.lambda_cv(ds, plan, grid, config)[0])
 
 
 def test_min_max_scaled():
@@ -134,11 +134,14 @@ def test_run_experiment_row_count(synth_file, tmp_path):
                               folds=2, seed=0, output_dir=str(tmp_path))
     report = run_experiment(config)
     assert len(report.rows) == 2
-    # S = sqrt(n_plus) * 0.5 > 1: the training ball reaches negative weights
-    assert [d["weights_may_be_negative"] for d in report.gap_diagnostics] == [True] * 2
+    # S = sqrt(n_plus) * 0.5 > 1: the training ball reaches negative
+    # weights, and so does the validation ball, Q = sqrt(n_plus') * 0.5
+    # above sqrt(45 / 44)
+    assert [d["weights_may_be_negative"] for d in report.gap_diagnostics] == [
+        ["training", "validation"]] * 2
     assert all(d["S"] > 1.0 for d in report.gap_diagnostics)
     assert all(set(d) == {"fold", "lambda", "q_exact_full", "q_exact_worst_w",
-                          "S", "weights_may_be_negative"}
+                          "S", "Q", "weights_may_be_negative"}
                for d in report.gap_diagnostics)
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert len(lines) == 3
@@ -166,7 +169,7 @@ def test_run_experiment_soundness_and_sanity(synth_file):
         assert len(values) == 1
     assert report.gap_diagnostics and "q_exact_full" in report.gap_diagnostics[0]
     for diag in report.gap_diagnostics:
-        assert diag["S"] < 1.0 and diag["weights_may_be_negative"] is False
+        assert diag["S"] < 1.0 and diag["weights_may_be_negative"] == []
 
 
 def test_run_experiment_deterministic_csv(synth_file, tmp_path):
@@ -201,9 +204,9 @@ def test_direct_gap_matches_quadratic_at_worst_weight(synth_file, loss):
                               lambda_rule="n*10^-1.5", a=1.2,
                               methods=("random",), removal_grid=(0.5,),
                               folds=3, seed=3)
-    ds, plan, rule = start_run(config)
+    ds, plan, rule, folds = start_run(config)
     for fold in range(config.folds):
-        ctx = prepare_fold(ds, config, fold, rule, plan)
+        ctx = prepare_fold(ds, config, fold, rule, plan, folds)
         model, w_worst = ctx.model, ctx.full_ball.w_star
         q = ctx.form_cert.value(w_worst)
         direct = oracles.sum_form_gap(ctx.K.tolist(), model.y.tolist(),
@@ -283,11 +286,14 @@ def test_cli_defaults_are_the_config_defaults(tmp_path):
 
 def test_cli_sweep_warns_once_per_fold_with_s_above_one(tmp_path):
     # 20 positives in 60 rows: each fold trains on about 16, so a = 1.6
-    # gives S = sqrt(16) * 0.6 > 1 and a = 1.05 gives S = 0.2
+    # gives S = sqrt(16) * 0.6 > 1 and a = 1.05 gives S = 0.2; the
+    # validation parts hold 12 rows, so the validation ball (Q from the
+    # same factor) reaches negative weights where Q > sqrt(12 / 11)
     runner = CliRunner()
     data = tmp_path / "task.svm"
     runner.invoke(cli_main, ["synth", "--n", "60", "--n-plus", "20",
                              "--seed", "2", "--out", str(data)])
+    limits = {"training": ("S", "1"), "validation": ("Q", "sqrt(n'/(n'-1))")}
     for a, flagged in (("1.6", 5), ("1.05", 0)):
         out = tmp_path / a
         res = runner.invoke(cli_main, [
@@ -296,12 +302,112 @@ def test_cli_sweep_warns_once_per_fold_with_s_above_one(tmp_path):
             "--output-dir", str(out)])
         assert res.exit_code == 0, res.output
         diags = json.loads((out / "report.json").read_text())["gap_diagnostics"]
-        warnings = [f"warning: training ball radius S={d['S']:.4g} exceeds 1; "
-                    "weights may leave the nonnegative orthant"
-                    for d in diags if d["weights_may_be_negative"]]
-        assert len(warnings) == flagged
+        for d in diags:
+            assert d["weights_may_be_negative"] == [
+                ball for ball, negative in (
+                    ("training", d["S"] > 1.0),
+                    ("validation", d["Q"] > math.sqrt(12 / 11))) if negative]
+        warnings = [f"warning: {ball} ball radius {name}={d[name]:.4g} exceeds "
+                    f"{limit}; weights may leave the nonnegative orthant"
+                    for d in diags for ball in d["weights_may_be_negative"]
+                    for name, limit in [limits[ball]]]
+        assert sum("training" in d["weights_may_be_negative"]
+                   for d in diags) == flagged
         assert res.stderr.splitlines() == warnings
         assert "warning" not in res.stdout
+
+
+def test_cli_sweep_flags_validation_ball_with_negative_weights(tmp_path):
+    # Q = sqrt(n_plus') * 2 is 8.5 to 9.6 on the 40-row validation parts,
+    # far above sqrt(40 / 39), while S stays near 0.3: the validation ball
+    # alone reaches negative weights.  It is flagged and the sweep runs.
+    runner = CliRunner()
+    data, out = tmp_path / "task.svm", tmp_path / "out"
+    runner.invoke(cli_main, ["synth", "--n", "120", "--seed", "1",
+                             "--out", str(data)])
+    res = runner.invoke(cli_main, [
+        "sweep", "--dataset", str(data), "--lambda-rule", "n", "--folds", "3",
+        "--q-factor", "3", "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    diags = json.loads((out / "report.json").read_text())["gap_diagnostics"]
+    assert [d["weights_may_be_negative"] for d in diags] == [["validation"]] * 3
+    for d in diags:
+        assert d["S"] < 1.0 and d["Q"] > math.sqrt(40 / 39)
+        # the ball's smallest weight, 1 - Q sqrt((n' - 1) / n'), is negative
+        assert 1.0 - d["Q"] * math.sqrt(39 / 40) < 0.0
+    assert res.stderr.splitlines() == [
+        f"warning: validation ball radius Q={d['Q']:.4g} exceeds "
+        "sqrt(n'/(n'-1)); weights may leave the nonnegative orthant"
+        for d in diags]
+
+
+def test_preserve_classes_caps_removals_below_two_kept(tmp_path):
+    # every training part holds both classes, so at most n_tr - 2 removals
+    # keep one of each; a fraction that rounds to n_tr - 1 takes that cap
+    for preserve, cap in ((False, 79), (True, 78)):
+        config = ExperimentConfig(dataset="<in-memory>", removal_grid=(0.5, 0.99),
+                                  preserve_classes=preserve)
+        assert config.removal_counts(80) == [40, cap]
+    runner = CliRunner()
+    data, out = tmp_path / "task.svm", tmp_path / "out"
+    runner.invoke(cli_main, ["synth", "--n", "120", "--seed", "1",
+                             "--out", str(data)])
+    common = ["--dataset", str(data), "--lambda-rule", "n", "--folds", "3",
+              "--preserve-classes"]
+    res = runner.invoke(cli_main, [
+        "sweep", *common, "--algorithm", "2", "--removal-grid", "0.5,0.99",
+        "--output-dir", str(out)])
+    assert res.exit_code == 0, res.output
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert len(rows) == 3 * 2 * 2
+    assert all(row["status"] == "ok" for row in rows)
+    assert sorted({row["m"] for row in rows}) == [2, 40]
+    res = runner.invoke(cli_main, [
+        "certify", *common, "--removal-fraction", "0.99",
+        "--output-dir", str(tmp_path / "certify")])
+    assert res.exit_code == 0, res.output
+    payload = json.loads((tmp_path / "certify" / "bound_report.json").read_text())
+    assert payload["m"] == 2
+
+
+def test_cv_best_builds_each_fold_once(uneven_file, tmp_path, monkeypatch):
+    # lambda_cv builds each fold's kernels and trains its reference model at
+    # every grid rule; the sweep reuses both, and lambda-cv is the same start
+    import robustcoreset.experiment as experiment
+    fold_kernels, train = experiment.fold_kernels, experiment.train
+    kernel_calls, reference_trainings, splits = [], [], []
+
+    def counting_fold_kernels(*args):
+        kernel_calls.append(args)
+        return fold_kernels(*args)
+
+    def counting_train(*args, **kwargs):
+        if kwargs.get("v") is None:
+            reference_trainings.append(args)
+        return train(*args, **kwargs)
+
+    def counting_split(*args):
+        splits.append(args)
+        return rc.cv_split(*args)
+
+    monkeypatch.setattr(experiment, "fold_kernels", counting_fold_kernels)
+    monkeypatch.setattr(experiment, "train", counting_train)
+    monkeypatch.setattr(experiment, "cv_split", counting_split)
+    runner = CliRunner()
+    common = ["--dataset", uneven_file, "--folds", "3", "--seed", "1"]
+    res = runner.invoke(cli_main, [
+        "sweep", *common, "--lambda-rule", "cv-best", "--methods", "random",
+        "--removal-grid", "0.5", "--output-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert len(kernel_calls) == 3
+    assert len(reference_trainings) == 3 * len(DEFAULT_LAMBDA_GRID)
+    assert len(splits) == 1
+    splits.clear()
+    res = runner.invoke(cli_main, ["lambda-cv", *common])
+    assert res.exit_code == 0, res.output
+    assert len(splits) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert res.output.strip() == report["lambda"]
 
 
 def test_cli_select_certify_evaluate(tmp_path):
@@ -761,7 +867,6 @@ def test_cli_uncreatable_output_dir_fails_before_any_work(tmp_path,
                                                           monkeypatch, command):
     # an --output-dir that is an existing file exits 2 before the data is
     # read, not with a traceback after the run
-    import robustcoreset.cli as cli
     import robustcoreset.experiment as experiment
     runner = CliRunner()
     data = tmp_path / "task.svm"
@@ -773,8 +878,7 @@ def test_cli_uncreatable_output_dir_fails_before_any_work(tmp_path,
         reads.append(args)
         return load_inputs(*args)
 
-    for mod in (cli, experiment):
-        monkeypatch.setattr(mod, "load_inputs", counting_load_inputs)
+    monkeypatch.setattr(experiment, "load_inputs", counting_load_inputs)
     res = runner.invoke(cli_main, [
         command, "--dataset", str(data), "--lambda-rule", "1.0",
         "--output-dir", str(data)])
