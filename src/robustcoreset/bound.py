@@ -3,8 +3,8 @@
 Pipeline, for a reference model trained on all instances with uniform
 weights:
 
-1. The duality gap of the perturbed problem, as a function of the kept
-   mask v and training weights w, is the convex quadratic
+1. The duality gap of the perturbed problem, as a function of the 0/1
+   kept mask v and training weights w, is the convex quadratic
 
        q(v*w) = (v*w)' A (v*w) + b' (v*w) + c,
        A = diag(alpha*y) K diag(alpha*y) / (2 lam),
@@ -36,10 +36,14 @@ weights:
    kept set less any one coordinate: that is a trust-region problem on a
    subspace of the same eigenbasis, whose secular function costs O(m) per
    evaluation (Golub 1973), so exact greedy takes one eigendecomposition
-   per removal, not one per candidate.  A spectrum keeps its own secular
-   step per radius S, so the kept set's own solve runs once per spectral
-   step however many callers (exact greedy's inert candidates among them)
-   ask for it.
+   per removal, not one per candidate.  The root find is written over
+   arrays of independent problems, each row taking the steps a search
+   over that problem alone would take: the kept set's own step is one
+   row, and the first request for the kept set less any coordinate solves
+   the bordered steps of every coordinate of the set as one batch.  A
+   spectrum keeps both per radius S, so each runs once per spectral step
+   however many callers (exact greedy's candidates at every removal the
+   step serves among them) read it; each call builds its own w_star.
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. Validation points whose score interval stays positive are certified
@@ -154,8 +158,9 @@ class Spectrum:
     """Spectral step of a kept mask: the mask ``solved`` of its kept live
     coordinates, their reduced problem (At, g, const) from
     ``QuadraticGapForm.reduced`` and At = V diag(eigval) V' with
-    gamma = V'g/2.  ``_own`` memoizes the secular step on ``solved``
-    itself by radius S, filled by ``maximize_on_ball`` on first use."""
+    gamma = V'g/2.  By radius S, ``_own`` memoizes the secular step on
+    ``solved`` itself and ``_bordered`` that of ``solved`` less each of its
+    coordinates, both filled by ``maximize_on_ball`` on first use."""
 
     solved: np.ndarray
     eigval: np.ndarray
@@ -165,20 +170,26 @@ class Spectrum:
     const: float
     _own: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
+    _bordered: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
 
 def _solved_mask(form: QuadraticGapForm, v: np.ndarray) -> np.ndarray:
-    """The coordinates a ball solve moves: kept (v != 0) and live."""
+    """The coordinates a ball solve moves: kept (v = 1) and live."""
     if v.shape != (form.n,):
         raise ValueError("mask length mismatch")
-    return (v != 0.0) & form.live
+    kept = v != 0.0
+    if (v != kept).any():
+        raise ValueError("v must be a 0/1 mask")
+    return kept & form.live
 
 
 def spectral_step(form: QuadraticGapForm, v,
                   reuse: Spectrum | None = None) -> Spectrum:
-    """Reduce q to the kept live coordinates of mask v and eigendecompose
-    that block, the one O(m^3) part of a ball solve; ``reuse`` is returned
-    as it is when it already solves that set (an empty one included)."""
+    """Reduce q to the kept live coordinates of the 0/1 mask v and
+    eigendecompose that block, the one O(m^3) part of a ball solve;
+    ``reuse`` is returned as it is when it already solves that set (an
+    empty one included).  Any other mask entry raises ValueError."""
     solved = _solved_mask(form, np.asarray(v, dtype=float))
     if reuse is not None and np.array_equal(reuse.solved, solved):
         return reuse
@@ -191,56 +202,78 @@ def spectral_step(form: QuadraticGapForm, v,
                     g=g, const=const)
 
 
-def _secular_root(secular, lo, hi, S: float, const: float):
-    """(mu, hard): the multiplier where |u(mu)| = S, searched in [lo, hi].
+def _rowdot(a, b):
+    """Row-wise dot products of two (k, n) arrays.  Each is a (1, n) by
+    (n, 1) matmul, which runs the same BLAS dot as the 1-D product
+    a[j] @ b[j], so every row has that product's bits."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    ``secular(mu)`` returns |u(mu)|^2 and -d|u|^2/dmu / 2 as numpy scalars,
-    so that over- and underflow stay silent under the caller's
-    np.errstate.  With |u(lo)| < S (the hard case) mu stays at lo.
-    Otherwise the bracket keeps |u(lo)| >= S >= |u(hi)|: each step tries a
-    Newton step on the concave, increasing h(mu) = 1/|u(mu)| - 1/S from lo,
-    then the secant of h through both ends (in exact arithmetic a new left
-    and a new right end); a candidate inside the bracket moves the end its
-    |u| says, and a step where none lands inside bisects.  The search stops
-    once D'(hi) (hi - lo), which bounds D(hi) - min D, is within rounding of
-    D, when the bracket cannot be split, or at the step cap, and returns
-    the right end.
+
+def _secular_root(secular, lo, hi, S: float, const):
+    """(mu, hard), one entry per row: the multiplier where |u(mu)| = S,
+    searched in [lo, hi].
+
+    Every row is its own problem: lo, hi and const hold one entry per row,
+    and ``secular(mu, rows)`` returns |u(mu)|^2 and -d|u|^2/dmu / 2 of the
+    given rows, each at its own mu.  A row with |u(lo)| < S (the hard case)
+    keeps mu at lo.  Otherwise its bracket keeps |u(lo)| >= S >= |u(hi)|:
+    each step tries a Newton step on the concave, increasing
+    h(mu) = 1/|u(mu)| - 1/S from lo, then the secant of h through both ends
+    (in exact arithmetic a new left and a new right end); a candidate inside
+    the bracket moves the end its |u| says, and a step where none lands
+    inside bisects.  A row stops once D'(hi) (hi - lo), which bounds
+    D(hi) - min D, is within rounding of D, when its bracket cannot be
+    split, or at the step cap, and returns its right end.  The rows share
+    the steps but not the decisions: each takes the steps, in the order, a
+    search over that row alone would take.
     """
     S2 = S * S
-    nsq_lo, slope_lo = secular(lo)
-    if nsq_lo < S2:
-        return lo, True
-    nsq_hi, _ = secular(hi)
-    if nsq_hi > S2:  # |u(hi)| = S but for rounding: widen the bracket once
-        hi = lo + 2.0 * (hi - lo)
-        nsq_hi, _ = secular(hi)
-    if nsq_hi > S2:
+    lo, hi = lo.copy(), hi.copy()
+    nsq_lo, slope_lo = secular(lo, np.arange(lo.size))
+    hard = nsq_lo < S2
+    rows = np.flatnonzero(~hard)
+    nsq_hi = np.empty_like(lo)
+    nsq_hi[rows] = secular(hi[rows], rows)[0]
+    # |u(hi)| = S but for rounding: widen the bracket once
+    wide = rows[nsq_hi[rows] > S2]
+    if wide.size:
+        hi[wide] = lo[wide] + 2.0 * (hi[wide] - lo[wide])
+        nsq_hi[wide] = secular(hi[wide], wide)[0]
+    if (nsq_hi[rows] > S2).any():
         raise BallMaximizationError(
-            f"secular bracket failed: |u({hi:.6g})| > S={S:.6g}")
+            f"secular bracket failed: |u| > S={S:.6g} at its right end")
 
-    def probe(mu):
-        # evaluate mu if strictly inside the bracket and move the end its
-        # |u| says; False when mu is outside (or nan)
-        nonlocal lo, nsq_lo, slope_lo, hi, nsq_hi
-        if not lo < mu < hi:
-            return False
-        nsq, slope = secular(mu)
-        if nsq >= S2:
-            lo, nsq_lo, slope_lo = mu, nsq, slope
-        else:
-            hi, nsq_hi = mu, nsq
-        return True
+    def probe(mu, rows):
+        # evaluate each row's mu if strictly inside its bracket and move the
+        # end its |u| says; False where mu is outside (or nan)
+        inside = (lo[rows] < mu) & (mu < hi[rows])
+        at, mu = rows[inside], mu[inside]
+        if at.size:
+            nsq, slope = secular(mu, at)
+            left = nsq >= S2
+            lo[at[left]], nsq_lo[at[left]] = mu[left], nsq[left]
+            slope_lo[at[left]] = slope[left]
+            hi[at[~left]], nsq_hi[at[~left]] = mu[~left], nsq[~left]
+        return inside
 
     for _ in range(_MAX_STEPS):
-        if (S2 - nsq_hi) * (hi - lo) <= _TOL * max(1.0, abs(const) + hi * S2):
+        lo_r, hi_r = lo[rows], hi[rows]
+        rows = rows[~((S2 - nsq_hi[rows]) * (hi_r - lo_r) <= _TOL * np.fmax(
+            1.0, np.abs(const[rows]) + hi_r * S2))]
+        if not rows.size:
             break
-        moved = probe(lo + nsq_lo / slope_lo * (np.sqrt(nsq_lo) / S - 1.0))
-        norm_lo, norm_hi = np.sqrt(nsq_lo), np.sqrt(nsq_hi)
-        moved |= probe(lo + (hi - lo) * norm_hi * (norm_lo - S)
-                       / (S * (norm_lo - norm_hi)))
-        if not moved and not probe(0.5 * (lo + hi)):
-            break
-    return hi, False
+        nsq = nsq_lo[rows]
+        moved = probe(lo[rows] + nsq / slope_lo[rows] * (np.sqrt(nsq) / S
+                                                         - 1.0), rows)
+        lo_r, hi_r = lo[rows], hi[rows]
+        norm_lo, norm_hi = np.sqrt(nsq_lo[rows]), np.sqrt(nsq_hi[rows])
+        moved |= probe(lo_r + (hi_r - lo_r) * norm_hi * (norm_lo - S)
+                       / (S * (norm_lo - norm_hi)), rows)
+        # bisect where neither landed inside; a row that cannot stops
+        still = rows[~moved]
+        moved[~moved] = probe(0.5 * (lo[still] + hi[still]), still)
+        rows = rows[moved]
+    return np.where(hard, lo, hi), hard
 
 
 def _own_secular(spec: Spectrum, S: float):
@@ -248,16 +281,18 @@ def _own_secular(spec: Spectrum, S: float):
     with D(mu) = const + mu S^2 + sum gamma^2 / (mu - lam)."""
     eigval, gamma = spec.eigval, spec.gamma
 
-    def secular(mu):
-        dist = mu - eigval
+    def secular(mu, rows):
+        dist = mu[:, None] - eigval
         sq = (gamma / dist) ** 2
-        return sq.sum(), (sq / dist).sum()
+        return sq.sum(axis=1), (sq / dist).sum(axis=1)
 
     lam1 = float(eigval[-1])
     delta = 1e-14 * (1.0 + abs(lam1))
     gnorm = float(np.linalg.norm(spec.g))
-    mu, hard = _secular_root(secular, lam1 + delta,
-                             lam1 + gnorm / (2.0 * S) + delta, S, spec.const)
+    (mu,), (hard,) = _secular_root(
+        secular, np.array([lam1 + delta]),
+        np.array([lam1 + gnorm / (2.0 * S) + delta]), S,
+        np.array([spec.const]))
     S2 = S * S
     coef = gamma / (mu - eigval)  # u(mu) in the eigenbasis, |coef| <= S
     value = spec.const + mu * S2 + float(gamma @ coef)
@@ -266,97 +301,112 @@ def _own_secular(spec: Spectrum, S: float):
     return mu, hard, value, spec.V @ coef
 
 
-def _shrunk_top(eigval: np.ndarray, r: np.ndarray) -> float:
-    """Top eigenvalue theta of diag(eigval) on the subspace r'z = 0: the
-    root of sum r^2 / (x - eigval) in [eigval[-2], eigval[-1]] (Golub 1973),
-    bisected to full precision keeping the right end, where the sum is not
-    positive.  theta = eigval[-1] when r[-1] = 0 or the top eigenvalue
-    repeats."""
+def _shrunk_top(eigval: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Top eigenvalue theta of diag(eigval) on the subspace r'z = 0, one per
+    row of r: the root of sum r^2 / (x - eigval) in [eigval[-2], eigval[-1]]
+    (Golub 1973), bisected to full precision keeping the right end, where
+    the sum is not positive.  theta = eigval[-1] when the row's last entry
+    is 0 or the top eigenvalue repeats."""
     r2 = r * r
-    lo, hi = float(eigval[-2]), float(eigval[-1])
+    lo = np.full(r.shape[0], float(eigval[-2]))
+    hi = np.full(r.shape[0], float(eigval[-1]))
+    rows = np.arange(r.shape[0])
     for _ in range(_MAX_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        inside = (lo[rows] < mid) & (mid < hi[rows])
+        rows, mid = rows[inside], mid[inside]
+        if not rows.size:
             break
-        if (r2 / (mid - eigval)).sum() <= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        right = (r2[rows] / (mid[:, None] - eigval)).sum(axis=1) <= 0.0
+        hi[rows[right]] = mid[right]
+        lo[rows[~right]] = mid[~right]
     return hi
 
 
-def _bordered_secular(spec: Spectrum, form: QuadraticGapForm, i: int,
-                      S: float):
-    """Secular step of the spectrum's solved set less coordinate i, from the
-    same eigenpairs: (mu, hard, D_i(mu), u) with u_p = 0.
+class _Bordered(NamedTuple):
+    """Secular steps of a solved set less each of its coordinates, row p
+    for the p-th: multiplier, hard case, dual value and u(mu) in the
+    eigenbasis (unscaled, entry p not yet zeroed)."""
 
-    With p the position of i in the solved set and r = V[p, :], pinning
-    w_i = 1 leaves max u'At u + g_i'u + const_i over ||u|| <= S, u_p = 0,
-    where g_i = g - 2 At e_p, V'g_i/2 = gamma - eigval * r and const_i =
-    const - g_p + At_pp.  For d = mu - eigval and mu above theta, the top
-    eigenvalue of the shrunk block, the constraint's multiplier is
+    mu: np.ndarray
+    hard: np.ndarray
+    value: np.ndarray
+    coef: np.ndarray
+
+
+def _bordered_batch(spec: Spectrum, form: QuadraticGapForm,
+                    S: float) -> _Bordered:
+    """Secular step of the spectrum's solved set less each of its
+    coordinates, from the same eigenpairs, all rows in one array pass.
+
+    With p the position of coordinate i in the solved set and r = V[p, :],
+    pinning w_i = 1 leaves max u'At u + g_i'u + const_i over ||u|| <= S,
+    u_p = 0, where g_i = g - 2 At e_p, V'g_i/2 = gamma - eigval * r and
+    const_i = const - g_p + At_pp.  For d = mu - eigval and mu above theta,
+    the top eigenvalue of the shrunk block, the constraint's multiplier is
     nu = sum(gamma_i r / d) / sum(r^2 / d); with pv = gamma_i - nu r,
     u(mu) = V (pv / d), |u|^2 = sum (pv / d)^2,
     -d|u|^2/dmu / 2 = sum pv^2/d^3 - sum(pv r / d^2)^2 / sum(r^2 / d), and
     the dual value D_i(mu) = const_i + mu S^2 + sum pv^2 / d bounds the
     maximum from above.  The top eigenpair's terms are evaluated with its
     1/d multiplied out, as they cancel where mu nears eigval[-1].  The
-    root lies above eigval[-1] unless |u| < S just past it; then the search
-    starts at theta (``_shrunk_top``).  Both brackets reach
-    |g_i| / (2 S) past their left end.  u(mu) is scaled radially onto the
-    sphere, which never lowers q.
+    root lies above eigval[-1] unless |u| < S just past it; then the row's
+    search restarts at theta (``_shrunk_top``).  Both brackets reach
+    |g_i| / (2 S) past their left end.  Each row's secular function costs
+    O(m) (Golub 1973), so the batch costs O(m^2) per step of the search.
     """
-    p = int(np.count_nonzero(spec.solved[:i]))
-    eigval, r = spec.eigval, spec.V[p]
-    gamma = spec.gamma - eigval * r
-    const = spec.const - float(spec.g[p]) + float(form.A[i, i])
+    eigval, V = spec.eigval, spec.V
+    index = np.flatnonzero(spec.solved)
+    gamma = spec.gamma - eigval * V  # row p: V'g_i/2
+    const = spec.const - spec.g + form.A[index, index]
     # the other eigenpairs' eigenvalues, r and gamma, then the top one's
-    lam, rr, gg = eigval[:-1], r[:-1], gamma[:-1]
-    lam_m, r_m, g_m = eigval[-1], r[-1], gamma[-1]
+    lam, rr, gg = eigval[:-1], V[:, :-1], gamma[:, :-1]
+    lam_m, r_m, g_m = eigval[-1], V[:, -1], gamma[:, -1]
 
-    def solution(mu):
+    def solution(mu, rows):
         # nu, z = pv / d on the other eigenpairs and z_m on the top one,
         # with den = d_m sum(r^2 / d)
-        d, d_m = mu - lam, mu - lam_m
-        rd = rr / d
-        a, c = gg @ rd, rr @ rd
-        den = r_m * r_m + c * d_m
-        nu = (g_m * r_m + a * d_m) / den
-        return nu, (gg - nu * rr) / d, (g_m * c - r_m * a) / den, d, d_m, rd, \
-            c, den
+        r, gr, rm, gm = rr[rows], gg[rows], r_m[rows], g_m[rows]
+        d, d_m = mu[:, None] - lam, mu - lam_m
+        rd = r / d
+        a, c = _rowdot(gr, rd), _rowdot(r, rd)
+        den = rm * rm + c * d_m
+        nu = (gm * rm + a * d_m) / den
+        return nu, (gr - nu[:, None] * r) / d, (gm * c - rm * a) / den, d, \
+            d_m, rd, c, den
 
-    def secular(mu):
-        _, z, z_m, d, d_m, rd, c, den = solution(mu)
-        t = z @ rd
-        return (z @ z + z_m * z_m,
-                (z / d) @ z + (z_m * z_m * c - 2.0 * z_m * r_m * t
-                               - t * t * d_m) / den)
+    def secular(mu, rows):
+        _, z, z_m, d, d_m, rd, c, den = solution(mu, rows)
+        rm = r_m[rows]
+        t = _rowdot(z, rd)
+        return (_rowdot(z, z) + z_m * z_m,
+                _rowdot(z / d, z) + (z_m * z_m * c - 2.0 * z_m * rm * t
+                                     - t * t * d_m) / den)
 
     delta = 1e-14 * (1.0 + abs(float(lam_m)))
-    width = float(np.linalg.norm(gamma)) / S
-    lo = float(lam_m) + delta
+    width = np.sqrt(_rowdot(gamma, gamma)) / S
+    lo = np.full(eigval.size, float(lam_m) + delta)
     mu, hard = _secular_root(secular, lo, lo + width, S, const)
-    if hard:
-        lo = _shrunk_top(eigval, r) + delta
-        mu, hard = _secular_root(secular, lo, lo + width, S, const)
-    nu, z, z_m, d, d_m, *_ = solution(mu)
+    again = np.flatnonzero(hard)
+    if again.size:
+        lo = _shrunk_top(eigval, V[again]) + delta
+        mu[again], hard[again] = _secular_root(
+            lambda mu, rows: secular(mu, again[rows]), lo, lo + width[again],
+            S, const[again])
+    nu, z, z_m, d, d_m, *_ = solution(mu, np.arange(eigval.size))
     # sum pv^2 / d is stationary in nu, so nu's rounding moves it least
-    value = const + mu * S * S + float((z * d) @ z
-                                       + (g_m - nu * r_m) ** 2 / d_m)
-    u = spec.V @ np.append(z, z_m)
-    u[p] = 0.0
-    norm = float(np.linalg.norm(u))
-    if norm > 0.0:
-        u *= S / norm
-    return mu, hard, value, u
+    value = const + mu * S * S + (_rowdot(z * d, z)
+                                  + (g_m - nu * r_m) ** 2 / d_m)
+    return _Bordered(mu, hard, value, np.column_stack((z, z_m)))
 
 
 def maximize_on_ball(form: QuadraticGapForm, v, S: float,
                      spectrum: Spectrum | None = None) -> BallMax:
     """Maximize q(v*w) over ||w - 1|| <= S with removed coordinates at w=1.
 
-    The solve runs over the kept live coordinates only: dead ones
-    (``form.live``) do not move q and keep w = 1.  There the problem is
+    v is a 0/1 mask; any other entry raises ValueError.  The solve runs
+    over the kept live coordinates only: dead ones (``form.live``) do not
+    move q and keep w = 1.  There the problem is
     max u'Au + g'u over ||u|| <= S with A PSD, so the maximum sits on the
     boundary.  With A = V diag(lam) V' and gamma = V'g/2, every
     mu > lambda_max(A) gives the Lagrangian dual value
@@ -372,12 +422,16 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
 
     ``spectrum``, a ``spectral_step(form, v0)``, replaces the solve's own
     spectral step.  Its solved set must be v's, which gives a fresh solve's
-    result bit for bit (the secular step runs once per spectrum and S, and
-    every later call reads it back into a new w_star), or v's plus one
-    coordinate i (v is v0 less a candidate i).  Then ``_bordered_secular``
-    solves with w_i = 1 from v0's eigenpairs, in O(m) per secular
-    evaluation and through the same root find, and w_star is u(mu) scaled
-    onto the sphere.  Any other mask raises ValueError.
+    result bit for bit, or v's plus one coordinate i (v is v0 less a
+    candidate i).  Then the solve is the bordered secular step with w_i = 1
+    from v0's eigenpairs, and w_star is u(mu) scaled radially onto the
+    sphere, which never lowers q.  Any other mask raises ValueError.  The spectrum memoizes both kinds of
+    secular step by S: its own solve, and the bordered steps of every
+    coordinate of its solved set at once (``_bordered_batch``, each row
+    the bits of a search over that candidate alone), so every later call
+    with that spectrum and S, exact greedy's candidates at every removal
+    the spectrum serves among them, reads its row back.  Each call builds
+    its own w_star.
     """
     if not S >= 0:
         raise ValueError("S must be nonnegative")
@@ -397,8 +451,16 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
         spectrum = spectral_step(form, v)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if len(removed):
-            mu, hard, value, u = _bordered_secular(spectrum, form, removed[0],
-                                                   S)
+            if S not in spectrum._bordered:
+                spectrum._bordered[S] = _bordered_batch(spectrum, form, S)
+            batch = spectrum._bordered[S]
+            p = int(np.count_nonzero(spectrum.solved[:removed[0]]))
+            mu, hard, value = batch.mu[p], batch.hard[p], batch.value[p]
+            u = spectrum.V @ batch.coef[p]
+            u[p] = 0.0
+            norm = float(np.linalg.norm(u))
+            if norm > 0.0:
+                u *= S / norm
         else:
             if S not in spectrum._own:
                 spectrum._own[S] = _own_secular(spectrum, S)

@@ -1,6 +1,6 @@
 """Weighted L2-regularized kernel classifiers trained in the dual.
 
-Every objective here is the sum form.  For mask v, weights w and the
+Every objective here is the sum form.  For a 0/1 mask v, weights w and the
 regularization strength lam (``lam_abs``, the one unit the package uses),
 the primal is
 
@@ -148,7 +148,8 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
 
     Cyclic coordinate ascent, deterministic.  Raises TrainingError (with
     the best gap reached) when the pass cap ``_max_passes`` is hit,
-    ValueError for an empty active set or nonpositive active weights.
+    ValueError for a mask v with an entry outside {0, 1} (a weight belongs
+    in w), an empty active set or nonpositive active weights.
     """
     _check_kind(kind)
     K = np.asarray(K, dtype=float)
@@ -162,7 +163,10 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
         raise ValueError("lam_abs must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    act = np.flatnonzero(v != 0.0)
+    kept = v != 0.0
+    if (v != kept).any():
+        raise ValueError("v must be a 0/1 mask")
+    act = np.flatnonzero(kept)
     if act.size == 0:
         raise ValueError("empty active set")
     wa = w[act]

@@ -117,10 +117,12 @@ def greedy_exact(form, y, S, n_del, *,
     and an inert one's is the current set's own solve, so every inert
     candidate scores the current maximum exactly.  Removing an inert
     instance leaves the solved set as it was, and ``spectral_step`` hands
-    the step back unchanged.  The step memoizes its own solve, so that
-    solve runs once per spectral step, not once per inert candidate.  No
-    step is taken when S = 0, where every solve is a plain evaluation of
-    q."""
+    the step back unchanged.  The step memoizes its own solve and, from
+    the first live candidate on, the bordered solves of all its live
+    candidates, taken in one array pass; each candidate's
+    ``bound.maximize_on_ball`` call reads its entry back.  So each step
+    solves once, however many removals it serves.  No step is taken when
+    S = 0, where every solve is a plain evaluation of q."""
     spectrum = None  # spectral step of the last scored kept set
 
     def scores(cand, v):

@@ -235,3 +235,147 @@ def greedy_exact_fresh(maximize, form, y, S, n_del, preserve_classes=False):
         order.append(best_i)
         gaps.append(best)
     return order, gaps
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def secular_root(secular, lo, hi, S, const):
+    """(mu, hard): the ball solver's safeguarded root find for one problem,
+    as scalar code; raises ValueError when the bracket fails.
+
+    ``secular(mu)`` returns |u(mu)|^2 and -d|u|^2/dmu / 2.  Each step tries
+    a Newton step on 1/|u| - 1/S from the left end, then the secant through
+    both ends, and bisects when neither lands inside the bracket; it stops
+    once D'(hi) (hi - lo) is within rounding of D, when the bracket cannot
+    be split, or after 200 steps, and returns the right end.
+    """
+    S2 = S * S
+    nsq_lo, slope_lo = secular(lo)
+    if nsq_lo < S2:
+        return lo, True
+    nsq_hi, _ = secular(hi)
+    if nsq_hi > S2:
+        hi = lo + 2.0 * (hi - lo)
+        nsq_hi, _ = secular(hi)
+    if nsq_hi > S2:
+        raise ValueError("secular bracket failed")
+
+    def probe(mu):
+        nonlocal lo, nsq_lo, slope_lo, hi, nsq_hi
+        if not lo < mu < hi:
+            return False
+        nsq, slope = secular(mu)
+        if nsq >= S2:
+            lo, nsq_lo, slope_lo = mu, nsq, slope
+        else:
+            hi, nsq_hi = mu, nsq
+        return True
+
+    for _ in range(200):
+        if (S2 - nsq_hi) * (hi - lo) <= 4.0 * _EPS * max(1.0, abs(const)
+                                                          + hi * S2):
+            break
+        moved = probe(lo + nsq_lo / slope_lo * (np.sqrt(nsq_lo) / S - 1.0))
+        norm_lo, norm_hi = np.sqrt(nsq_lo), np.sqrt(nsq_hi)
+        moved |= probe(lo + (hi - lo) * norm_hi * (norm_lo - S)
+                       / (S * (norm_lo - norm_hi)))
+        if not moved and not probe(0.5 * (lo + hi)):
+            break
+    return hi, False
+
+
+def own_secular(spec, S):
+    """Secular step on a spectrum's own solved set, one problem as scalar
+    code: (mu, hard, D(mu), coef), coef = u(mu) in the eigenbasis with its
+    top entry stretched onto the sphere."""
+    eigval, gamma = spec.eigval, spec.gamma
+
+    def secular(mu):
+        dist = mu - eigval
+        sq = (gamma / dist) ** 2
+        return sq.sum(), (sq / dist).sum()
+
+    lam1 = float(eigval[-1])
+    delta = 1e-14 * (1.0 + abs(lam1))
+    gnorm = float(np.linalg.norm(spec.g))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mu, hard = secular_root(secular, lam1 + delta,
+                                lam1 + gnorm / (2.0 * S) + delta, S,
+                                spec.const)
+        S2 = S * S
+        coef = gamma / (mu - eigval)
+        value = spec.const + mu * S2 + float(gamma @ coef)
+    rest = float(coef[:-1] @ coef[:-1])
+    coef[-1] = math.copysign(math.sqrt(max(S2 - rest, 0.0)), coef[-1])
+    return mu, hard, value, coef
+
+
+def shrunk_top(eigval, r):
+    """Top eigenvalue of diag(eigval) on the subspace r'z = 0, bisected in
+    [eigval[-2], eigval[-1]] to full precision, keeping the right end."""
+    r2 = r * r
+    lo, hi = float(eigval[-2]), float(eigval[-1])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if (r2 / (mid - eigval)).sum() <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def bordered_secular(spec, form, i, S):
+    """Secular step of a spectrum's solved set less coordinate i, one
+    problem as scalar code: (mu, hard, D_i(mu), u) with u_p = 0 for p the
+    position of i in the solved set, u scaled onto the sphere.
+
+    With r = V[p, :], the bordered problem has V'g_i/2 = gamma - eigval r
+    and const_i = const - g_p + A_ii; for d = mu - eigval, the constraint's
+    multiplier is nu = sum(gamma_i r / d) / sum(r^2 / d) and u(mu) =
+    V((gamma_i - nu r) / d).  The top eigenpair's terms are evaluated with
+    its 1/d multiplied out.  When |u| < S just past the top eigenvalue, the
+    search restarts at the top eigenvalue of the shrunk block.
+    """
+    p = int(np.count_nonzero(spec.solved[:i]))
+    eigval, r = spec.eigval, spec.V[p]
+    gamma = spec.gamma - eigval * r
+    const = spec.const - float(spec.g[p]) + float(form.A[i, i])
+    lam, rr, gg = eigval[:-1], r[:-1], gamma[:-1]
+    lam_m, r_m, g_m = eigval[-1], r[-1], gamma[-1]
+
+    def solution(mu):
+        d, d_m = mu - lam, mu - lam_m
+        rd = rr / d
+        a, c = gg @ rd, rr @ rd
+        den = r_m * r_m + c * d_m
+        nu = (g_m * r_m + a * d_m) / den
+        return nu, (gg - nu * rr) / d, (g_m * c - r_m * a) / den, d, d_m, rd, \
+            c, den
+
+    def secular(mu):
+        _, z, z_m, d, d_m, rd, c, den = solution(mu)
+        t = z @ rd
+        return (z @ z + z_m * z_m,
+                (z / d) @ z + (z_m * z_m * c - 2.0 * z_m * r_m * t
+                               - t * t * d_m) / den)
+
+    delta = 1e-14 * (1.0 + abs(float(lam_m)))
+    width = float(np.linalg.norm(gamma)) / S
+    lo = float(lam_m) + delta
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mu, hard = secular_root(secular, lo, lo + width, S, const)
+        if hard:
+            lo = shrunk_top(eigval, r) + delta
+            mu, hard = secular_root(secular, lo, lo + width, S, const)
+        nu, z, z_m, d, d_m, *_ = solution(mu)
+        value = const + mu * S * S + float((z * d) @ z
+                                           + (g_m - nu * r_m) ** 2 / d_m)
+    u = spec.V @ np.append(z, z_m)
+    u[p] = 0.0
+    norm = float(np.linalg.norm(u))
+    if norm > 0.0:
+        u *= S / norm
+    return mu, hard, value, u

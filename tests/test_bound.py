@@ -360,6 +360,170 @@ def test_bordered_solve_edge_cases():
         assert res.dg_max == form.value(np.zeros(2))
 
 
+def assert_batch_is_the_scalar_search(form, v0, S):
+    """Every bordered solve of v0 less one coordinate, read from the batch
+    of v0's spectral step, against the scalar search over that candidate
+    alone: mu, hard case, dg_max and w_star bit for bit.  Returns the
+    solves."""
+    spectrum = rc.spectral_step(form, v0)
+    solves = []
+    for i in np.flatnonzero(spectrum.solved):
+        v = np.array(v0, dtype=float)
+        v[i] = 0.0
+        res = rc.maximize_on_ball(form, v, S, spectrum)
+        mu, hard, value, u = oracles.bordered_secular(spectrum, form, i, S)
+        assert (res.mu, res.hard_case, res.dg_max) == \
+            (float(mu), bool(hard), float(value)), (i, S)
+        w_star = np.ones(form.n)
+        w_star[spectrum.solved] = 1.0 + u
+        assert res.w_star.tobytes() == w_star.tobytes(), (i, S)
+        solves.append(res)
+    return solves
+
+
+def test_bordered_batch_is_the_scalar_search_bit_for_bit():
+    rng = np.random.default_rng(97)
+    for dim in (3, 5, 8, 13, 21, 40):
+        for S in (0.05, 0.4, 2.0, 30.0):
+            form = random_psd_form(rng, dim)
+            v0 = np.ones(dim)
+            v0[rng.choice(dim, size=dim // 5, replace=False)] = 0.0
+            assert_batch_is_the_scalar_search(form, v0, S)
+
+
+def test_bordered_batch_rows_keep_their_own_steps(monkeypatch):
+    # rows that stop after different numbers of secular evaluations
+    root, evals = oracles.secular_root, []
+
+    def counting_root(secular, *args):
+        evals.append(0)
+
+        def counted(mu):
+            evals[-1] += 1
+            return secular(mu)
+
+        return root(counted, *args)
+
+    monkeypatch.setattr(oracles, "secular_root", counting_root)
+    form = random_psd_form(np.random.default_rng(101), 20)
+    for S in (0.05, 2.0):
+        evals.clear()
+        assert_batch_is_the_scalar_search(form, np.ones(20), S)
+        assert len(set(evals)) > 1
+    # hard and non-hard rows in one batch: removing coordinate 2 leaves
+    # diag(2, 1) with its linear term orthogonal to e_1, whose search
+    # restarts at the shrunk block's top eigenvalue
+    A = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    form = _form_with_reduced_g(A, np.append(2.0 * A[:2, 2] + [0.0, 0.2],
+                                             0.3))
+    for S in (1.0, 30.0):
+        hard = [res.hard_case for res in
+                assert_batch_is_the_scalar_search(form, np.ones(3), S)]
+        assert hard == [False, False, True]
+    # r_m = 0: coordinate 0 has no weight on the top eigenvector e_2
+    A = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.0], [0.0, 0.0, 5.0]])
+    form = _form_with_reduced_g(A, np.array([0.4, -0.2, 0.3]))
+    for S in (0.05, 1.0, 30.0):
+        assert_batch_is_the_scalar_search(form, np.ones(3), S)
+    # repeated top eigenvalue, in a rotated basis; with g = 0 and S = 1
+    # its rows are hard and not
+    Q, _ = np.linalg.qr(np.random.default_rng(83).standard_normal((4, 4)))
+    A = Q @ np.diag([0.5, 1.0, 2.0, 2.0]) @ Q.T
+    for g in (np.array([0.3, -0.2, 0.1, 0.4]), np.zeros(4)):
+        form = _form_with_reduced_g(A, g)
+        for S in (0.05, 1.0, 30.0):
+            assert_batch_is_the_scalar_search(form, np.ones(4), S)
+    assert {res.hard_case for res in assert_batch_is_the_scalar_search(
+        _form_with_reduced_g(A, np.zeros(4)), np.ones(4), 1.0)} == {True, False}
+    # m = 2 -> 1 and m = 1 -> 0, which needs no batch
+    form = random_psd_form(np.random.default_rng(103), 2)
+    for S in (0.05, 0.9, 30.0):
+        assert_batch_is_the_scalar_search(form, np.ones(2), S)
+        spectrum = rc.spectral_step(form, np.array([1.0, 0.0]))
+        res = rc.maximize_on_ball(form, np.zeros(2), S, spectrum)
+        assert res.dg_max == form.value(np.zeros(2))
+        assert spectrum._bordered == {}
+
+
+def test_own_step_is_the_scalar_search_bit_for_bit(hinge_model, logistic_model):
+    # the kept set's own step runs the batch's root finder on one row
+    rng = np.random.default_rng(107)
+    cases = [(random_psd_form(rng, dim), S) for dim in (1, 2, 5, 13, 40)
+             for S in (0.05, 2.0, 30.0)]
+    A = np.diag([3.0, 1.0, 0.5])
+    cases += [(_form_with_reduced_g(A, np.array([eps, 0.2, -0.1])), 1.0)
+              for eps in (0.0, 1e-9, 1e-3)]
+    cases += [(rc.quadratic_form(model), 1.5)
+              for model in (hinge_model, logistic_model)]
+    for form, S in cases:
+        spectrum = rc.spectral_step(form, np.ones(form.n))
+        res = rc.maximize_on_ball(form, np.ones(form.n), S, spectrum)
+        mu, hard, value, coef = oracles.own_secular(spectrum, S)
+        assert (res.mu, res.hard_case, res.dg_max) == \
+            (float(mu), bool(hard), float(value))
+        w_star = np.ones(form.n)
+        w_star[spectrum.solved] = 1.0 + spectrum.V @ coef
+        assert res.w_star.tobytes() == w_star.tobytes()
+
+
+def test_spectrum_solves_the_bordered_batch_once_per_radius(hinge_model,
+                                                           rbf_task,
+                                                           monkeypatch):
+    # every candidate's solve on one spectrum, asked twice, reads one batch
+    # per radius; each call returns a w_star of its own
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(ds.n_plus, 1.05)
+    live = np.flatnonzero(form.live)
+    v0 = np.ones(ds.n)
+    v0[live[:3]] = 0.0
+    radii = (S, 2.0 * S)
+    fresh = {}
+    for radius in radii:
+        for i in live[3:]:
+            v = v0.copy()
+            v[i] = 0.0
+            fresh[radius, i] = rc.maximize_on_ball(
+                form, v, radius, rc.spectral_step(form, v0))
+    batch, batches = bound._bordered_batch, []
+
+    def counting_batch(*args):
+        batches.append(args[2])
+        return batch(*args)
+
+    monkeypatch.setattr(bound, "_bordered_batch", counting_batch)
+    spectrum = rc.spectral_step(form, v0)
+    for radius in radii:
+        for _ in range(2):
+            for i in live[3:]:
+                v = v0.copy()
+                v[i] = 0.0
+                res = rc.maximize_on_ball(form, v, radius, spectrum)
+                ref = fresh[radius, i]
+                assert (res.dg_max, res.mu, res.hard_case) == \
+                    (ref.dg_max, ref.mu, ref.hard_case)
+                assert res.w_star.tobytes() == ref.w_star.tobytes()
+                res.w_star[:] = -1.0
+    assert batches == list(radii)
+
+
+def test_masks_outside_0_1_are_rejected():
+    # a kept mask is 0/1: a fractional entry would be read as 1 and
+    # report a "maximum" below a feasible value of q(v*w)
+    ds = rc.gaussian_task(40, 3, seed=1)
+    K = rc.gram(ds.features, ds.features, rc.bandwidth_heuristic(ds.features))
+    form = rc.quadratic_form(rc.train(K, ds.labels, 2.0, kind=rc.HINGE))
+    for v in (np.full(ds.n, 0.5), np.append(np.ones(ds.n - 1), 2.0),
+              np.append(np.ones(ds.n - 1), math.nan)):
+        for S in (0.3, 0.0):
+            with pytest.raises(ValueError, match="0/1"):
+                rc.maximize_on_ball(form, v, S)
+        with pytest.raises(ValueError, match="0/1"):
+            rc.spectral_step(form, v)
+    assert rc.maximize_on_ball(form, np.ones(ds.n), 0.0).dg_max == \
+        form.value(np.ones(ds.n))
+
+
 def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task):
     # a dead candidate leaves the solved set as it was: same solve, bit
     # for bit; any mask but v0's solved set or that less one is rejected

@@ -96,6 +96,16 @@ def test_train_rejects_empty_active():
         rc.train(K, np.array([1.0, -1.0]), 1.0, v=np.zeros(2))
 
 
+def test_train_rejects_a_mask_outside_0_1():
+    # a fractional mask entry was read as 1: v = 0.5 trained the v = 1 model
+    ds = rc.gaussian_task(40, 3, seed=1)
+    K = rc.gram(ds.features, ds.features, rc.bandwidth_heuristic(ds.features))
+    for v in (np.full(ds.n, 0.5), np.append(np.ones(ds.n - 1), -1.0),
+              np.append(np.ones(ds.n - 1), math.nan)):
+        with pytest.raises(ValueError, match="0/1"):
+            rc.train(K, ds.labels, 2.0, v=v, kind=rc.HINGE)
+
+
 def test_train_rejects_nonpositive_weights():
     K = np.eye(2)
     with pytest.raises(ValueError):

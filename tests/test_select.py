@@ -132,6 +132,13 @@ def test_greedy_exact_matches_a_fresh_solve_per_candidate(hinge_model, rbf_task)
     assert_matches_fresh_greedy(form, ds.labels, S, 30)
     assert_matches_fresh_greedy(form, ds.labels, 3.0 * S, 12,
                                 preserve_classes=True)
+    # an all-live logistic form: every candidate is a row of a batch
+    ds = rc.gaussian_task(40, 3, seed=1)
+    K = rc.gram(ds.features, ds.features, rc.bandwidth_heuristic(ds.features))
+    form = rc.quadratic_form(rc.train(K, ds.labels, 2.0, kind=rc.LOGISTIC))
+    assert form.live.all()
+    assert_matches_fresh_greedy(form, ds.labels,
+                                rc.shift_radius(ds.n_plus, 1.05), 8)
 
 
 def test_greedy_exact_takes_one_eigh_per_changed_kept_set(hinge_model, rbf_task,
@@ -139,12 +146,15 @@ def test_greedy_exact_takes_one_eigh_per_changed_kept_set(hinge_model, rbf_task,
     # a step takes an eigendecomposition only when the last removal was
     # live; an inert removal leaves the solved set, and the step, as it was.
     # The kept set's own secular solve runs once per step that scores an
-    # inert candidate, not once per inert candidate.
+    # inert candidate, not once per inert candidate, and the live
+    # candidates' bordered solves run as one batch per step, however many
+    # removals (inert ones) the step serves.
     ds, _, _ = rbf_task
     form = rc.quadratic_form(hinge_model)
     S = rc.shift_radius(ds.n_plus, 1.05)
     eigh, calls = np.linalg.eigh, []
     own_secular, own = bound._own_secular, []
+    bordered_batch, batches = bound._bordered_batch, []
 
     def counting_eigh(a):
         calls.append(a.shape[0])
@@ -154,13 +164,21 @@ def test_greedy_exact_takes_one_eigh_per_changed_kept_set(hinge_model, rbf_task,
         own.append(args[1])
         return own_secular(*args)
 
+    def counting_batch(*args):
+        batches.append(args[2])
+        return bordered_batch(*args)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(bound, "_own_secular", counting_own)
+    monkeypatch.setattr(bound, "_bordered_batch", counting_batch)
     trace = rc.greedy_exact(form, ds.labels, S, 25)
     order = trace.removal_order
     live_before_last = int(form.live[order[:-1]].sum())
     assert live_before_last > 0
     assert len(calls) == 1 + live_before_last
+    # every step has live candidates; inert removals leave them unsolved
+    assert batches == [S] * len(calls)
+    assert len(order) > len(calls)
     # per removal: the live removals before it (naming its step) and the
     # inert candidates it scores
     steps = [frozenset(i for i in order[:k] if form.live[i])
@@ -172,8 +190,9 @@ def test_greedy_exact_takes_one_eigh_per_changed_kept_set(hinge_model, rbf_task,
     assert own == [S] * steps_scoring_inert
     calls.clear()
     own.clear()
+    batches.clear()
     rc.greedy_exact(form, ds.labels, 0.0, 5)
-    assert calls == [] and own == []
+    assert calls == [] and own == [] and batches == []
 
 
 def test_greedy_fixed_w_values_match_loop_evaluator():
