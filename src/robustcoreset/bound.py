@@ -46,10 +46,10 @@ weights:
    step serves among them) read it; each call builds its own w_star.
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
-4. Validation points whose score interval stays positive are certified
-   correct (zeta).  ``worst_case_accuracy``, the one evaluator of the
-   validation ball, minimizes a 0/1 indicator's mean over it in closed
-   form: one less its value at zeta is the error upper bound.
+4. A validation point whose reference margin y f(x) exceeds R ||phi(x)||
+   is certified correct (zeta).  ``worst_case_accuracy`` minimizes a 0/1
+   indicator's mean over the validation ball in closed form: one less its
+   value at zeta is the error upper bound.
 """
 
 import functools
@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .erm import Model, conjugate_eval, decision_scores, loss_eval
+from .erm import Model, conjugate_eval, loss_eval
 
 __all__ = [
     "QuadraticGapForm",
@@ -485,21 +485,16 @@ class Counts(NamedTuple):
     unknown: int
 
 
-def certify(model_ref: Model, K_val_cross, k_val_diag, y_val, R: float):
-    """Per-validation-instance certificates under a radius-R parameter ball.
-
-    zeta_i = 1 iff the whole ball classifies instance i correctly
-    (strict inequality; zero endpoints count as unknown).
-    """
-    y_val = np.asarray(y_val, dtype=float)
-    margins = y_val * decision_scores(model_ref, K_val_cross)
-    half = np.sqrt(np.clip(np.asarray(k_val_diag, dtype=float), 0.0, None)) * R
-    lo = margins - half
-    hi = margins + half
-    zeta = (lo > 0.0).astype(int)
-    incorrect = int(np.sum(hi < 0.0))
+def certify(margins: np.ndarray, norms: np.ndarray, R: float):
+    """Per-validation-instance certificates under a radius-R parameter ball,
+    from the arrays of reference margins y f(x) and feature norms
+    ||phi(x)||: zeta_i = 1 iff the whole ball classifies instance i
+    correctly (strict inequality; zero endpoints count as unknown)."""
+    half = norms * R
+    zeta = (margins - half > 0.0).astype(int)
+    incorrect = int(np.sum(margins + half < 0.0))
     correct = int(zeta.sum())
-    counts = Counts(correct, incorrect, y_val.size - correct - incorrect)
+    counts = Counts(correct, incorrect, margins.size - correct - incorrect)
     return zeta, counts
 
 
@@ -565,11 +560,11 @@ class BoundReport:
         }
 
 
-def certificate(model_ref: Model, ball: BallMax, Q: float, K_val_cross,
-                k_val_diag, y_val) -> BoundReport:
-    """Bound pipeline from a kept mask's ball maximum: radius, zeta, ub."""
-    R = radius(ball.dg_max, model_ref.lam_abs)
-    zeta, counts = certify(model_ref, K_val_cross, k_val_diag, y_val, R)
+def certificate(ball: BallMax, lam: float, Q: float, margins,
+                norms) -> BoundReport:
+    """Radius at the reference ``lam``, zeta and ub of a ball maximum."""
+    R = radius(ball.dg_max, lam)
+    zeta, counts = certify(margins, norms, R)
     ub = 1.0 - worst_case_accuracy(zeta, Q)
     return BoundReport(dg_max=ball.dg_max, w_star=ball.w_star, radius=R,
                        zeta=zeta, counts=counts, ub=ub)

@@ -260,7 +260,7 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 def lambda_cv_cmd(grid, **kwargs):
     """Print the cross-validated lambda rule, usable as --lambda-rule."""
     _, _, rule, _ = start_run(ExperimentConfig(**kwargs, lambda_rule="cv-best"),
-                              [r.strip() for r in grid.split(",")])
+                              grid.split(","))
     click.echo(rule)
 
 

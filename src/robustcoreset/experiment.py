@@ -196,14 +196,14 @@ def resolve_lambda_rule(rule: str, n: int) -> float:
 def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, rules):
     """(parts, models) of one fold, built once: training indices, training
     and validation labels, training Gram, training-by-validation Gram and
-    validation diagonal, and the reference model at each rule."""
+    validation feature norms, and the reference model at each rule."""
     tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
     y_tr = ds.labels[tr_idx]
-    K, Kx, kdiag = fold_kernels(ds.features, config.kernel, config.bandwidth,
+    K, Kx, norms = fold_kernels(ds.features, config.kernel, config.bandwidth,
                                 tr_idx, va_idx)
     models = [train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
                     kind=config.loss) for rule in rules]
-    return (tr_idx, y_tr, ds.labels[va_idx], K, Kx, kdiag), models
+    return (tr_idx, y_tr, ds.labels[va_idx], K, Kx, norms), models
 
 
 def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig):
@@ -211,9 +211,10 @@ def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig):
     accuracy over the config's folds of ``plan``, each resolving every rule
     at its own training size (ties break toward the smaller lambda at n),
     and each fold's parts and reference model at that rule, as ``_fold``."""
-    grid = sorted(grid, key=lambda rule: resolve_lambda_rule(rule, ds.n))
-    if not grid:
-        raise ValueError("empty lambda grid")
+    grid = sorted((rule.strip() for rule in grid),
+                  key=lambda rule: resolve_lambda_rule(rule, ds.n))
+    if not grid or len(set(grid)) < len(grid):
+        raise ValueError("--grid lists no entry or a repeated one")
     built = [_fold(ds, config, plan, k, grid) for k in range(config.folds)]
     means = [float(np.mean([
         evaluate_worst_case_accuracy(models[j], Kx, y_va, 0.0)
@@ -231,10 +232,11 @@ def evaluate_worst_case_accuracy(model, K_val_cross, y_val, Q: float) -> float:
 
 
 class ValidationSet(NamedTuple):
-    """Validation side of a fold: cross-Gram, kernel diagonal, labels."""
+    """Validation side of a fold: cross-Gram, labels, norms and margins."""
     K_cross: np.ndarray
-    k_diag: np.ndarray
     y: np.ndarray
+    norms: np.ndarray
+    margins: np.ndarray
 
 
 @dataclass
@@ -298,11 +300,11 @@ def start_run(config: ExperimentConfig, grid=DEFAULT_LAMBDA_GRID):
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
                  rule: str, plan: SplitPlan, folds=None) -> FoldContext:
-    """Kernels, radii, reference model and gap quadratic of one fold, taken
-    from ``folds`` when given; ``ds``, ``rule``, ``plan`` and ``folds`` come
-    from ``start_run``."""
+    """Kernels, radii, reference model, its validation margins and gap
+    quadratic of one fold, taken from ``folds`` when given; ``ds``,
+    ``rule``, ``plan`` and ``folds`` come from ``start_run``."""
     config.check_fold(fold)
-    (tr_idx, y_tr, y_va, K, Kx, kdiag), (model,) = (
+    (tr_idx, y_tr, y_va, K, Kx, norms), (model,) = (
         _fold(ds, config, plan, fold, [rule]) if folds is None else folds[fold])
     # A positive-class shift moves no weight of a validation part without
     # positives: its ball is the single point w = 1.
@@ -311,7 +313,8 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=y_tr, K=K,
                        S=shift_radius(int(np.sum(y_tr == 1)), config.a), Q=Q,
                        model=model, form_cert=bound.quadratic_form(model),
-                       valset=ValidationSet(Kx, kdiag, y_va))
+                       valset=ValidationSet(Kx, y_va, norms,
+                                            y_va * decision_scores(model, Kx)))
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
@@ -345,9 +348,8 @@ def certify_coreset(ctx: FoldContext, v) -> bound.BoundReport:
     model; a mask that keeps every instance reuses the full-set solve."""
     ball = (ctx.full_ball if np.all(v)
             else bound.maximize_on_ball(ctx.form_cert, v, ctx.S))
-    val = ctx.valset
-    return bound.certificate(ctx.model, ball, ctx.Q, val.K_cross, val.k_diag,
-                             val.y)
+    return bound.certificate(ball, ctx.model.lam_abs, ctx.Q,
+                             ctx.valset.margins, ctx.valset.norms)
 
 
 @dataclass
@@ -391,7 +393,9 @@ def _write_reports(config: ExperimentConfig, report: RunReport):
     payload = {
         "config": vars(config),
         "lambda": report.lambda_rule,
-        "rows": report.rows,
+        # JSON has no NaN: an error row's undefined numbers are null
+        "rows": [{k: None if isinstance(x, float) and math.isnan(x) else x
+                  for k, x in row.items()} for row in report.rows],
         "aggregates": report.aggregates,
         "gap_diagnostics": report.gap_diagnostics,
     }

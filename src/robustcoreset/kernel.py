@@ -5,7 +5,7 @@ bandwidth d' * Var(X) (d' excludes the intercept column; the reciprocal of
 sklearn's ``gamma='scale'``), "linear" is x . x', and "precomputed" is a
 validated Gram matrix (``load_precomputed``) whose rows stand in for the
 features.  ``check_rows`` rejects rows no fold can build a kernel from, and
-``fold_kernels`` gives one fold's three kernel arrays.
+``fold_kernels`` gives one fold's kernel arrays and feature norms.
 """
 
 import numpy as np
@@ -67,19 +67,20 @@ def check_rows(X, kind: str, bandwidth: float | None):
 
 
 def fold_kernels(X, kind: str, bandwidth: float | None, tr_idx, va_idx):
-    """Training Gram, training-by-validation Gram and validation diagonal
-    of one fold of the rows ``X`` (kernel rows for "precomputed"); rbf
-    without a bandwidth takes the heuristic on the training rows."""
+    """Training Gram, training-by-validation Gram and validation feature
+    norms sqrt(max(k(x, x), 0)) of one fold of the rows ``X`` (kernel rows
+    for "precomputed"); rbf without a bandwidth takes the heuristic on the
+    training rows."""
     if kind == "precomputed":
         return (X[np.ix_(tr_idx, tr_idx)], X[np.ix_(tr_idx, va_idx)],
-                np.diag(X)[va_idx])
+                np.sqrt(np.clip(np.diag(X)[va_idx], 0.0, None)))
     X_tr, X_va = X[tr_idx], X[va_idx]
     if kind == "rbf":
         h = bandwidth_heuristic(X_tr) if bandwidth is None else bandwidth
         return gram(X_tr, X_tr, h), gram(X_tr, X_va, h), np.ones(len(va_idx))
     if kind == "linear":
         return (gram(X_tr, X_tr), gram(X_tr, X_va),
-                np.einsum("ij,ij->i", X_va, X_va))
+                np.sqrt(np.einsum("ij,ij->i", X_va, X_va)))
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

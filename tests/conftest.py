@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -28,12 +27,3 @@ def hinge_model(rbf_task):
 def logistic_model(rbf_task):
     ds, K, lam_abs = rbf_task
     return rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC, tol=1e-10)
-
-
-def make_validation(ds_train, n_val, seed):
-    """Fresh validation set drawn like the training task, with cross-Gram."""
-    d = ds_train.d - 1
-    va = rc.gaussian_task(n_val, d, seed=seed, separation=2.5)
-    h = rc.bandwidth_heuristic(ds_train.features)
-    K_cross = rc.gram(ds_train.features, va.features, h)
-    return va, K_cross, np.ones(va.n)

@@ -684,26 +684,22 @@ def test_guards_reject_nan(hinge_model, guard):
 
 
 def test_certify_three_point_example():
-    K = np.array([[1.0]])
-    model = dummy_model([1.0], [1.0], K, [0.0])
-    object.__setattr__(model, "rep_coef", np.array([1.0]))
-    K_cross = np.array([[0.5, -0.5, 0.1]])
-    y_val = np.array([1.0, 1.0, 1.0])
-    zeta, counts = rc.certify(model, K_cross, np.ones(3), y_val, 0.2)
+    margins = np.array([0.5, -0.5, 0.1])
+    zeta, counts = rc.certify(margins, np.ones(3), 0.2)
     np.testing.assert_array_equal(zeta, [1, 0, 0])
     assert counts == (1, 1, 1)
+    # a feature norm scales the score interval: 0.1 +- 0.05 stays positive
+    zeta, counts = rc.certify(margins, np.array([1.0, 1.0, 0.25]), 0.2)
+    np.testing.assert_array_equal(zeta, [1, 0, 1])
+    assert counts == (2, 1, 0)
 
 
 def test_certify_degenerate_radius():
-    K = np.array([[1.0]])
-    model = dummy_model([1.0], [1.0], K, [0.0])
-    object.__setattr__(model, "rep_coef", np.array([1.0]))
-    K_cross = np.array([[0.5, -0.5, 0.1]])
-    y_val = np.array([1.0, 1.0, 1.0])
-    zeta, counts = rc.certify(model, K_cross, np.ones(3), y_val, 0.0)
+    margins = np.array([0.5, -0.5, 0.1])
+    zeta, counts = rc.certify(margins, np.ones(3), 0.0)
     np.testing.assert_array_equal(zeta, [1, 0, 1])
     assert counts.unknown == 0
-    zeta, counts = rc.certify(model, K_cross, np.ones(3), y_val, 100.0)
+    zeta, counts = rc.certify(margins, np.ones(3), 100.0)
     assert zeta.sum() == 0 and counts.unknown == 3
 
 
@@ -751,19 +747,14 @@ def test_worst_case_error_ub_values():
 
 def test_ub_monotone_in_R_and_Q():
     rng = np.random.default_rng(61)
-    K = np.array([[1.0]])
-    model = dummy_model([1.0], [1.0], K, [0.0])
-    object.__setattr__(model, "rep_coef", np.array([1.0]))
-    scores = rng.uniform(-1, 1, 25)
-    K_cross = scores[None, :]
-    y_val = np.ones(25)
+    margins = rng.uniform(-1, 1, 25)
     prev_ub = -1.0
     for R in np.linspace(0.0, 1.5, 12):
-        zeta, _ = rc.certify(model, K_cross, np.ones(25), y_val, R)
+        zeta, _ = rc.certify(margins, np.ones(25), R)
         ub = 1.0 - rc.worst_case_accuracy(zeta, 0.4)
         assert ub >= prev_ub - 1e-12
         prev_ub = ub
-    zeta, _ = rc.certify(model, K_cross, np.ones(25), y_val, 0.3)
+    zeta, _ = rc.certify(margins, np.ones(25), 0.3)
     prev = -1.0
     for Q in np.linspace(0.0, 2.0, 15):
         ub = 1.0 - rc.worst_case_accuracy(zeta, Q)
@@ -790,7 +781,7 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
     va = rc.gaussian_task(30, ds.d - 1, seed=101, separation=2.5)
     h = rc.bandwidth_heuristic(ds.features)
     K_cross = rc.gram(ds.features, va.features, h)
-    kdiag = np.ones(va.n)
+    ref_margins = va.labels * rc.decision_scores(model, K_cross)
     Q = rc.shift_radius(va.n_plus, 1.05)
 
     for trial in range(12):
@@ -816,7 +807,7 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
                                       (v * w).tolist())
         assert dist <= math.sqrt(2.0 * max(direct, 0.0) / lam_abs) + 1e-6
 
-        zeta, _ = rc.certify(model, K_cross, kdiag, va.labels, R)
+        zeta, _ = rc.certify(ref_margins, np.ones(va.n), R)
         margins = va.labels * rc.decision_scores(retrained, K_cross)
         assert np.all(margins[zeta == 1] > 0)
 
@@ -835,8 +826,9 @@ def test_certificate_pipeline_report(rbf_task, hinge_model):
     v = np.ones(ds.n)
     v[:6] = 0.0
     ball = rc.maximize_on_ball(form, v, 0.4)
-    report = rc.certificate(hinge_model, ball, 0.3, K_cross, np.ones(va.n),
-                            va.labels)
+    report = rc.certificate(ball, lam_abs, 0.3, va.labels
+                            * rc.decision_scores(hinge_model, K_cross),
+                            np.ones(va.n))
     d = report.to_dict()
     assert set(d) == {"dg_max", "radius", "ub", "counts", "zeta", "w_star"}
     assert sum(d["counts"].values()) == va.n

@@ -596,7 +596,8 @@ def test_cli_precomputed_cv_best_reads_kernel_once(tmp_path, monkeypatch):
         assert calls == [str(kernel_file)], command[0]
 
 
-def test_cli_lambda_cv(tmp_path):
+def test_cli_lambda_cv(tmp_path, monkeypatch):
+    import robustcoreset.experiment as experiment
     runner = CliRunner()
     data = tmp_path / "task.svm"
     runner.invoke(cli_main, ["synth", "--n", "50", "--d", "3", "--seed", "2",
@@ -606,6 +607,17 @@ def test_cli_lambda_cv(tmp_path):
         "--grid", "0.5,5.0"])
     assert res.exit_code == 0, res.output
     assert res.output.strip() in ("0.5", "5.0")
+    # a repeated rule, once stripped, exits 2 before any fold is built
+    built = []
+    monkeypatch.setattr(experiment, "fold_kernels",
+                        lambda *args: built.append(args))
+    for grid in ("n,n", "n, n", "0.5,5.0,0.5"):
+        res = runner.invoke(cli_main, [
+            "lambda-cv", "--dataset", str(data), "--folds", "3",
+            "--grid", grid])
+        assert res.exit_code == 2, (grid, res.output)
+        assert "--grid" in res.output, (grid, res.output)
+    assert built == []
 
 
 def test_cli_lambda_cv_rejects_run_options(tmp_path):
@@ -971,7 +983,13 @@ def test_cli_sweep_error_mid_run_keeps_earlier_rows(synth_file, tmp_path,
     assert [row[0] for row in rows] == ["0"] * 4 + ["-1"]
     assert [row[-1] for row in rows[:4]] == ["ok"] * 4
     assert rows[-1][-1] == "error: no convergence on fold 1"
-    report = json.loads((tmp_path / "report.json").read_text())
+    assert rows[-1][3:7] == ["nan"] * 4  # report.csv keeps its nan cells
+    # report.json stays JSON: the error row's undefined numbers are null
+    report = json.loads((tmp_path / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    error_row = report["rows"][-1]
+    assert [error_row[k] for k in ("fraction_removed", "wc_accuracy",
+                                   "certified_lb", "dg_max")] == [None] * 4
     assert sorted(report["aggregates"]) == ["random", "robust"]
     for method, per_frac in report["aggregates"].items():
         assert sorted(per_frac) == ["0.1", "0.3"]
@@ -981,3 +999,56 @@ def test_cli_sweep_error_mid_run_keeps_earlier_rows(synth_file, tmp_path,
             assert agg["folds"] == 1
             assert agg["wc_accuracy_mean"] == row["wc_accuracy"]
             assert agg["certified_lb_mean"] == row["certified_lb"]
+
+
+def test_cli_sweep_timing_changes_only_wall_ms(synth_file, tmp_path):
+    # --timing fills wall_ms of every ok row; every other column is the
+    # untimed run's, and without it wall_ms is 0.0
+    reports = {}
+    for flag in ("--timing", "--no-timing"):
+        out = tmp_path / flag
+        res = CliRunner().invoke(cli_main, [
+            "sweep", "--dataset", synth_file, "--lambda-rule", "2.0",
+            "--folds", "3", "--methods", "robust,random",
+            "--removal-grid", "0,0.3", flag, "--output-dir", str(out)])
+        assert res.exit_code == 0, res.output
+        reports[flag] = json.loads((out / "report.json").read_text())
+    timed, untimed = reports["--timing"], reports["--no-timing"]
+    assert timed["config"]["timing"] and not untimed["config"]["timing"]
+    assert len(timed["rows"]) == len(untimed["rows"]) == 12
+    for a, b in zip(timed["rows"], untimed["rows"]):
+        assert a["status"] == b["status"] == "ok"
+        assert a["wall_ms"] > 0.0 and b["wall_ms"] == 0.0
+        assert {**a, "wall_ms": 0.0} == b
+    assert timed["aggregates"] == untimed["aggregates"]
+
+
+def test_reference_margins_computed_once_per_fold(synth_file, tmp_path,
+                                                  monkeypatch):
+    # under a fixed lambda rule each fold scores its reference model on the
+    # validation part once, however many rows certify against it
+    import robustcoreset.experiment as experiment
+    train, references, scored = experiment.train, [], []
+
+    def recording_train(*args, **kwargs):
+        model = train(*args, **kwargs)
+        if kwargs.get("v") is None:
+            references.append(model)
+        return model
+
+    def counting_scores(model, K_cross):
+        if any(model is ref for ref in references):
+            scored.append(K_cross.shape)
+        return rc.decision_scores(model, K_cross)
+
+    monkeypatch.setattr(experiment, "train", recording_train)
+    for module in (rc.erm, rc.bound, rc.experiment, rc.select, rc.cli):
+        if hasattr(module, "decision_scores"):
+            monkeypatch.setattr(module, "decision_scores", counting_scores)
+    res = CliRunner().invoke(cli_main, [
+        "sweep", "--dataset", synth_file, "--lambda-rule", "2.0",
+        "--folds", "3", "--methods", "robust,random",
+        "--removal-grid", "0,0.1,0.3", "--output-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert len(references) == 3
+    assert len(scored) == 3

@@ -77,7 +77,7 @@ def test_kernel_kind_and_bandwidth_validation():
 
 def test_fold_kernels_precomputed_slices_match_computed():
     # a precomputed fold takes its training block, its training-by-
-    # validation block and its validation diagonal from the full Gram
+    # validation block and its validation feature norms from the full Gram
     rng = np.random.default_rng(3)
     X = np.hstack([rng.standard_normal((9, 3)), np.ones((9, 1))])
     tr_idx, va_idx = np.array([0, 2, 3, 5, 6, 8]), np.array([1, 4, 7])
@@ -88,10 +88,14 @@ def test_fold_kernels_precomputed_slices_match_computed():
         for a, b in zip(computed, sliced):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
     # the rbf heuristic reads the training rows only
-    K, _, k_diag = fold_kernels(X, "rbf", None, tr_idx, va_idx)
+    K, _, norms = fold_kernels(X, "rbf", None, tr_idx, va_idx)
     np.testing.assert_array_equal(
         K, rc.gram(X[tr_idx], X[tr_idx], rc.bandwidth_heuristic(X[tr_idx])))
-    np.testing.assert_array_equal(k_diag, np.ones(3))
+    np.testing.assert_array_equal(norms, np.ones(3))
+    # linear feature norms are the rows' Euclidean norms
+    _, _, norms = fold_kernels(X, "linear", None, tr_idx, va_idx)
+    np.testing.assert_allclose(norms, np.linalg.norm(X[va_idx], axis=1),
+                               rtol=1e-15)
 
 
 def test_load_precomputed(tmp_path):
@@ -112,3 +116,15 @@ def test_load_precomputed(tmp_path):
         np.savetxt(bad, bad_K, delimiter=",")
         with pytest.raises(ValueError):
             load_precomputed(bad, n)
+
+
+def test_precomputed_diagonal_below_zero_gives_a_zero_norm(tmp_path):
+    # min eigenvalue -1e-12 is within load_precomputed's PSD tolerance; the
+    # validation row's feature norm is clipped to 0.0, not sqrt'd to NaN
+    path = tmp_path / "k.csv"
+    np.savetxt(path, np.array([[1.0, 0.0], [0.0, -1e-12]]), delimiter=",")
+    K = load_precomputed(path, 2)
+    assert K[1, 1] < 0.0
+    _, _, norms = fold_kernels(K, "precomputed", None, np.array([0]),
+                               np.array([1]))
+    assert norms.tolist() == [0.0]
