@@ -43,7 +43,7 @@ weights:
    the bordered steps of every coordinate of the set as one batch.  A
    spectrum keeps both per radius S, so each runs once per spectral step
    however many callers (exact greedy's candidates at every removal the
-   step serves among them) read it; each call builds its own w_star.
+   step serves among them) read it, and w_star is built only when read.
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. A validation point whose reference margin y f(x) exceeds R ||phi(x)||
@@ -83,6 +83,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _MAX_STEPS = 200
 _TOL = 4.0 * _EPS
+_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
 class BallMaximizationError(RuntimeError):
@@ -145,12 +146,17 @@ def quadratic_form(model_ref: Model) -> QuadraticGapForm:
 
 @dataclass(frozen=True)
 class BallMax:
-    """Result of maximizing the gap quadratic over the training weight ball."""
+    """Result of maximizing the gap quadratic over the training weight ball;
+    the maximizer ``w_star`` is built on its first read (``_lift``)."""
 
-    w_star: np.ndarray
     dg_max: float
     mu: float
     hard_case: bool
+    _parts: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def w_star(self) -> np.ndarray:
+        return _lift(*self._parts)
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,8 @@ class Spectrum:
     ``QuadraticGapForm.reduced`` and At = V diag(eigval) V' with
     gamma = V'g/2.  By radius S, ``_own`` memoizes the secular step on
     ``solved`` itself and ``_bordered`` that of ``solved`` less each of its
-    coordinates, both filled by ``maximize_on_ball`` on first use."""
+    coordinates, both filled by ``maximize_on_ball`` on first use, which
+    reads a coordinate's batch row at its ``_position`` in ``solved``."""
 
     solved: np.ndarray
     eigval: np.ndarray
@@ -172,6 +179,10 @@ class Spectrum:
                        compare=False)
     _bordered: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+
+    @functools.cached_property
+    def _position(self) -> np.ndarray:
+        return np.cumsum(self.solved) - 1
 
 
 def _solved_mask(form: QuadraticGapForm, v: np.ndarray) -> np.ndarray:
@@ -425,49 +436,55 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     result bit for bit, or v's plus one coordinate i (v is v0 less a
     candidate i).  Then the solve is the bordered secular step with w_i = 1
     from v0's eigenpairs, and w_star is u(mu) scaled radially onto the
-    sphere, which never lowers q.  Any other mask raises ValueError.  The spectrum memoizes both kinds of
-    secular step by S: its own solve, and the bordered steps of every
-    coordinate of its solved set at once (``_bordered_batch``, each row
-    the bits of a search over that candidate alone), so every later call
-    with that spectrum and S, exact greedy's candidates at every removal
-    the spectrum serves among them, reads its row back.  Each call builds
-    its own w_star.
+    sphere, which never lowers q.  Any other mask raises ValueError.  The
+    spectrum memoizes both steps by S (its own, and in one
+    ``_bordered_batch`` those of its whole solved set), so every later call
+    with that spectrum and S reads its row back.  A result builds w_star on
+    first read; only a bordered one keeps the eigenvectors for it.
     """
     if not S >= 0:
         raise ValueError("S must be nonnegative")
     v = np.asarray(v, dtype=float)
     solved = _solved_mask(form, v)
-    removed = ()  # the coordinate the spectrum solves and v does not
+    removed = ()  # once checked, the one the spectrum solves and v does not
     if spectrum is not None:
-        removed = np.flatnonzero(spectrum.solved & ~solved)
-        if removed.size > 1 or (solved & ~spectrum.solved).any():
+        removed = np.flatnonzero(spectrum.solved ^ solved)
+        if len(removed) > 1 or (len(removed) and solved[removed[0]]):
             raise ValueError("spectrum's solved set is neither v's nor v's "
                              "plus one coordinate")
-    w_star = np.ones(form.n)
     if S == 0.0 or not solved.any():
-        return BallMax(w_star=w_star, dg_max=form.value(v), mu=0.0,
-                       hard_case=False)
+        return BallMax(form.value(v), 0.0, False, (form.n, solved, 0.0))
     if spectrum is None:
         spectrum = spectral_step(form, v)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if len(removed):
-            if S not in spectrum._bordered:
-                spectrum._bordered[S] = _bordered_batch(spectrum, form, S)
-            batch = spectrum._bordered[S]
-            p = int(np.count_nonzero(spectrum.solved[:removed[0]]))
-            mu, hard, value = batch.mu[p], batch.hard[p], batch.value[p]
-            u = spectrum.V @ batch.coef[p]
+    if not len(removed):
+        if S not in spectrum._own:
+            with np.errstate(**_QUIET):
+                spectrum._own[S] = _own_secular(spectrum, S)
+        mu, hard, value, u = spectrum._own[S]
+        return BallMax(float(value), float(mu), bool(hard),
+                       (form.n, spectrum.solved, u))
+    if S not in spectrum._bordered:
+        with np.errstate(**_QUIET):
+            spectrum._bordered[S] = _bordered_batch(spectrum, form, S)
+    batch, p = spectrum._bordered[S], int(spectrum._position[removed[0]])
+    return BallMax(float(batch.value[p]), float(batch.mu[p]),
+                   bool(batch.hard[p]),
+                   (form.n, spectrum.solved, batch.coef[p], spectrum.V, p, S))
+
+
+def _lift(n: int, solved, u, V=None, p=None, S=None) -> np.ndarray:
+    """w_star, 1 + u on the solved coordinates and 1 elsewhere; given V, u
+    is a bordered row's coefficients, made V u zeroed at p, scaled to S."""
+    w_star = np.ones(n)
+    if V is not None:
+        with np.errstate(**_QUIET):
+            u = V @ u
             u[p] = 0.0
             norm = float(np.linalg.norm(u))
             if norm > 0.0:
                 u *= S / norm
-        else:
-            if S not in spectrum._own:
-                spectrum._own[S] = _own_secular(spectrum, S)
-            mu, hard, value, u = spectrum._own[S]
-    w_star[spectrum.solved] = 1.0 + u
-    return BallMax(w_star=w_star, dg_max=float(value), mu=float(mu),
-                   hard_case=bool(hard))
+    w_star[solved] = 1.0 + u
+    return w_star
 
 
 def radius(dg_max: float, lam: float) -> float:

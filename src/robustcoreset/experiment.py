@@ -194,34 +194,37 @@ def resolve_lambda_rule(rule: str, n: int) -> float:
 
 
 def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, rules):
-    """(parts, models) of one fold, built once: training indices, training
-    and validation labels, training Gram, training-by-validation Gram and
-    validation feature norms, and the reference model at each rule."""
+    """(parts, refs) of one fold, built once: training indices, training and
+    validation labels, Gram, cross-Gram and validation feature norms, and
+    per rule the reference model with its validation margins y f(x)."""
     tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
-    y_tr = ds.labels[tr_idx]
+    y_tr, y_va = ds.labels[tr_idx], ds.labels[va_idx]
     K, Kx, norms = fold_kernels(ds.features, config.kernel, config.bandwidth,
                                 tr_idx, va_idx)
     models = [train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
                     kind=config.loss) for rule in rules]
-    return (tr_idx, y_tr, ds.labels[va_idx], K, Kx, norms), models
+    return (tr_idx, y_tr, y_va, K, Kx, norms), [
+        (model, y_va * decision_scores(model, Kx)) for model in models]
 
 
 def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig):
     """(rule, folds): the grid rule maximizing mean unweighted validation
     accuracy over the config's folds of ``plan``, each resolving every rule
     at its own training size (ties break toward the smaller lambda at n),
-    and each fold's parts and reference model at that rule, as ``_fold``."""
+    and each fold's parts and reference at that rule, as ``_fold``.  A
+    rule's lambda is a n ("n*10^x") or b (a literal): two rules that agree
+    at n = 1 and 2 agree at every n and count as a repeated entry."""
     grid = sorted((rule.strip() for rule in grid),
                   key=lambda rule: resolve_lambda_rule(rule, ds.n))
-    if not grid or len(set(grid)) < len(grid):
+    same = {tuple(resolve_lambda_rule(r, n) for n in (1, 2)) for r in grid}
+    if not grid or len(same) < len(grid):
         raise ValueError("--grid lists no entry or a repeated one")
     built = [_fold(ds, config, plan, k, grid) for k in range(config.folds)]
-    means = [float(np.mean([
-        evaluate_worst_case_accuracy(models[j], Kx, y_va, 0.0)
-        for (_, _, y_va, _, Kx, _), models in built])) for j in range(len(grid))]
+    means = [float(np.mean([bound.worst_case_accuracy(refs[j][1] > 0, 0.0)
+                            for _, refs in built])) for j in range(len(grid))]
     best = means.index(max(means))
-    return grid[best], [(parts, models[best:best + 1])
-                        for parts, models in built]
+    return grid[best], [(parts, refs[best:best + 1])
+                        for parts, refs in built]
 
 
 def evaluate_worst_case_accuracy(model, K_val_cross, y_val, Q: float) -> float:
@@ -304,7 +307,7 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     quadratic of one fold, taken from ``folds`` when given; ``ds``,
     ``rule``, ``plan`` and ``folds`` come from ``start_run``."""
     config.check_fold(fold)
-    (tr_idx, y_tr, y_va, K, Kx, norms), (model,) = (
+    (tr_idx, y_tr, y_va, K, Kx, norms), ((model, margins),) = (
         _fold(ds, config, plan, fold, [rule]) if folds is None else folds[fold])
     # A positive-class shift moves no weight of a validation part without
     # positives: its ball is the single point w = 1.
@@ -313,8 +316,7 @@ def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
     return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=y_tr, K=K,
                        S=shift_radius(int(np.sum(y_tr == 1)), config.a), Q=Q,
                        model=model, form_cert=bound.quadratic_form(model),
-                       valset=ValidationSet(Kx, y_va, norms,
-                                            y_va * decision_scores(model, Kx)))
+                       valset=ValidationSet(Kx, y_va, norms, margins))
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,

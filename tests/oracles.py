@@ -379,3 +379,26 @@ def bordered_secular(spec, form, i, S):
     if norm > 0.0:
         u *= S / norm
     return mu, hard, value, u
+
+
+def eager_w_star(form, spectrum, v, S):
+    """w_star of ``maximize_on_ball(form, v, S, spectrum)`` built eagerly
+    from the spectrum's memo, in the operations the solver used when it
+    built one on every call: for v the solved set less coordinate i (p
+    its position), u = V coef_p with u_p zeroed and scaled radially onto
+    the sphere; for v's own set the memoized u.  Then 1 + u on the solved
+    coordinates and 1 elsewhere."""
+    w_star = np.ones(form.n)
+    removed = np.flatnonzero(spectrum.solved & (np.asarray(v) == 0.0))
+    if removed.size:
+        p = int(np.count_nonzero(spectrum.solved[:removed[0]]))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = spectrum.V @ spectrum._bordered[S].coef[p]
+            u[p] = 0.0
+            norm = float(np.linalg.norm(u))
+            if norm > 0.0:
+                u *= S / norm
+    else:
+        u = spectrum._own[S][3]
+    w_star[spectrum.solved] = 1.0 + u
+    return w_star

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -544,7 +546,9 @@ def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task)
     v[live[3:5]] = 0.0
     added = v0.copy()
     added[live[0]] = 1.0
-    for bad in (v, added, np.ones(ds.n)):
+    swapped = added.copy()  # one coordinate removed, one added
+    swapped[live[3]] = 0.0
+    for bad in (v, added, swapped, np.ones(ds.n)):
         with pytest.raises(ValueError, match="spectrum"):
             rc.maximize_on_ball(form, bad, S, spectrum)
 
@@ -576,6 +580,114 @@ def test_spectrum_solves_its_own_set_once_per_radius(hinge_model, rbf_task,
             assert res.w_star.tobytes() == ref.w_star.tobytes()
             res.w_star[:] = -1.0
         assert own == [radius]
+
+
+def solves_on_one_step(form, v0, S):
+    """v0's spectral step and (v, result) of every solve it serves at S:
+    v0 itself, v0 less each dead kept coordinate and less each solved one."""
+    spectrum = rc.spectral_step(form, v0)
+    solves = []
+    for i in [None, *np.flatnonzero(v0)]:
+        v = np.array(v0, dtype=float)
+        if i is not None:
+            v[i] = 0.0
+        solves.append((v, rc.maximize_on_ball(form, v, S, spectrum)))
+    return spectrum, solves
+
+
+def test_w_star_is_the_eager_build_bit_for_bit(hinge_model):
+    # read after every other solve of its step, each deferred w_star has
+    # the bits of the build each call used to make; hard rows included
+    rng = np.random.default_rng(109)
+    cases = []
+    for dim in (2, 3, 8, 21):
+        form = random_psd_form(rng, dim)
+        v0 = np.ones(dim)
+        v0[rng.choice(dim, size=dim // 4, replace=False)] = 0.0
+        cases.append((form, v0))
+    embedded, _ = _embed_dead(rng, random_psd_form(rng, 6), 3)
+    cases.append((embedded, np.ones(embedded.n)))
+    form = rc.quadratic_form(hinge_model)
+    cases.append((form, np.where(np.arange(form.n) < 5, 0.0, 1.0)))
+    # bordered rows hard and not, and a hard own solve
+    A = np.array([[2.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    cases.append((_form_with_reduced_g(A, np.append(
+        2.0 * A[:2, 2] + [0.0, 0.2], 0.3)), np.ones(3)))
+    Q, _ = np.linalg.qr(np.random.default_rng(83).standard_normal((4, 4)))
+    cases.append((_form_with_reduced_g(Q @ np.diag([0.5, 1.0, 2.0, 2.0]) @ Q.T,
+                                       np.zeros(4)), np.ones(4)))
+    cases.append((_form_with_reduced_g(np.diag([3.0, 1.0, 0.5]),
+                                       np.array([0.0, 0.2, -0.1])), np.ones(3)))
+    hard = set()
+    for form, v0 in cases:
+        for S in (0.05, 0.4, 1.0, 2.0, 30.0):
+            spectrum, solves = solves_on_one_step(form, v0, S)
+            for v, res in solves:
+                ref = oracles.eager_w_star(form, spectrum, v, S)
+                assert res.w_star.tobytes() == ref.tobytes(), (form.n, S)
+                hard.add((res.hard_case, bool(np.array_equal(
+                    spectrum.solved, (v != 0.0) & form.live))))
+    assert hard == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_greedy_exact_builds_no_w_star(hinge_model, monkeypatch):
+    # scoring reads dg_max only; a w_star is built on its first read and
+    # then kept
+    lift, built = bound._lift, []
+
+    def counting_lift(*args):
+        built.append(args[0])
+        return lift(*args)
+
+    monkeypatch.setattr(bound, "_lift", counting_lift)
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(int(np.sum(hinge_model.y == 1)), 1.05)
+    trace = rc.greedy_exact(form, hinge_model.y, S, 8)
+    assert len(trace.removal_order) == 8 and built == []
+    res = rc.maximize_on_ball(form, trace.kept_mask(8), S)
+    assert built == []
+    assert res.w_star is res.w_star and built == [form.n]
+
+
+def test_overwritten_w_star_does_not_leak(hinge_model):
+    # each result builds its own w_star from the memo, which stays as it was
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(int(np.sum(hinge_model.y == 1)), 1.05)
+    v0 = np.ones(form.n)
+    v0[np.flatnonzero(form.live)[:3]] = 0.0
+    spectrum, first = solves_on_one_step(form, v0, S)
+    kept = [res.w_star.copy() for _, res in first]
+    memo = (spectrum._own[S][3].copy(), spectrum._bordered[S].coef.copy())
+    for _, res in first:
+        res.w_star[:] = -1.0
+    for (v, res), ref in zip(first, kept):
+        again = rc.maximize_on_ball(form, v, S, spectrum)
+        assert again.w_star.tobytes() == ref.tobytes()
+        assert np.all(res.w_star == -1.0)
+    assert spectrum._own[S][3].tobytes() == memo[0].tobytes()
+    assert spectrum._bordered[S].coef.tobytes() == memo[1].tobytes()
+
+
+def test_own_result_keeps_no_spectrum_alive(hinge_model, monkeypatch):
+    # a solve without a given step (FoldContext.full_ball's) frees its
+    # eigenvectors once it returns, its w_star read or not
+    step, steps = bound.spectral_step, []
+
+    def recording_step(*args):
+        spectrum = step(*args)
+        steps.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(bound, "spectral_step", recording_step)
+    form = rc.quadratic_form(hinge_model)
+    res = rc.maximize_on_ball(form, np.ones(form.n), 1.5)
+    gc.collect()
+    assert len(steps) == 1 and steps[0]() is None
+    monkeypatch.undo()
+    spectrum = rc.spectral_step(form, np.ones(form.n))
+    rc.maximize_on_ball(form, np.ones(form.n), 1.5, spectrum)
+    assert res.w_star.tobytes() == oracles.eager_w_star(
+        form, spectrum, np.ones(form.n), 1.5).tobytes()
 
 
 def test_spectral_step_reuses_a_step_of_the_same_solved_set(hinge_model):

@@ -607,11 +607,14 @@ def test_cli_lambda_cv(tmp_path, monkeypatch):
         "--grid", "0.5,5.0"])
     assert res.exit_code == 0, res.output
     assert res.output.strip() in ("0.5", "5.0")
-    # a repeated rule, once stripped, exits 2 before any fold is built
+    # a repeated rule, once stripped, or two rules of one canonical form
+    # (the same lambda at every n) exit 2 before any fold is built
     built = []
     monkeypatch.setattr(experiment, "fold_kernels",
                         lambda *args: built.append(args))
-    for grid in ("n,n", "n, n", "0.5,5.0,0.5"):
+    for grid in ("n,n", "n, n", "0.5,5.0,0.5", "n,n*10^0", "n*10^-0,n",
+                 "n*10^-1,n*10^-1.0", "n*10^-1.5,n*10^-1.50", "2,2.0,n",
+                 "0.5,5e-1"):
         res = runner.invoke(cli_main, [
             "lambda-cv", "--dataset", str(data), "--folds", "3",
             "--grid", grid])
@@ -1023,10 +1026,10 @@ def test_cli_sweep_timing_changes_only_wall_ms(synth_file, tmp_path):
     assert timed["aggregates"] == untimed["aggregates"]
 
 
-def test_reference_margins_computed_once_per_fold(synth_file, tmp_path,
-                                                  monkeypatch):
-    # under a fixed lambda rule each fold scores its reference model on the
-    # validation part once, however many rows certify against it
+def reference_scores(synth_file, out_dir, monkeypatch, rule):
+    """(references, scored) of a 3-fold robust and random sweep at
+    ``rule``: the reference models trained and, per validation scoring of
+    one of them, its cross-Gram's shape."""
     import robustcoreset.experiment as experiment
     train, references, scored = experiment.train, [], []
 
@@ -1046,9 +1049,28 @@ def test_reference_margins_computed_once_per_fold(synth_file, tmp_path,
         if hasattr(module, "decision_scores"):
             monkeypatch.setattr(module, "decision_scores", counting_scores)
     res = CliRunner().invoke(cli_main, [
-        "sweep", "--dataset", synth_file, "--lambda-rule", "2.0",
+        "sweep", "--dataset", synth_file, "--lambda-rule", rule,
         "--folds", "3", "--methods", "robust,random",
-        "--removal-grid", "0,0.1,0.3", "--output-dir", str(tmp_path)])
+        "--removal-grid", "0,0.1,0.3", "--output-dir", str(out_dir)])
     assert res.exit_code == 0, res.output
+    return references, scored
+
+
+def test_reference_margins_computed_once_per_fold(synth_file, tmp_path,
+                                                  monkeypatch):
+    # under a fixed lambda rule each fold scores its reference model on the
+    # validation part once, however many rows certify against it
+    references, scored = reference_scores(synth_file, tmp_path, monkeypatch,
+                                          "2.0")
     assert len(references) == 3
     assert len(scored) == 3
+
+
+def test_cv_best_scores_each_grid_model_once(synth_file, tmp_path,
+                                             monkeypatch):
+    # under cv-best each fold scores each grid rule's model once:
+    # lambda_cv's margins of the winning rule are the certificate's
+    references, scored = reference_scores(synth_file, tmp_path, monkeypatch,
+                                          "cv-best")
+    assert len(references) == 3 * len(DEFAULT_LAMBDA_GRID)
+    assert len(scored) == 3 * len(DEFAULT_LAMBDA_GRID)
