@@ -3,8 +3,8 @@ worst-case validation error under bounded covariate-shift weight
 perturbations."""
 
 from .bound import (BoundReport, QuadraticGapForm, certificate, certify,
-                    maximize_on_ball, min_weighted_indicator, quadratic_form,
-                    radius, spectral_step, worst_case_accuracy)
+                    maximize_on_ball, quadratic_form, radius, spectral_step,
+                    worst_case_accuracy)
 from .data import (Dataset, SplitPlan, cv_split, gaussian_task, parse_libsvm,
                    shift_radius, to_libsvm)
 from .erm import (HINGE, LOGISTIC, Model, conjugate_eval, decision_scores,
@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "QuadraticGapForm", "certificate", "certify",
-    "maximize_on_ball", "min_weighted_indicator", "quadratic_form", "radius",
-    "spectral_step", "worst_case_accuracy",
+    "maximize_on_ball", "quadratic_form", "radius", "spectral_step",
+    "worst_case_accuracy",
     "Dataset", "SplitPlan", "cv_split", "gaussian_task",
     "parse_libsvm", "shift_radius", "to_libsvm",
     "HINGE", "LOGISTIC", "Model", "conjugate_eval", "decision_scores",

@@ -47,9 +47,9 @@ weights:
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. A validation point whose reference margin y f(x) exceeds R ||phi(x)||
-   is certified correct (zeta).  ``worst_case_accuracy`` minimizes a 0/1
-   indicator's mean over the validation ball in closed form: one less its
-   value at zeta is the error upper bound.
+   is certified correct (zeta).  One less ``worst_case_accuracy`` of zeta,
+   the least weighted mean of that 0/1 indicator over the validation
+   ball, is the error upper bound.
 """
 
 import functools
@@ -66,7 +66,6 @@ __all__ = [
     "BallMax",
     "Spectrum",
     "Counts",
-    "WeightedIndicatorMin",
     "BoundReport",
     "BallMaximizationError",
     "quadratic_form",
@@ -74,7 +73,6 @@ __all__ = [
     "maximize_on_ball",
     "radius",
     "certify",
-    "min_weighted_indicator",
     "worst_case_accuracy",
     "certificate",
 ]
@@ -515,48 +513,34 @@ def certify(margins: np.ndarray, norms: np.ndarray, R: float):
     return zeta, counts
 
 
-class WeightedIndicatorMin(NamedTuple):
-    value: float
-    w_prime_star: np.ndarray
+def worst_case_accuracy(indicator, Q: float) -> float:
+    """Mean of a 0/1 ``indicator`` over the n' validation instances,
+    minimized over the validation ball ||w' - 1|| <= Q with sum(w') = n'
+    and clipped to [0, 1]: a model's worst-case accuracy from its correct
+    predictions, the certified bound from zeta.
 
-
-def min_weighted_indicator(zeta, Q: float) -> WeightedIndicatorMin:
-    """Minimize zeta' w' over ||w' - 1|| <= Q with sum(w') fixed at n'.
-
-    Closed form: total - Q * sqrt(||zeta||^2 - total^2/n'); the minimizer
-    tilts weight away from certified instances while keeping the total
-    mass constant.  A zero radicand (all-equal zeta) leaves w' = 1.
+    Closed form: with total = sum(indicator), the least weighted sum is
+    total - Q * sqrt(||indicator||^2 - total^2/n'), reached by tilting
+    weight away from the counted instances while keeping the total mass.
     """
     if not Q >= 0:
         raise ValueError("Q must be nonnegative")
-    zeta = np.asarray(zeta, dtype=float)
-    n_val = zeta.shape[0]
+    indicator = np.asarray(indicator, dtype=float)
+    n_val = indicator.shape[0]
     if n_val < 1:
         raise ValueError("need at least one validation instance")
-    total = float(zeta.sum())
-    radicand = float(zeta @ zeta) - total * total / n_val
-    radicand = max(radicand, 0.0)
-    if radicand == 0.0 or Q == 0.0:
-        return WeightedIndicatorMin(total, np.ones(n_val))
-    rad = math.sqrt(radicand)
-    w = 1.0 - (Q / rad) * (zeta - total / n_val)
-    return WeightedIndicatorMin(total - Q * rad, w)
-
-
-def worst_case_accuracy(indicator, Q: float) -> float:
-    """Mean of a 0/1 ``indicator`` over the validation instances, minimized
-    over the validation ball and clipped to [0, 1]: a model's worst-case
-    accuracy from its correct predictions, the certified bound from zeta."""
-    value = min_weighted_indicator(indicator, Q).value
-    return min(1.0, max(0.0, value / len(indicator)))
+    total = float(indicator.sum())
+    radicand = max(float(indicator @ indicator) - total * total / n_val, 0.0)
+    value = total - Q * math.sqrt(radicand)
+    return min(1.0, max(0.0, value / n_val))
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Certificate for one candidate coreset."""
+    """Certificate for one candidate coreset, with the ball maximum it
+    certifies."""
 
-    dg_max: float
-    w_star: np.ndarray
+    ball: BallMax
     radius: float
     zeta: np.ndarray
     counts: Counts
@@ -564,7 +548,7 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return {
-            "dg_max": self.dg_max,
+            "dg_max": self.ball.dg_max,
             "radius": self.radius,
             "ub": self.ub,
             "counts": {
@@ -573,7 +557,7 @@ class BoundReport:
                 "unknown": self.counts.unknown,
             },
             "zeta": self.zeta.astype(int).tolist(),
-            "w_star": self.w_star.tolist(),
+            "w_star": self.ball.w_star.tolist(),
         }
 
 
@@ -583,5 +567,4 @@ def certificate(ball: BallMax, lam: float, Q: float, margins,
     R = radius(ball.dg_max, lam)
     zeta, counts = certify(margins, norms, R)
     ub = 1.0 - worst_case_accuracy(zeta, Q)
-    return BoundReport(dg_max=ball.dg_max, w_star=ball.w_star, radius=R,
-                       zeta=zeta, counts=counts, ub=ub)
+    return BoundReport(ball=ball, radius=R, zeta=zeta, counts=counts, ub=ub)

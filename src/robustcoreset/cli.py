@@ -201,7 +201,7 @@ def certify_cmd(method, removal_fraction, fold, indices, output_dir, **kwargs):
                    m=int(v.sum()), n_train=len(ctx.y_tr),
                    certified_lb=1.0 - report.ub, lam=ctx.model.lam_abs)
     (out / "bound_report.json").write_text(json.dumps(payload, indent=2) + "\n")
-    click.echo(f"dg_max={report.dg_max:.6g} radius={report.radius:.6g} "
+    click.echo(f"dg_max={report.ball.dg_max:.6g} radius={report.radius:.6g} "
                f"certified={report.counts.surely_correct}/{len(report.zeta)} "
                f"error_ub={report.ub:.6g}")
 
@@ -215,7 +215,7 @@ def evaluate_cmd(method, removal_fraction, fold, indices, **kwargs):
     """Retrain on a coreset and print worst-case weighted validation accuracy."""
     config, ctx = _fold_context(kwargs, fold, removal_fraction)
     v, method = _coreset_mask(ctx, config, method, indices)
-    wc = retrained_accuracy(ctx, config, v)
+    wc = retrained_accuracy(ctx, v)
     click.echo(json.dumps({"fold": fold, "method": method, "m": int(v.sum()),
                            "wc_accuracy": wc, "Q": ctx.Q}, indent=2))
 

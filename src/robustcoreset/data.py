@@ -95,6 +95,8 @@ def _parse_line(line: str, lineno: int):
         label = float(parts[0])
     except ValueError:
         raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
+    if not np.isfinite(label):
+        raise ParseError(f"line {lineno}: label {parts[0]!r} is not finite")
     pairs = []
     prev = 0
     for tok in parts[1:]:
@@ -139,8 +141,9 @@ def _map_labels(raw_tokens, values):
 def parse_libsvm(text: str) -> Dataset:
     """Parse LIBSVM-format text into a dense Dataset with intercept column.
 
-    Raises ParseError on malformed tokens, duplicate or non-increasing
-    indices (with the offending line number), and on empty input.
+    Raises ParseError on malformed tokens, non-finite labels, duplicate or
+    non-increasing indices (with the offending line number), and on empty
+    input.
     """
     raw_tokens, values, rows = [], [], []
     max_idx = 0
@@ -228,6 +231,8 @@ def gaussian_task(n: int, d: int, seed: int = 0, separation: float = 2.0,
 
     Class means sit at +/- separation/2 along a random unit direction.
     """
+    if d < 1:
+        raise ValueError("d must be at least 1")
     if n_plus is None:
         n_plus = n // 2
     if not 0 < n_plus < n:

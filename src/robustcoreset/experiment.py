@@ -337,10 +337,10 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
                                   seed, preserve_classes=config.preserve_classes)
 
 
-def retrained_accuracy(ctx: FoldContext, config: ExperimentConfig, v) -> float:
+def retrained_accuracy(ctx: FoldContext, v) -> float:
     """Retrain on the kept mask ``v`` with uniform weights at the reference
-    model's lambda and score its worst-case validation accuracy."""
-    sub_model = train(ctx.K, ctx.y_tr, ctx.model.lam_abs, v=v, kind=config.loss)
+    model's lambda and loss and score its worst-case validation accuracy."""
+    sub_model = train(ctx.K, ctx.y_tr, ctx.model.lam_abs, v=v, kind=ctx.model.loss)
     return evaluate_worst_case_accuracy(sub_model, ctx.valset.K_cross,
                                         ctx.valset.y, ctx.Q)
 
@@ -447,13 +447,13 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
                 for frac, n_del in zip(config.removal_grid, n_del_grid):
                     t0 = time.perf_counter()
                     v = trace.kept_mask(n_del)
-                    wc_acc = retrained_accuracy(ctx, config, v)
+                    wc_acc = retrained_accuracy(ctx, v)
                     cert = certify_coreset(ctx, v)
                     wall_ms = (time.perf_counter() - t0) * 1e3 if config.timing else 0.0
                     report.rows.append(dict(
                         fold=fold, method=method, m=int(v.sum()),
                         fraction_removed=float(frac), wc_accuracy=wc_acc,
-                        certified_lb=1.0 - cert.ub, dg_max=cert.dg_max,
+                        certified_lb=1.0 - cert.ub, dg_max=cert.ball.dg_max,
                         wall_ms=wall_ms, status="ok"))
     except Exception as exc:
         report.rows.append({

@@ -780,7 +780,7 @@ def test_radius_values():
 
 @pytest.mark.parametrize("guard", [
     lambda m: rc.maximize_on_ball(rc.quadratic_form(m), np.ones(m.n), math.nan),
-    lambda m: rc.min_weighted_indicator(np.ones(3), math.nan),
+    lambda m: rc.worst_case_accuracy(np.ones(3), math.nan),
     lambda m: rc.radius(0.1, math.nan),
     lambda m: rc.shift_radius(5, math.nan),
     lambda m: rc.gram(m.gram_ref, m.gram_ref, math.nan),
@@ -815,25 +815,27 @@ def test_certify_degenerate_radius():
     assert zeta.sum() == 0 and counts.unknown == 3
 
 
+def clipped_oracle(indicator, Q, **kwargs):
+    # the oracle's least weighted sum as a mean clipped to [0, 1], the way
+    # worst_case_accuracy reports it
+    value = oracles.min_indicator_oracle(indicator, Q, **kwargs)
+    return min(1.0, max(0.0, value / len(indicator)))
+
+
 def test_min_weighted_indicator_all_certified():
-    value, w = rc.min_weighted_indicator(np.ones(6), 3.0)
-    assert value == pytest.approx(6.0)
-    np.testing.assert_array_equal(w, np.ones(6))
+    assert rc.worst_case_accuracy(np.ones(6), 3.0) == pytest.approx(1.0)
 
 
 def test_min_weighted_indicator_all_zero():
-    value, _ = rc.min_weighted_indicator(np.zeros(4), 1.0)
-    assert value == pytest.approx(0.0)
+    assert rc.worst_case_accuracy(np.zeros(4), 1.0) == pytest.approx(0.0)
 
 
 def test_min_weighted_indicator_single_one():
-    value, w = rc.min_weighted_indicator(np.array([1.0, 0, 0, 0]), 1.0)
-    assert value == pytest.approx(1.0 - math.sqrt(3.0) / 2.0, abs=1e-12)
-    assert value == pytest.approx(0.1339745962, abs=1e-9)
-    assert w.sum() == pytest.approx(4.0, abs=1e-12)
-    assert np.linalg.norm(w - 1.0) == pytest.approx(1.0, abs=1e-12)
-    oracle = oracles.min_indicator_oracle(np.array([1.0, 0, 0, 0]), 1.0)
-    assert value == pytest.approx(oracle, abs=1e-6)
+    indicator = np.array([1.0, 0, 0, 0])
+    acc = rc.worst_case_accuracy(indicator, 1.0)
+    assert acc == pytest.approx((1.0 - math.sqrt(3.0) / 2.0) / 4.0, abs=1e-12)
+    assert acc == pytest.approx(0.1339745962 / 4.0, abs=1e-9)
+    assert acc == pytest.approx(clipped_oracle(indicator, 1.0), abs=1e-6)
 
 
 def test_min_weighted_indicator_matches_oracle_random():
@@ -842,11 +844,17 @@ def test_min_weighted_indicator_matches_oracle_random():
         n = int(rng.integers(3, 12))
         zeta = (rng.random(n) < 0.5).astype(float)
         Q = float(rng.uniform(0.0, 2.0))
-        value, w = rc.min_weighted_indicator(zeta, Q)
-        oracle = oracles.min_indicator_oracle(zeta, Q, seed=trial)
-        assert value == pytest.approx(oracle, abs=1e-6)
-        assert value <= float(zeta @ w) + 1e-9
-        assert w.sum() == pytest.approx(n, abs=1e-9)
+        acc = rc.worst_case_accuracy(zeta, Q)
+        assert acc == pytest.approx(clipped_oracle(zeta, Q, seed=trial),
+                                    abs=1e-6)
+
+
+def test_worst_case_accuracy_clips_a_negative_minimum_to_zero():
+    # 1 - 2 sqrt(2/3) < 0: a ball this wide reaches negative weights
+    indicator = np.array([1.0, 0, 0])
+    assert oracles.min_indicator_oracle(indicator, 2.0) < -0.6
+    assert rc.worst_case_accuracy(indicator, 2.0) == 0.0
+    assert clipped_oracle(indicator, 2.0) == 0.0
 
 
 def test_worst_case_error_ub_values():
@@ -925,7 +933,7 @@ def test_ball_containment_and_certificate_soundness(rbf_task, kind):
 
         ub = 1.0 - rc.worst_case_accuracy(zeta, Q)
         correct = (margins > 0).astype(float)
-        realized = 1.0 - rc.min_weighted_indicator(correct, Q).value / va.n
+        realized = 1.0 - rc.worst_case_accuracy(correct, Q)
         assert realized <= ub + 1e-6
 
 
@@ -946,5 +954,6 @@ def test_certificate_pipeline_report(rbf_task, hinge_model):
     assert sum(d["counts"].values()) == va.n
     assert d["counts"]["surely_correct"] == int(report.zeta.sum())
     assert 0.0 <= d["ub"] <= 1.0
+    assert report.ball is ball and d["dg_max"] == ball.dg_max
     assert report.radius == pytest.approx(
-        math.sqrt(2.0 * report.dg_max / lam_abs))
+        math.sqrt(2.0 * ball.dg_max / lam_abs))

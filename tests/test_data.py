@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import robustcoreset as rc
+from robustcoreset.cli import main as cli_main
 from robustcoreset import data
 from robustcoreset.data import ParseError, SplitError
 
@@ -51,6 +53,24 @@ def test_parse_bad_value():
 def test_parse_bad_label():
     with pytest.raises(ParseError, match="label"):
         rc.parse_libsvm("spam 1:1")
+
+
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+def test_parse_nonfinite_label(label, tmp_path):
+    # string order would binarize these into a class of their own
+    text = (f"1 1:0.2\n1 1:0.5\n{label} 1:0.1\n1 1:0.9\n{label} 1:0.3\n"
+            f"{label} 1:0.7\n")
+    with pytest.raises(ParseError, match=f"line 3: label '{label}'"):
+        rc.parse_libsvm(text)
+    data = tmp_path / "nonfinite.svm"
+    data.write_text(text)
+    res = CliRunner().invoke(cli_main, [
+        "sweep", "--dataset", str(data), "--folds", "2", "--lambda-rule", "n",
+        "--output-dir", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "not finite" in res.output
+    assert not (tmp_path / "out" / "report.csv").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_parse_empty_input():
@@ -171,6 +191,11 @@ def test_gaussian_task_shape():
     ds = rc.gaussian_task(50, 4, seed=9, n_plus=20)
     assert (ds.n, ds.d, ds.n_plus) == (50, 5, 20)
     np.testing.assert_array_equal(ds.features[:, -1], 1.0)
+
+
+def test_gaussian_task_needs_a_feature():
+    with pytest.raises(ValueError, match="d must be at least 1"):
+        rc.gaussian_task(50, 0)
 
 
 def test_table_dataset_shapes():

@@ -519,6 +519,27 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
         np.testing.assert_array_equal(ctx.full_ball.w_star, fresh)
 
 
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_certificates_build_no_w_star(synth_file, monkeypatch, algorithm):
+    # a sweep row reads a certificate's ub and dg_max, never its w_star:
+    # the only maximizer built is each fold's full-set one, which the gap
+    # diagnostics (and the fixed-w selector) read
+    lift, built = bound._lift, []
+
+    def counting_lift(*args):
+        built.append(args[0])
+        return lift(*args)
+
+    monkeypatch.setattr(bound, "_lift", counting_lift)
+    config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
+                              methods=("robust", "random"),
+                              removal_grid=(0.0, 0.3, 0.5), folds=3, seed=3,
+                              algorithm=algorithm)
+    report = run_experiment(config)
+    assert len(report.rows) == 18
+    assert len(built) == config.folds
+
+
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])
 @pytest.mark.parametrize("method", ["robust", "random"])
 def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
@@ -566,6 +587,14 @@ def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
             assert cert["certified_lb"] == pytest.approx(row["certified_lb"],
                                                          abs=1e-9)
             assert cert["dg_max"] == pytest.approx(row["dg_max"], abs=1e-9)
+            # the certificate reports the maximizer of its own ball solve
+            config = ExperimentConfig(dataset=str(data), loss=loss,
+                                      lambda_rule="2.0", folds=3, seed=4)
+            ds = load_inputs(config)
+            ctx = prepare_fold(ds, config, 0, "2.0", rc.cv_split(ds, 3, 4))
+            v = np.isin(ctx.tr_idx, kept).astype(float)
+            assert cert["w_star"] == bound.maximize_on_ball(
+                ctx.form_cert, v, ctx.S).w_star.tolist(), (n, m)
 
 
 def test_cli_precomputed_cv_best_reads_kernel_once(tmp_path, monkeypatch):
@@ -745,6 +774,11 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not (tmp_path / "nope" / "report.csv").exists()
     res = runner.invoke(cli_main, ["sweep", "--dataset", str(tmp_path / "no")])
     assert res.exit_code == 2
+    # a dataset needs a feature
+    res = runner.invoke(cli_main, ["synth", "--d", "0", "--out",
+                                   str(tmp_path / "d0.svm")])
+    assert res.exit_code == 2 and "d must be at least 1" in res.output
+    assert not (tmp_path / "d0.svm").exists()
     # every bad number exits before a report exists, with the option named
     for options in (["--bandwidth", "0"], ["--kernel", "linear", "--bandwidth", "5"],
                     ["--q-factor", "-1"], ["--methods", ""], ["--a", "nan"],
