@@ -116,26 +116,18 @@ def _parse_line(line: str, lineno: int):
             raise ParseError(f"line {lineno}: indices not increasing at {idx}")
         prev = idx
         pairs.append((idx, val))
-    return parts[0], label, pairs
+    return label, pairs
 
 
-def _map_labels(raw_tokens, values):
-    """Map raw labels onto {-1, +1}.
-
-    Labels already in {-1, +1} keep their sign, {0, 1} maps 0 to -1; any
-    other pair of labels is binarized with the lexicographically smaller
-    raw token becoming -1.
-    """
+def _map_labels(values):
+    """Map label values onto {-1, +1}: of two distinct values the larger
+    is +1 ({-1, +1} and {0, 1} keep their meaning); a lone value is +1
+    only when it is 1."""
     distinct = sorted(set(values))
-    if set(distinct) <= {-1.0, 1.0}:
-        return np.array([int(v) for v in values])
-    if set(distinct) <= {0.0, 1.0}:
-        return np.array([1 if v == 1.0 else -1 for v in values])
-    raw_distinct = sorted(set(raw_tokens))
-    if len(raw_distinct) > 2:
-        raise ParseError(f"more than two distinct labels: {raw_distinct}")
-    neg = raw_distinct[0]
-    return np.array([-1 if tok == neg else 1 for tok in raw_tokens])
+    if len(distinct) > 2:
+        raise ParseError(f"more than two distinct labels: {distinct}")
+    positive = distinct[1] if len(distinct) == 2 else 1.0
+    return np.where(np.array(values) == positive, 1, -1)
 
 
 def parse_libsvm(text: str) -> Dataset:
@@ -145,13 +137,12 @@ def parse_libsvm(text: str) -> Dataset:
     non-increasing indices (with the offending line number), and on empty
     input.
     """
-    raw_tokens, values, rows = [], [], []
+    values, rows = [], []
     max_idx = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        tok, label, pairs = _parse_line(line, lineno)
-        raw_tokens.append(tok)
+        label, pairs = _parse_line(line, lineno)
         values.append(label)
         rows.append(pairs)
         if pairs:
@@ -164,7 +155,7 @@ def parse_libsvm(text: str) -> Dataset:
     for i, pairs in enumerate(rows):
         for idx, val in pairs:
             X[i, idx - 1] = val
-    y = _map_labels(raw_tokens, values)
+    y = _map_labels(values)
     return Dataset(X, y)
 
 

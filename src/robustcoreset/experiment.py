@@ -14,11 +14,11 @@ once by ``start_run``).  Each fold resolves the rule at its own training
 size, so the lambda a fold reports is the one it trained with.
 Retraining on a coreset keeps the reference model's strength.
 
-Each fold is built once (``_fold``: its kernels and its reference model).
-Under "cv-best", ``lambda_cv`` builds every fold with a model per grid
-rule and ``start_run`` hands on each fold with its model at the winning
-rule, which ``prepare_fold`` uses as it is, so the run holds every fold's
-kernels at once; under a fixed rule ``prepare_fold`` builds its own fold.
+Each fold is built once, as one ``FoldContext`` per rule (``_fold``).
+Under "cv-best", ``lambda_cv`` builds every fold at every grid rule and
+``start_run`` hands on each fold's record at the winning rule, which
+``prepare_fold`` returns as it is, so the run holds every fold's kernels
+at once; under a fixed rule ``prepare_fold`` builds its own fold.
 """
 
 import csv
@@ -194,24 +194,31 @@ def resolve_lambda_rule(rule: str, n: int) -> float:
 
 
 def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, rules):
-    """(parts, refs) of one fold, built once: training indices, training and
-    validation labels, Gram, cross-Gram and validation feature norms, and
-    per rule the reference model with its validation margins y f(x)."""
+    """One ``FoldContext`` per rule, in the rules' order: all share the
+    fold's kernels, radii and labels; each has its rule's reference model
+    and that model's validation margins y f(x)."""
     tr_idx, va_idx = plan.train_indices(fold), plan.val_indices(fold)
     y_tr, y_va = ds.labels[tr_idx], ds.labels[va_idx]
     K, Kx, norms = fold_kernels(ds.features, config.kernel, config.bandwidth,
                                 tr_idx, va_idx)
+    S = shift_radius(int(np.sum(y_tr == 1)), config.a)
+    # A positive-class shift moves no weight of a validation part without
+    # positives: its ball is the single point w = 1.
+    n_plus_va = int(np.sum(y_va == 1))
+    Q = shift_radius(n_plus_va, config.q_shift) if n_plus_va else 0.0
     models = [train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
                     kind=config.loss) for rule in rules]
-    return (tr_idx, y_tr, y_va, K, Kx, norms), [
-        (model, y_va * decision_scores(model, Kx)) for model in models]
+    return [FoldContext(fold=fold, tr_idx=tr_idx, y_tr=y_tr, K=K, S=S, Q=Q,
+                        model=model, valset=ValidationSet(
+                            Kx, y_va, norms, y_va * decision_scores(model, Kx)))
+            for model in models]
 
 
 def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig):
     """(rule, folds): the grid rule maximizing mean unweighted validation
     accuracy over the config's folds of ``plan``, each resolving every rule
     at its own training size (ties break toward the smaller lambda at n),
-    and each fold's parts and reference at that rule, as ``_fold``.  A
+    and each fold's ``FoldContext`` at that rule, from ``_fold``.  A
     rule's lambda is a n ("n*10^x") or b (a literal): two rules that agree
     at n = 1 and 2 agree at every n and count as a repeated entry."""
     grid = sorted((rule.strip() for rule in grid),
@@ -220,11 +227,11 @@ def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig):
     if not grid or len(same) < len(grid):
         raise ValueError("--grid lists no entry or a repeated one")
     built = [_fold(ds, config, plan, k, grid) for k in range(config.folds)]
-    means = [float(np.mean([bound.worst_case_accuracy(refs[j][1] > 0, 0.0)
-                            for _, refs in built])) for j in range(len(grid))]
+    means = [float(np.mean([
+        bound.worst_case_accuracy(ctxs[j].valset.margins > 0, 0.0)
+        for ctxs in built])) for j in range(len(grid))]
     best = means.index(max(means))
-    return grid[best], [(parts, refs[best:best + 1])
-                        for parts, refs in built]
+    return grid[best], [ctxs[best] for ctxs in built]
 
 
 def evaluate_worst_case_accuracy(model, K_val_cross, y_val, Q: float) -> float:
@@ -244,8 +251,8 @@ class ValidationSet(NamedTuple):
 
 @dataclass
 class FoldContext:
-    """Everything a fold needs: data, kernels, radii, model and quadratic;
-    the validation side is kept in ``valset`` only."""
+    """A fold at one lambda rule, built by ``_fold`` only: data, kernels,
+    radii and reference model, the validation side in ``valset`` only."""
 
     fold: int
     tr_idx: np.ndarray
@@ -254,8 +261,12 @@ class FoldContext:
     S: float
     Q: float
     model: object
-    form_cert: bound.QuadraticGapForm
     valset: ValidationSet
+
+    @functools.cached_property
+    def form_cert(self) -> bound.QuadraticGapForm:
+        """The reference model's gap quadratic, on first use."""
+        return bound.quadratic_form(self.model)
 
     @functools.cached_property
     def full_ball(self) -> bound.BallMax:
@@ -303,20 +314,13 @@ def start_run(config: ExperimentConfig, grid=DEFAULT_LAMBDA_GRID):
 
 def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
                  rule: str, plan: SplitPlan, folds=None) -> FoldContext:
-    """Kernels, radii, reference model, its validation margins and gap
-    quadratic of one fold, taken from ``folds`` when given; ``ds``,
-    ``rule``, ``plan`` and ``folds`` come from ``start_run``."""
+    """The ``FoldContext`` of one fold at ``rule``: ``folds[fold]`` when
+    given, else built by ``_fold``; ``ds``, ``rule``, ``plan`` and
+    ``folds`` come from ``start_run``."""
     config.check_fold(fold)
-    (tr_idx, y_tr, y_va, K, Kx, norms), ((model, margins),) = (
-        _fold(ds, config, plan, fold, [rule]) if folds is None else folds[fold])
-    # A positive-class shift moves no weight of a validation part without
-    # positives: its ball is the single point w = 1.
-    n_plus_va = int(np.sum(y_va == 1))
-    Q = shift_radius(n_plus_va, config.q_shift) if n_plus_va else 0.0
-    return FoldContext(fold=fold, tr_idx=tr_idx, y_tr=y_tr, K=K,
-                       S=shift_radius(int(np.sum(y_tr == 1)), config.a), Q=Q,
-                       model=model, form_cert=bound.quadratic_form(model),
-                       valset=ValidationSet(Kx, y_va, norms, margins))
+    if folds is not None:
+        return folds[fold]
+    return _fold(ds, config, plan, fold, [rule])[0]
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
@@ -347,8 +351,10 @@ def retrained_accuracy(ctx: FoldContext, v) -> float:
 
 def certify_coreset(ctx: FoldContext, v) -> bound.BoundReport:
     """Certificate of the kept mask ``v`` against the fold's reference
-    model; a mask that keeps every instance reuses the full-set solve."""
-    ball = (ctx.full_ball if np.all(v)
+    model; a mask that keeps every live instance reads the full-set solve,
+    as dead ones do not move q."""
+    live = ctx.form_cert.live
+    ball = (ctx.full_ball if np.array_equal((v != 0) & live, live)
             else bound.maximize_on_ball(ctx.form_cert, v, ctx.S))
     return bound.certificate(ball, ctx.model.lam_abs, ctx.Q,
                              ctx.valset.margins, ctx.valset.norms)

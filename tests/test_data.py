@@ -57,7 +57,7 @@ def test_parse_bad_label():
 
 @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
 def test_parse_nonfinite_label(label, tmp_path):
-    # string order would binarize these into a class of their own
+    # a non-finite label has no place in the order of label values
     text = (f"1 1:0.2\n1 1:0.5\n{label} 1:0.1\n1 1:0.9\n{label} 1:0.3\n"
             f"{label} 1:0.7\n")
     with pytest.raises(ParseError, match=f"line 3: label '{label}'"):
@@ -83,9 +83,17 @@ def test_parse_zero_one_labels():
     assert list(ds.labels) == [-1, 1]
 
 
-def test_parse_other_labels_lexicographic():
+def test_parse_other_labels_by_value():
     ds = rc.parse_libsvm("4 1:1\n2 1:2")
     assert list(ds.labels) == [1, -1]
+    # labels are told apart by value, not text: of two values the larger
+    # is +1, and a lone value is +1 only when it is 1
+    for text, labels in (("2 1:1\n2.0 1:2\n4 1:3\n", [-1, -1, 1]),
+                         ("9 1:1\n10 1:2\n", [-1, 1]),
+                         ("-2 1:1\n-1 1:2\n", [-1, 1]),
+                         ("2 1:1\n2 1:2\n", [-1, -1]),
+                         ("1.0 1:1\n", [1])):
+        assert list(rc.parse_libsvm(text).labels) == labels, text
 
 
 def test_parse_three_labels_rejected():

@@ -540,6 +540,137 @@ def test_certificates_build_no_w_star(synth_file, monkeypatch, algorithm):
     assert len(built) == config.folds
 
 
+def test_cv_best_prepare_fold_returns_lambda_cvs_record(synth_file,
+                                                       monkeypatch):
+    # lambda_cv builds each fold once, one record per grid rule, and
+    # prepare_fold hands on the winning rule's record itself
+    import robustcoreset.experiment as experiment
+    fold, built = experiment._fold, []
+
+    def recording_fold(*args):
+        built.append(fold(*args))
+        return built[-1]
+
+    monkeypatch.setattr(experiment, "_fold", recording_fold)
+    config = ExperimentConfig(dataset=synth_file, folds=3, seed=3)
+    ds, plan, rule, folds = start_run(config)
+    assert [len(ctxs) for ctxs in built] == [len(DEFAULT_LAMBDA_GRID)] * 3
+    for k, ctxs in enumerate(built):
+        ctx = prepare_fold(ds, config, k, rule, plan, folds)
+        assert ctx is folds[k]
+        assert [c is ctx for c in ctxs].count(True) == 1
+        assert ctx.fold == k
+        assert ctx.model.lam_abs == resolve_lambda_rule(rule, len(ctx.y_tr))
+    assert len(built) == config.folds
+
+
+def test_cv_best_sweep_builds_one_quadratic_per_fold(synth_file,
+                                                     monkeypatch):
+    # the records of the grid rules that lose build no gap quadratic
+    quadratic_form, built = bound.quadratic_form, []
+
+    def counting_quadratic_form(model):
+        built.append(model.lam_abs)
+        return quadratic_form(model)
+
+    monkeypatch.setattr(bound, "quadratic_form", counting_quadratic_form)
+    config = ExperimentConfig(dataset=synth_file, methods=("robust", "random"),
+                              removal_grid=(0.0, 0.3), folds=3, seed=3)
+    report = run_experiment(config)
+    assert len(report.rows) == 12
+    assert len(built) == config.folds
+
+
+def dead_drop_config(synth_file):
+    # hinge at lambda 2.0: 23-27 of each fold's 60 training instances are
+    # dead (alpha_i = 0 and no loss), and exact greedy removes 12 of them
+    return ExperimentConfig(dataset=synth_file, loss="hinge",
+                            lambda_rule="2.0", methods=("robust",),
+                            removal_grid=(0.1, 0.2), folds=3, seed=3,
+                            algorithm=1)
+
+
+def test_certificates_of_the_live_set_take_no_spectral_step(synth_file,
+                                                            monkeypatch):
+    # a kept set that holds every live instance reads the fold's full-set
+    # solve: its certificate takes no spectral step of its own
+    import robustcoreset.experiment as experiment
+    config = dead_drop_config(synth_file)
+    ds = load_inputs(config)
+    plan = rc.cv_split(ds, config.folds, config.seed)
+    for fold in range(config.folds):
+        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        trace = run_selection(ctx, config, "robust",
+                              max(config.removal_counts(len(ctx.y_tr))))
+        assert not ctx.form_cert.live[trace.removal_order].any()
+    step, certify_coreset = bound.spectral_step, experiment.certify_coreset
+    own_steps, certificate_steps, certifying = [], [], []
+
+    def counting_step(form, v, *reuse):
+        if certifying:
+            certificate_steps.append(v)
+        if not reuse:
+            own_steps.append(v)
+        return step(form, v, *reuse)
+
+    def flagged_certify(*args):
+        certifying.append(True)
+        try:
+            return certify_coreset(*args)
+        finally:
+            certifying.pop()
+
+    monkeypatch.setattr(bound, "spectral_step", counting_step)
+    monkeypatch.setattr(experiment, "certify_coreset", flagged_certify)
+    report = run_experiment(config)
+    assert len(report.rows) == 6
+    assert certificate_steps == []
+    assert len(own_steps) == config.folds
+    assert all(np.all(v == 1.0) for v in own_steps)
+
+
+def test_cli_certify_of_dead_drops_writes_a_fresh_solves_bytes(
+        synth_file, tmp_path, monkeypatch):
+    # dropping only dead instances, certify reads the full-set solve and
+    # writes the bytes that a fresh ball solve of the kept set gives
+    import robustcoreset.cli as cli
+    config = dead_drop_config(synth_file)
+    ds = load_inputs(config)
+    ctx = prepare_fold(ds, config, 0, "2.0",
+                       rc.cv_split(ds, config.folds, config.seed))
+    dead = np.flatnonzero(~ctx.form_cert.live)
+    assert dead.size >= 2
+    indices = tmp_path / "kept.txt"
+    indices.write_text("".join(f"{i}\n"
+                               for i in np.delete(ctx.tr_idx, dead[::2])))
+    maximize_on_ball, masks = bound.maximize_on_ball, []
+
+    def recording_maximize(form, v, S, *args):
+        masks.append(np.asarray(v).copy())
+        return maximize_on_ball(form, v, S, *args)
+
+    def fresh_certificate(ctx, v):
+        ball = bound.maximize_on_ball(ctx.form_cert, v, ctx.S)
+        return bound.certificate(ball, ctx.model.lam_abs, ctx.Q,
+                                 ctx.valset.margins, ctx.valset.norms)
+
+    monkeypatch.setattr(bound, "maximize_on_ball", recording_maximize)
+    common = ["certify", "--dataset", synth_file, "--loss", "hinge",
+              "--lambda-rule", "2.0", "--folds", "3", "--seed", "3",
+              "--indices", str(indices)]
+    res = CliRunner().invoke(cli_main, [*common, "--output-dir",
+                                        str(tmp_path / "read")])
+    assert res.exit_code == 0, res.output
+    assert len(masks) == 1 and np.all(masks[0] == 1.0)
+    monkeypatch.setattr(cli, "certify_coreset", fresh_certificate)
+    res = CliRunner().invoke(cli_main, [*common, "--output-dir",
+                                        str(tmp_path / "fresh")])
+    assert res.exit_code == 0, res.output
+    assert len(masks) == 2 and masks[1].sum() == len(ctx.y_tr) - len(dead[::2])
+    assert ((tmp_path / "read" / "bound_report.json").read_bytes()
+            == (tmp_path / "fresh" / "bound_report.json").read_bytes())
+
+
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])
 @pytest.mark.parametrize("method", ["robust", "random"])
 def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
