@@ -108,6 +108,17 @@ class QuadraticGapForm:
     def n(self) -> int:
         return self.b.shape[0]
 
+    def solved(self, v) -> np.ndarray:
+        """The coordinates a ball solve of the 0/1 mask v moves: kept
+        (v = 1) and live.  Any other mask entry raises ValueError."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n,):
+            raise ValueError("mask length mismatch")
+        kept = v != 0.0
+        if (v != kept).any():
+            raise ValueError("v must be a 0/1 mask")
+        return kept & self.live
+
     def value(self, vw) -> float:
         vw = np.asarray(vw, dtype=float)
         return float(vw @ (self.A @ vw) + self.b @ vw + self.c)
@@ -183,23 +194,13 @@ class Spectrum:
         return np.cumsum(self.solved) - 1
 
 
-def _solved_mask(form: QuadraticGapForm, v: np.ndarray) -> np.ndarray:
-    """The coordinates a ball solve moves: kept (v = 1) and live."""
-    if v.shape != (form.n,):
-        raise ValueError("mask length mismatch")
-    kept = v != 0.0
-    if (v != kept).any():
-        raise ValueError("v must be a 0/1 mask")
-    return kept & form.live
-
-
 def spectral_step(form: QuadraticGapForm, v,
                   reuse: Spectrum | None = None) -> Spectrum:
     """Reduce q to the kept live coordinates of the 0/1 mask v and
     eigendecompose that block, the one O(m^3) part of a ball solve;
     ``reuse`` is returned as it is when it already solves that set (an
     empty one included).  Any other mask entry raises ValueError."""
-    solved = _solved_mask(form, np.asarray(v, dtype=float))
+    solved = form.solved(v)
     if reuse is not None and np.array_equal(reuse.solved, solved):
         return reuse
     At, g, const = form.reduced(solved)
@@ -443,7 +444,7 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     if not S >= 0:
         raise ValueError("S must be nonnegative")
     v = np.asarray(v, dtype=float)
-    solved = _solved_mask(form, v)
+    solved = form.solved(v)
     removed = ()  # once checked, the one the spectrum solves and v does not
     if spectrum is not None:
         removed = np.flatnonzero(spectrum.solved ^ solved)

@@ -18,10 +18,17 @@ selector's objective, and bounds come from ``certify``.
 
 Exit codes: 0 on success, 2 on a bad option or input file, 3 on numerical
 failures, and 1 only when an output file cannot be written.
+
+Each command runs on one thread of the OpenBLAS in numpy's wheel unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+set, and gives the process its previous thread count back when it ends.
 """
 
+import contextlib
+import ctypes
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -43,16 +50,60 @@ _NUMERICAL = (TrainingError, bound.BallMaximizationError, SplitError,
               np.linalg.LinAlgError, FloatingPointError)
 
 
+# read by OpenBLAS when numpy is imported; a count set there stands
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles (in numpy.libs/ beside the package, or numpy/.dylibs/), or None
+    for any other BLAS.  numpy >= 2 names them scipy_openblas_*, the
+    1.24-1.26 wheels openblas_*, both with the 64_ suffix."""
+    pkg = Path(np.__file__).resolve().parent
+    for lib in sorted([*pkg.parent.glob("numpy.libs/*openblas*"),
+                       *pkg.glob(".dylibs/*openblas*")]):
+        handle = ctypes.CDLL(str(lib))
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(handle, f"{prefix}_get_num_threads64_", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads64_", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, whose many small eigh and
+    matrix products cost a second thread more CPU time than they save,
+    and restore the count after; a count from the environment stands."""
+    control = (None if any(name in os.environ for name in _THREAD_ENV)
+               else _openblas_threads())
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def _guard(fn):
     @functools.wraps(fn)
     def wrapped(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ParseError, ValueError) as exc:
-            raise click.UsageError(str(exc)) from exc
-        except _NUMERICAL as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
+        with _one_blas_thread():
+            try:
+                return fn(*args, **kwargs)
+            except (ParseError, ValueError) as exc:
+                raise click.UsageError(str(exc)) from exc
+            except _NUMERICAL as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(3)
     return wrapped
 
 

@@ -350,12 +350,12 @@ def retrained_accuracy(ctx: FoldContext, v) -> float:
 
 
 def certify_coreset(ctx: FoldContext, v) -> bound.BoundReport:
-    """Certificate of the kept mask ``v`` against the fold's reference
+    """Certificate of the kept 0/1 mask ``v`` against the fold's reference
     model; a mask that keeps every live instance reads the full-set solve,
-    as dead ones do not move q."""
-    live = ctx.form_cert.live
-    ball = (ctx.full_ball if np.array_equal((v != 0) & live, live)
-            else bound.maximize_on_ball(ctx.form_cert, v, ctx.S))
+    as dead ones do not move q.  Any other mask entry raises ValueError."""
+    form = ctx.form_cert
+    ball = (ctx.full_ball if np.array_equal(form.solved(v), form.live)
+            else bound.maximize_on_ball(form, v, ctx.S))
     return bound.certificate(ball, ctx.model.lam_abs, ctx.Q,
                              ctx.valset.margins, ctx.valset.norms)
 

@@ -10,7 +10,7 @@ import robustcoreset as rc
 from robustcoreset import bound
 from robustcoreset.cli import main as cli_main
 from robustcoreset.experiment import (DEFAULT_LAMBDA_GRID, ExperimentConfig,
-                                      load_dataset, load_inputs,
+                                      certify_coreset, load_dataset, load_inputs,
                                       min_max_scaled, prepare_fold,
                                       resolve_lambda_rule, run_experiment,
                                       run_selection, start_run)
@@ -671,6 +671,22 @@ def test_cli_certify_of_dead_drops_writes_a_fresh_solves_bytes(
             == (tmp_path / "fresh" / "bound_report.json").read_bytes())
 
 
+def test_certify_coreset_rejects_a_mask_outside_0_1(synth_file):
+    # a fractional mask whose nonzero entries cover the live set is no
+    # full-set coreset: it is rejected, as maximize_on_ball rejects it
+    config = dead_drop_config(synth_file)
+    ds = load_inputs(config)
+    ctx = prepare_fold(ds, config, 0, "2.0",
+                       rc.cv_split(ds, config.folds, config.seed))
+    n = len(ctx.y_tr)
+    dead = np.flatnonzero(~ctx.form_cert.live)
+    for v in (np.full(n, 0.5), np.where(ctx.form_cert.live, 1.0, 2.0),
+              np.where(np.arange(n) == dead[0], np.nan, 1.0)):
+        with pytest.raises(ValueError, match="0/1"):
+            certify_coreset(ctx, v)
+    assert certify_coreset(ctx, np.ones(n)).ball is ctx.full_ball
+
+
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])
 @pytest.mark.parametrize("method", ["robust", "random"])
 def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
@@ -1239,3 +1255,91 @@ def test_cv_best_scores_each_grid_model_once(synth_file, tmp_path,
                                           "cv-best")
     assert len(references) == 3 * len(DEFAULT_LAMBDA_GRID)
     assert len(scored) == 3 * len(DEFAULT_LAMBDA_GRID)
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """The OpenBLAS thread count getter, with the count at two and no count
+    in the environment; skips where numpy's BLAS has no control the CLI
+    finds."""
+    import robustcoreset.cli as cli
+    control = cli._openblas_threads()
+    if control is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
+    for name in cli._THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    get, set_ = control
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def blas_sweep(synth_file, out_dir, *options):
+    return CliRunner().invoke(cli_main, [
+        "sweep", "--dataset", synth_file, "--lambda-rule", "2.0",
+        "--folds", "3", "--seed", "3", "--methods", "robust,random",
+        "--removal-grid", "0.1", *options, "--output-dir", str(out_dir)])
+
+
+@pytest.fixture
+def blas_counts(monkeypatch, two_blas_threads):
+    """The OpenBLAS thread counts that the CLI's run_experiment calls see."""
+    import robustcoreset.cli as cli
+    counts = []
+
+    def recording_run(config):
+        counts.append(two_blas_threads())
+        return run_experiment(config)
+
+    monkeypatch.setattr(cli, "run_experiment", recording_run)
+    return counts
+
+
+def test_cli_commands_run_on_one_blas_thread(synth_file, tmp_path,
+                                             monkeypatch, two_blas_threads,
+                                             blas_counts):
+    # a command runs on one OpenBLAS thread and gives the process its
+    # count back however it ends: exit 0, 2 (bad option) or 3 (numerical)
+    import robustcoreset.cli as cli
+    from robustcoreset.erm import TrainingError
+    res = blas_sweep(synth_file, tmp_path / "ok")
+    assert res.exit_code == 0, res.output
+    assert blas_counts == [1] and two_blas_threads() == 2
+    res = blas_sweep(synth_file, tmp_path / "bad", "--a", "nan")
+    assert res.exit_code == 2, res.output
+    assert two_blas_threads() == 2
+
+    def failing_run(config):
+        blas_counts.append(two_blas_threads())
+        raise TrainingError("no convergence")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_run)
+    res = blas_sweep(synth_file, tmp_path / "failed")
+    assert res.exit_code == 3, res.output
+    assert blas_counts == [1, 1] and two_blas_threads() == 2
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                  "OMP_NUM_THREADS"])
+def test_cli_keeps_a_blas_thread_count_from_the_environment(
+        synth_file, tmp_path, monkeypatch, two_blas_threads, blas_counts,
+        name):
+    monkeypatch.setenv(name, "2")
+    res = blas_sweep(synth_file, tmp_path)
+    assert res.exit_code == 0, res.output
+    assert blas_counts == [2] and two_blas_threads() == 2
+
+
+def test_cli_without_blas_control_writes_the_same_report(synth_file, tmp_path,
+                                                         monkeypatch):
+    # where no OpenBLAS control is found the command runs on the process's
+    # count; the report's bytes do not depend on it
+    import robustcoreset.cli as cli
+    res = blas_sweep(synth_file, tmp_path / "pinned")
+    assert res.exit_code == 0, res.output
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    res = blas_sweep(synth_file, tmp_path / "unpinned")
+    assert res.exit_code == 0, res.output
+    assert ((tmp_path / "pinned" / "report.csv").read_bytes()
+            == (tmp_path / "unpinned" / "report.csv").read_bytes())
