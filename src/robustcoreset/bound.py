@@ -43,7 +43,8 @@ weights:
    the bordered steps of every coordinate of the set as one batch.  A
    spectrum keeps both per radius S, so each runs once per spectral step
    however many callers (exact greedy's candidates at every removal the
-   step serves among them) read it, and w_star is built only when read.
+   step serves among them) read it.  w_star, built only when read, is its
+   solved set's own maximizer.
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. A validation point whose reference margin y f(x) exceeds R ||phi(x)||
@@ -55,7 +56,7 @@ weights:
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -156,16 +157,16 @@ def quadratic_form(model_ref: Model) -> QuadraticGapForm:
 @dataclass(frozen=True)
 class BallMax:
     """Result of maximizing the gap quadratic over the training weight ball;
-    the maximizer ``w_star`` is built on its first read (``_lift``)."""
+    the maximizer ``w_star`` is built on its first read by ``_build``."""
 
     dg_max: float
     mu: float
     hard_case: bool
-    _parts: tuple = field(repr=False, compare=False)
+    _build: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @functools.cached_property
     def w_star(self) -> np.ndarray:
-        return _lift(*self._parts)
+        return self._build()
 
 
 @dataclass(frozen=True)
@@ -333,21 +334,10 @@ def _shrunk_top(eigval: np.ndarray, r: np.ndarray) -> np.ndarray:
     return hi
 
 
-class _Bordered(NamedTuple):
-    """Secular steps of a solved set less each of its coordinates, row p
-    for the p-th: multiplier, hard case, dual value and u(mu) in the
-    eigenbasis (unscaled, entry p not yet zeroed)."""
-
-    mu: np.ndarray
-    hard: np.ndarray
-    value: np.ndarray
-    coef: np.ndarray
-
-
-def _bordered_batch(spec: Spectrum, form: QuadraticGapForm,
-                    S: float) -> _Bordered:
+def _bordered_batch(spec: Spectrum, form: QuadraticGapForm, S: float):
     """Secular step of the spectrum's solved set less each of its
-    coordinates, from the same eigenpairs, all rows in one array pass.
+    coordinates, from the same eigenpairs, all rows in one array pass:
+    (mu, hard, D(mu)), row p for the p-th coordinate.
 
     With p the position of coordinate i in the solved set and r = V[p, :],
     pinning w_i = 1 leaves max u'At u + g_i'u + const_i over ||u|| <= S,
@@ -403,11 +393,11 @@ def _bordered_batch(spec: Spectrum, form: QuadraticGapForm,
         mu[again], hard[again] = _secular_root(
             lambda mu, rows: secular(mu, again[rows]), lo, lo + width[again],
             S, const[again])
-    nu, z, z_m, d, d_m, *_ = solution(mu, np.arange(eigval.size))
+    nu, z, _, d, d_m, *_ = solution(mu, np.arange(eigval.size))
     # sum pv^2 / d is stationary in nu, so nu's rounding moves it least
     value = const + mu * S * S + (_rowdot(z * d, z)
                                   + (g_m - nu * r_m) ** 2 / d_m)
-    return _Bordered(mu, hard, value, np.column_stack((z, z_m)))
+    return mu, hard, value
 
 
 def maximize_on_ball(form: QuadraticGapForm, v, S: float,
@@ -433,13 +423,13 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     ``spectrum``, a ``spectral_step(form, v0)``, replaces the solve's own
     spectral step.  Its solved set must be v's, which gives a fresh solve's
     result bit for bit, or v's plus one coordinate i (v is v0 less a
-    candidate i).  Then the solve is the bordered secular step with w_i = 1
-    from v0's eigenpairs, and w_star is u(mu) scaled radially onto the
-    sphere, which never lowers q.  Any other mask raises ValueError.  The
-    spectrum memoizes both steps by S (its own, and in one
+    candidate i).  Then dg_max, mu and hard_case are the bordered secular
+    step's with w_i = 1 from v0's eigenpairs.  Any other mask raises
+    ValueError.  The spectrum memoizes both steps by S (its own, and in one
     ``_bordered_batch`` those of its whole solved set), so every later call
     with that spectrum and S reads its row back.  A result builds w_star on
-    first read; only a bordered one keeps the eigenvectors for it.
+    first read and keeps no eigenvectors: a bordered one takes a fresh
+    solve's of its solved set, so every spectrum given yields the same bits.
     """
     if not S >= 0:
         raise ValueError("S must be nonnegative")
@@ -452,7 +442,8 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
             raise ValueError("spectrum's solved set is neither v's nor v's "
                              "plus one coordinate")
     if S == 0.0 or not solved.any():
-        return BallMax(form.value(v), 0.0, False, (form.n, solved, 0.0))
+        return BallMax(form.value(v), 0.0, False,
+                       functools.partial(_lift, form.n, solved, 0.0))
     if spectrum is None:
         spectrum = spectral_step(form, v)
     if not len(removed):
@@ -460,28 +451,22 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
             with np.errstate(**_QUIET):
                 spectrum._own[S] = _own_secular(spectrum, S)
         mu, hard, value, u = spectrum._own[S]
+        # binds n, not the form, so that a result held past its fold (a
+        # sweep's last certificate) keeps no form alive
         return BallMax(float(value), float(mu), bool(hard),
-                       (form.n, spectrum.solved, u))
+                       functools.partial(_lift, form.n, solved, u))
     if S not in spectrum._bordered:
         with np.errstate(**_QUIET):
             spectrum._bordered[S] = _bordered_batch(spectrum, form, S)
-    batch, p = spectrum._bordered[S], int(spectrum._position[removed[0]])
-    return BallMax(float(batch.value[p]), float(batch.mu[p]),
-                   bool(batch.hard[p]),
-                   (form.n, spectrum.solved, batch.coef[p], spectrum.V, p, S))
+    mu, hard, value = spectrum._bordered[S]
+    p = int(spectrum._position[removed[0]])
+    return BallMax(float(value[p]), float(mu[p]), bool(hard[p]),
+                   lambda: maximize_on_ball(form, solved, S).w_star)
 
 
-def _lift(n: int, solved, u, V=None, p=None, S=None) -> np.ndarray:
-    """w_star, 1 + u on the solved coordinates and 1 elsewhere; given V, u
-    is a bordered row's coefficients, made V u zeroed at p, scaled to S."""
+def _lift(n: int, solved, u) -> np.ndarray:
+    """w_star, 1 + u on the solved coordinates and 1 elsewhere."""
     w_star = np.ones(n)
-    if V is not None:
-        with np.errstate(**_QUIET):
-            u = V @ u
-            u[p] = 0.0
-            norm = float(np.linalg.norm(u))
-            if norm > 0.0:
-                u *= S / norm
     w_star[solved] = 1.0 + u
     return w_star
 

@@ -19,9 +19,9 @@ selector's objective, and bounds come from ``certify``.
 Exit codes: 0 on success, 2 on a bad option or input file, 3 on numerical
 failures, and 1 only when an output file cannot be written.
 
-Each command runs on one thread of the OpenBLAS in numpy's wheel unless
-``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
-set, and gives the process its previous thread count back when it ends.
+Each command runs on one thread of the OpenBLAS in numpy's wheel, and
+gives the process its previous count back when it ends, unless
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is > 0.
 """
 
 import contextlib
@@ -29,6 +29,7 @@ import ctypes
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -52,6 +53,13 @@ _NUMERICAL = (TrainingError, bound.BallMaximizationError, SplitError,
 
 # read by OpenBLAS when numpy is imported; a count set there stands
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _atoi(text: str) -> int:
+    """C atoi of text, as OpenBLAS reads a thread count (0 or below: its
+    default): the integer after leading whitespace, else 0."""
+    match = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", text)
+    return int(match.group(1)) if match else 0
 
 
 @functools.cache
@@ -79,7 +87,8 @@ def _one_blas_thread():
     """Run the block on one OpenBLAS thread, whose many small eigh and
     matrix products cost a second thread more CPU time than they save,
     and restore the count after; a count from the environment stands."""
-    control = (None if any(name in os.environ for name in _THREAD_ENV)
+    control = (None if any(_atoi(os.environ.get(name, "")) > 0
+                           for name in _THREAD_ENV)
                else _openblas_threads())
     if control is None:
         yield

@@ -329,8 +329,8 @@ def shrunk_top(eigval, r):
 
 def bordered_secular(spec, form, i, S):
     """Secular step of a spectrum's solved set less coordinate i, one
-    problem as scalar code: (mu, hard, D_i(mu), u) with u_p = 0 for p the
-    position of i in the solved set, u scaled onto the sphere.
+    problem as scalar code: (mu, hard, D_i(mu)), for p the position of i in
+    the solved set.
 
     With r = V[p, :], the bordered problem has V'g_i/2 = gamma - eigval r
     and const_i = const - g_p + A_ii; for d = mu - eigval, the constraint's
@@ -370,35 +370,17 @@ def bordered_secular(spec, form, i, S):
         if hard:
             lo = shrunk_top(eigval, r) + delta
             mu, hard = secular_root(secular, lo, lo + width, S, const)
-        nu, z, z_m, d, d_m, *_ = solution(mu)
+        nu, z, _, d, d_m, *_ = solution(mu)
         value = const + mu * S * S + float((z * d) @ z
                                            + (g_m - nu * r_m) ** 2 / d_m)
-    u = spec.V @ np.append(z, z_m)
-    u[p] = 0.0
-    norm = float(np.linalg.norm(u))
-    if norm > 0.0:
-        u *= S / norm
-    return mu, hard, value, u
+    return mu, hard, value
 
 
-def eager_w_star(form, spectrum, v, S):
-    """w_star of ``maximize_on_ball(form, v, S, spectrum)`` built eagerly
-    from the spectrum's memo, in the operations the solver used when it
-    built one on every call: for v the solved set less coordinate i (p
-    its position), u = V coef_p with u_p zeroed and scaled radially onto
-    the sphere; for v's own set the memoized u.  Then 1 + u on the solved
+def eager_w_star(form, spectrum, S):
+    """w_star of an own-set ``maximize_on_ball(form, v, S, spectrum)``
+    built eagerly from the spectrum's memoized u, in the operations the
+    solver used when it built one on every call: 1 + u on the solved
     coordinates and 1 elsewhere."""
     w_star = np.ones(form.n)
-    removed = np.flatnonzero(spectrum.solved & (np.asarray(v) == 0.0))
-    if removed.size:
-        p = int(np.count_nonzero(spectrum.solved[:removed[0]]))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = spectrum.V @ spectrum._bordered[S].coef[p]
-            u[p] = 0.0
-            norm = float(np.linalg.norm(u))
-            if norm > 0.0:
-                u *= S / norm
-    else:
-        u = spectrum._own[S][3]
-    w_star[spectrum.solved] = 1.0 + u
+    w_star[spectrum.solved] = 1.0 + spectrum._own[S][3]
     return w_star

@@ -365,20 +365,19 @@ def test_bordered_solve_edge_cases():
 def assert_batch_is_the_scalar_search(form, v0, S):
     """Every bordered solve of v0 less one coordinate, read from the batch
     of v0's spectral step, against the scalar search over that candidate
-    alone: mu, hard case, dg_max and w_star bit for bit.  Returns the
-    solves."""
+    alone: mu, hard case and dg_max bit for bit, and w_star a fresh solve's
+    bit for bit.  Returns the solves."""
     spectrum = rc.spectral_step(form, v0)
     solves = []
     for i in np.flatnonzero(spectrum.solved):
         v = np.array(v0, dtype=float)
         v[i] = 0.0
         res = rc.maximize_on_ball(form, v, S, spectrum)
-        mu, hard, value, u = oracles.bordered_secular(spectrum, form, i, S)
+        mu, hard, value = oracles.bordered_secular(spectrum, form, i, S)
         assert (res.mu, res.hard_case, res.dg_max) == \
             (float(mu), bool(hard), float(value)), (i, S)
-        w_star = np.ones(form.n)
-        w_star[spectrum.solved] = 1.0 + u
-        assert res.w_star.tobytes() == w_star.tobytes(), (i, S)
+        assert res.w_star.tobytes() == \
+            rc.maximize_on_ball(form, v, S).w_star.tobytes(), (i, S)
         solves.append(res)
     return solves
 
@@ -597,7 +596,8 @@ def solves_on_one_step(form, v0, S):
 
 def test_w_star_is_the_eager_build_bit_for_bit(hinge_model):
     # read after every other solve of its step, each deferred w_star has
-    # the bits of the build each call used to make; hard rows included
+    # the bits of the build each own-set call used to make, and a bordered
+    # one those of a fresh solve; hard rows included
     rng = np.random.default_rng(109)
     cases = []
     for dim in (2, 3, 8, 21):
@@ -623,10 +623,12 @@ def test_w_star_is_the_eager_build_bit_for_bit(hinge_model):
         for S in (0.05, 0.4, 1.0, 2.0, 30.0):
             spectrum, solves = solves_on_one_step(form, v0, S)
             for v, res in solves:
-                ref = oracles.eager_w_star(form, spectrum, v, S)
+                own = bool(np.array_equal(spectrum.solved,
+                                          (v != 0.0) & form.live))
+                ref = (oracles.eager_w_star(form, spectrum, S) if own
+                       else rc.maximize_on_ball(form, v, S).w_star)
                 assert res.w_star.tobytes() == ref.tobytes(), (form.n, S)
-                hard.add((res.hard_case, bool(np.array_equal(
-                    spectrum.solved, (v != 0.0) & form.live))))
+                hard.add((res.hard_case, own))
     assert hard == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -650,27 +652,30 @@ def test_greedy_exact_builds_no_w_star(hinge_model, monkeypatch):
 
 
 def test_overwritten_w_star_does_not_leak(hinge_model):
-    # each result builds its own w_star from the memo, which stays as it was
+    # each result builds its own w_star, a bordered one from a fresh solve,
+    # and the memo stays as it was
     form = rc.quadratic_form(hinge_model)
     S = rc.shift_radius(int(np.sum(hinge_model.y == 1)), 1.05)
     v0 = np.ones(form.n)
     v0[np.flatnonzero(form.live)[:3]] = 0.0
     spectrum, first = solves_on_one_step(form, v0, S)
     kept = [res.w_star.copy() for _, res in first]
-    memo = (spectrum._own[S][3].copy(), spectrum._bordered[S].coef.copy())
+    memo = spectrum._own[S][3].copy()
     for _, res in first:
         res.w_star[:] = -1.0
     for (v, res), ref in zip(first, kept):
         again = rc.maximize_on_ball(form, v, S, spectrum)
         assert again.w_star.tobytes() == ref.tobytes()
+        assert again.w_star.tobytes() == \
+            rc.maximize_on_ball(form, v, S).w_star.tobytes()
         assert np.all(res.w_star == -1.0)
-    assert spectrum._own[S][3].tobytes() == memo[0].tobytes()
-    assert spectrum._bordered[S].coef.tobytes() == memo[1].tobytes()
+    assert spectrum._own[S][3].tobytes() == memo.tobytes()
 
 
 def test_own_result_keeps_no_spectrum_alive(hinge_model, monkeypatch):
     # a solve without a given step (FoldContext.full_ball's) frees its
-    # eigenvectors once it returns, its w_star read or not
+    # eigenvectors once it returns, its w_star read or not; an own-set
+    # result keeps no form alive either
     step, steps = bound.spectral_step, []
 
     def recording_step(*args):
@@ -687,7 +692,33 @@ def test_own_result_keeps_no_spectrum_alive(hinge_model, monkeypatch):
     spectrum = rc.spectral_step(form, np.ones(form.n))
     rc.maximize_on_ball(form, np.ones(form.n), 1.5, spectrum)
     assert res.w_star.tobytes() == oracles.eager_w_star(
-        form, spectrum, np.ones(form.n), 1.5).tobytes()
+        form, spectrum, 1.5).tobytes()
+    unread = rc.maximize_on_ball(form, np.ones(form.n), 1.5, spectrum)
+    forms = weakref.ref(form)
+    del form, spectrum
+    gc.collect()
+    assert forms() is None
+    assert unread.w_star.tobytes() == res.w_star.tobytes()
+
+
+def test_bordered_result_keeps_no_eigenvectors_alive(hinge_model):
+    # a bordered solve, held, frees its step's eigenvectors with the step;
+    # its w_star, read later, is still a fresh solve's
+    form = rc.quadratic_form(hinge_model)
+    S = rc.shift_radius(int(np.sum(hinge_model.y == 1)), 1.05)
+    v0 = np.ones(form.n)
+    v0[np.flatnonzero(form.live)[:3]] = 0.0
+    spectrum, solves = solves_on_one_step(form, v0, S)
+    eigenvectors = weakref.ref(spectrum.V)
+    bordered = [(v, res) for v, res in solves
+                if not np.array_equal(spectrum.solved, form.solved(v))]
+    assert bordered
+    del spectrum, solves
+    gc.collect()
+    assert eigenvectors() is None
+    for v, res in bordered:
+        assert res.w_star.tobytes() == \
+            rc.maximize_on_ball(form, v, S).w_star.tobytes()
 
 
 def test_spectral_step_reuses_a_step_of_the_same_solved_set(hinge_model):

@@ -1331,6 +1331,26 @@ def test_cli_keeps_a_blas_thread_count_from_the_environment(
     assert blas_counts == [2] and two_blas_threads() == 2
 
 
+@pytest.mark.parametrize("value", ["", "0", "abc"])
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                  "OMP_NUM_THREADS"])
+def test_cli_ignores_a_blas_thread_count_openblas_reads_as_none(
+        synth_file, tmp_path, monkeypatch, two_blas_threads, blas_counts,
+        name, value):
+    # OpenBLAS reads a count as C atoi does and takes one of 0 or below as
+    # none, so it runs its default threads; the CLI then pins one
+    monkeypatch.setenv(name, value)
+    res = blas_sweep(synth_file, tmp_path)
+    assert res.exit_code == 0, res.output
+    assert blas_counts == [1] and two_blas_threads() == 2
+
+
+def test_blas_thread_count_is_read_as_c_atoi():
+    import robustcoreset.cli as cli
+    assert [cli._atoi(text) for text in ("7", " \t+3x", "-2", "x3", "")] == \
+        [7, 3, -2, 0, 0]
+
+
 def test_cli_without_blas_control_writes_the_same_report(synth_file, tmp_path,
                                                          monkeypatch):
     # where no OpenBLAS control is found the command runs on the process's
