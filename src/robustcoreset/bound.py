@@ -60,7 +60,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .erm import Model, conjugate_eval, loss_eval
+from .erm import Model, check_mask, conjugate_eval, loss_eval
 
 __all__ = [
     "QuadraticGapForm",
@@ -111,14 +111,8 @@ class QuadraticGapForm:
 
     def solved(self, v) -> np.ndarray:
         """The coordinates a ball solve of the 0/1 mask v moves: kept
-        (v = 1) and live.  Any other mask entry raises ValueError."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError("mask length mismatch")
-        kept = v != 0.0
-        if (v != kept).any():
-            raise ValueError("v must be a 0/1 mask")
-        return kept & self.live
+        (v = 1) and live; ``check_mask`` rejects any other mask."""
+        return check_mask(v, self.n) & self.live
 
     def value(self, vw) -> float:
         vw = np.asarray(vw, dtype=float)

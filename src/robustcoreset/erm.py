@@ -30,6 +30,7 @@ __all__ = [
     "LOSSES",
     "Model",
     "TrainingError",
+    "check_mask",
     "loss_eval",
     "conjugate_eval",
     "train",
@@ -52,6 +53,18 @@ class TrainingError(RuntimeError):
 def _check_kind(kind):
     if kind not in LOSSES:
         raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def check_mask(v, n: int) -> np.ndarray:
+    """The kept mask (v = 1) of a 0/1 mask v over n instances as booleans;
+    a wrong length or an entry outside {0, 1} raises ValueError."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError("mask length mismatch")
+    kept = v != 0.0
+    if (v != kept).any():
+        raise ValueError("v must be a 0/1 mask")
+    return kept
 
 
 def loss_eval(kind: str, y, scores) -> np.ndarray:
@@ -109,10 +122,6 @@ def _logistic_coord_root(q0, s, a0):
     """Root of log(a/(1-a)) + q0 + s*(a - a0) on (0, 1), Newton + bisection."""
     lo, hi = 0.0, 1.0
     a = a0
-    if a < _A_MIN:
-        a = _A_MIN
-    elif a > _A_MAX:
-        a = _A_MAX
     for _ in range(80):
         h = math.log(a / (1.0 - a)) + q0 + s * (a - a0)
         if -1e-13 < h < 1e-13:
@@ -148,8 +157,9 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
 
     Cyclic coordinate ascent, deterministic.  Raises TrainingError (with
     the best gap reached) when the pass cap ``_max_passes`` is hit,
-    ValueError for a mask v with an entry outside {0, 1} (a weight belongs
-    in w), an empty active set or nonpositive active weights.
+    ValueError for a mask v that ``check_mask`` rejects (a weight belongs
+    in w), an empty active set, or weights w of the wrong length or with a
+    kept entry that is not finite and positive.
     """
     _check_kind(kind)
     K = np.asarray(K, dtype=float)
@@ -157,21 +167,19 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
     n = K.shape[0]
     if K.shape != (n, n) or y.shape != (n,):
         raise ValueError("K must be n x n with matching labels")
-    v = np.ones(n) if v is None else np.asarray(v, dtype=float)
     w = np.ones(n) if w is None else np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise ValueError("weight length mismatch")
     if not lam_abs > 0:
         raise ValueError("lam_abs must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    kept = v != 0.0
-    if (v != kept).any():
-        raise ValueError("v must be a 0/1 mask")
-    act = np.flatnonzero(kept)
+    act = np.arange(n) if v is None else np.flatnonzero(check_mask(v, n))
     if act.size == 0:
         raise ValueError("empty active set")
     wa = w[act]
-    if (wa <= 0.0).any():
-        raise ValueError("active weights must be positive")
+    if not ((wa > 0.0) & (wa < math.inf)).all():
+        raise ValueError("active weights must be finite and positive")
     ya = y[act]
     Ka = K[np.ix_(act, act)]
     E = float(wa.sum())

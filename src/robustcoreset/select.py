@@ -9,7 +9,8 @@ are preserved).  The selectors differ only in the score:
   re-maximized over the weight ball;
 * the fixed weight (``greedy_fixed_w``, ``greedy_oneshot``): the gap
   quadratic at the full-set worst-case weight ``w_worst``, re-evaluated
-  per step for fixed-w and taken once from the full set for one-shot;
+  per step for fixed-w and taken once from the full set for one-shot,
+  dead instances first (for hinge, the non-support vectors);
 * a fixed order (``baseline_select``): the rank in a random permutation,
   margin (largest |score| first), or the reverse of a k-center-greedy or
   kernel-herding keep order.
@@ -157,6 +158,13 @@ class _QuadState:
         return self.value - 2.0 * zi * self.Az[i] + zi * zi * self.A_diag[i] \
             - self.form.b[i] * zi
 
+    def score(self, cand):
+        """``removal_value`` of each candidate, a dead one's (``form.live``
+        false) at -inf: removing it leaves q and this state as they were,
+        so dead candidates go first, in index order."""
+        return np.where(self.form.live[cand], self.removal_value(cand),
+                        -np.inf)
+
     def remove(self, i, score=None):
         """Zero coordinate i and return the new value (``score`` unused)."""
         self.value = self.removal_value(i)
@@ -170,20 +178,21 @@ class _QuadState:
 def greedy_fixed_w(form, y, w_worst, n_del, *,
                    preserve_classes: bool = False) -> SelectionTrace:
     """Greedy removals scored by the quadratic at the full-set worst-case
-    weight ``w_worst``, held fixed and re-evaluated per step."""
+    weight ``w_worst``, held fixed and re-evaluated per step; dead
+    instances go first (``_QuadState.score``)."""
     state = _QuadState(form, w_worst)
     return _greedy("robust-fixed-w", y, n_del,
-                   lambda cand, v: state.removal_value(cand), state.remove,
+                   lambda cand, v: state.score(cand), state.remove,
                    preserve_classes=preserve_classes)
 
 
 def greedy_oneshot(form, y, w_worst, n_del, *,
                    preserve_classes: bool = False) -> SelectionTrace:
     """Rank every instance once by its single-removal gap at the fixed
-    worst-case weight and drop the n_del smallest in one pass; the trace
-    records the fixed-weight value of each kept set."""
+    worst-case weight, dead ones first, and drop the n_del smallest in one
+    pass; the trace records the fixed-weight value of each kept set."""
     state = _QuadState(form, w_worst)
-    single = state.removal_value(np.arange(form.n))
+    single = state.score(np.arange(form.n))
     return _greedy("robust-oneshot", y, n_del, lambda cand, v: single[cand],
                    state.remove, preserve_classes=preserve_classes)
 

@@ -826,6 +826,44 @@ def test_guards_reject_nan(hinge_model, guard):
         guard(hinge_model)
 
 
+def _trace(m, n_del):
+    return rc.baseline_select("random", m.gram_ref, m.y, m, n_del)
+
+
+@pytest.mark.parametrize("guard, match", [
+    (lambda m: rc.quadratic_form(m).solved(np.ones(m.n - 1)), "mask length"),
+    (lambda m: rc.maximize_on_ball(rc.quadratic_form(m), np.ones(m.n + 1),
+                                   0.3), "mask length"),
+    (lambda m: rc.maximize_on_ball(rc.quadratic_form(m), np.ones(m.n - 1),
+                                   0.0), "mask length"),
+    (lambda m: _trace(m, 3).kept_mask(4), "outside the recorded trace"),
+    (lambda m: _trace(m, 3).kept_mask(-1), "outside the recorded trace"),
+    (lambda m: rc.baseline_select("margin", m.gram_ref, m.y, None, 2),
+     "needs the reference model"),
+    (lambda m: rc.worst_case_accuracy([], 0.0), "at least one validation"),
+    (lambda m: rc.bandwidth_heuristic(np.empty((0, 3))), "empty feature"),
+    (lambda m: rc.Dataset(np.ones((3, 2)), np.array([1, -1])),
+     "one label per row"),
+    (lambda m: rc.cv_split(rc.gaussian_task(10, 2), folds=1),
+     "at least 2"),
+    (lambda m: rc.gaussian_task(10, 2, n_plus=0), "strictly between"),
+    (lambda m: rc.gaussian_task(10, 2, n_plus=10), "strictly between"),
+    (lambda m: rc.loss_eval("squared", m.y, m.train_scores),
+     "unknown loss kind"),
+    (lambda m: rc.train(m.gram_ref[:, :-1], m.y, m.lam_abs, kind=m.loss),
+     "n x n"),
+], ids=["solved-short-mask", "maximize_on_ball-long-mask",
+        "maximize_on_ball-short-mask-S0", "kept_mask-past-trace",
+        "kept_mask-negative", "margin-without-model",
+        "worst_case_accuracy-empty", "bandwidth-empty", "dataset-short-labels",
+        "cv_split-one-fold", "gaussian_task-no-positive",
+        "gaussian_task-no-negative", "loss_eval-kind", "train-nonsquare-K"])
+def test_guards_reject_bad_input(hinge_model, guard, match):
+    # each input guard raises ValueError with its own reason
+    with pytest.raises(ValueError, match=match):
+        guard(hinge_model)
+
+
 def test_certify_three_point_example():
     margins = np.array([0.5, -0.5, 0.1])
     zeta, counts = rc.certify(margins, np.ones(3), 0.2)

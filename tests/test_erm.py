@@ -112,6 +112,46 @@ def test_train_rejects_nonpositive_weights():
         rc.train(K, np.array([1.0, -1.0]), 1.0, w=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("v, w, match", [
+    ("n-1", None, "mask length"),
+    ("n+1", None, "mask length"),
+    (None, "n-1", "weight length"),
+    (None, math.nan, "finite and positive"),
+    (None, math.inf, "finite and positive"),
+], ids=["v-short", "v-long", "w-short", "w-nan", "w-inf"])
+def test_train_rejects_a_bad_mask_or_weight_before_any_pass(v, w, match,
+                                                             monkeypatch):
+    # a short mask trained on n - 1 instances and a long one raised
+    # IndexError; a NaN or inf weight ran every pass to a TrainingError
+    ds = rc.gaussian_task(40, 3, seed=1)
+    K = rc.gram(ds.features, ds.features, rc.bandwidth_heuristic(ds.features))
+    sizes = {"n-1": ds.n - 1, "n+1": ds.n + 1}
+    v = None if v is None else np.ones(sizes[v])
+    if isinstance(w, str):
+        w = np.ones(sizes[w])
+    elif w is not None:
+        w = np.append(np.ones(ds.n - 1), w)
+
+    def no_pass(n_active):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(erm, "_max_passes", no_pass)
+    with pytest.raises(ValueError, match=match):
+        rc.train(K, ds.labels, 2.0, v=v, w=w, kind=rc.HINGE)
+
+
+def test_train_ignores_the_weight_of_a_removed_instance():
+    # only kept instances' weights enter the problem
+    ds = rc.gaussian_task(40, 3, seed=1)
+    K = rc.gram(ds.features, ds.features, rc.bandwidth_heuristic(ds.features))
+    v = np.append(np.ones(ds.n - 1), 0.0)
+    ref = rc.train(K, ds.labels, 2.0, v=v, kind=rc.HINGE)
+    for bad in (math.nan, math.inf, 0.0):
+        w = np.append(np.ones(ds.n - 1), bad)
+        model = rc.train(K, ds.labels, 2.0, v=v, w=w, kind=rc.HINGE)
+        assert model.alpha.tobytes() == ref.alpha.tobytes()
+
+
 def test_train_nonconvergence_carries_best_gap(rbf_task, monkeypatch):
     ds, K, lam_abs = rbf_task
     monkeypatch.setattr(erm, "_max_passes", lambda n_active: 1)

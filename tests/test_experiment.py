@@ -16,6 +16,7 @@ from robustcoreset.experiment import (DEFAULT_LAMBDA_GRID, ExperimentConfig,
                                       run_selection, start_run)
 
 import oracles
+from table_data import load_table_dataset
 
 
 def dummy_model(scores):
@@ -627,6 +628,54 @@ def test_certificates_of_the_live_set_take_no_spectral_step(synth_file,
     assert certificate_steps == []
     assert len(own_steps) == config.folds
     assert all(np.all(v == 1.0) for v in own_steps)
+
+
+def test_fixed_w_keeps_the_full_sets_certificate_over_dead_removals(
+        synth_file):
+    # fixed-w removes the fold's dead set first, and no dead removal moves
+    # the certificate: at every count up to the dead count it is the full
+    # set's, bit for bit, and a fresh solve of the kept set agrees
+    config = ExperimentConfig(dataset=synth_file, loss="hinge",
+                              lambda_rule="2.0", methods=("robust",),
+                              folds=3, seed=3, algorithm=2)
+    ds = load_inputs(config)
+    plan = rc.cv_split(ds, config.folds, config.seed)
+    for fold in range(config.folds):
+        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        n = len(ctx.y_tr)
+        dead = np.flatnonzero(~ctx.form_cert.live).tolist()
+        assert dead
+        trace = run_selection(ctx, config, "robust", len(dead))
+        assert trace.removal_order == dead
+        full = certify_coreset(ctx, np.ones(n))
+        for n_del in range(len(dead) + 1):
+            v = trace.kept_mask(n_del)
+            cert = certify_coreset(ctx, v)
+            assert cert.ball is ctx.full_ball
+            assert (cert.ub, cert.zeta.tolist()) == (full.ub,
+                                                    full.zeta.tolist())
+            assert rc.maximize_on_ball(ctx.form_cert, v, ctx.S).dg_max == \
+                ctx.full_ball.dg_max
+
+
+def test_paper_size_breast_cancer_cell(tmp_path):
+    # one cell of the paper's table at its own size (breast-cancer, n 683,
+    # hinge, auto algorithm: fixed-w at 546 training rows): the certified
+    # bound holds in every row, and the robust selector's mean bound is
+    # at least random's
+    ds, _ = load_table_dataset("breast-cancer")
+    path = tmp_path / "breast-cancer.svm"
+    path.write_text(rc.to_libsvm(ds))
+    report = run_experiment(ExperimentConfig(
+        dataset=str(path), loss="hinge", lambda_rule="n*10^-1.5", folds=5,
+        methods=("robust", "random"), removal_grid=(0.1,)))
+    assert len(report.rows) == 10
+    for row in report.rows:
+        assert row["status"] == "ok"
+        assert row["certified_lb"] <= row["wc_accuracy"] + 1e-6
+    lb = {method: report.aggregates[method]["0.1"]["certified_lb_mean"]
+          for method in ("robust", "random")}
+    assert lb["robust"] >= lb["random"], lb
 
 
 def test_cli_certify_of_dead_drops_writes_a_fresh_solves_bytes(

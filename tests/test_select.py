@@ -351,6 +351,36 @@ def test_fixed_w_gaps_never_exceed_ball_max(rbf_task, hinge_model):
             assert trace.gaps[k - 1] <= dg_max + 1e-9, (fn.__name__, k)
 
 
+@pytest.mark.parametrize("fn", [rc.greedy_fixed_w, rc.greedy_oneshot])
+def test_fixed_weight_selectors_remove_dead_instances_first(rbf_task,
+                                                            hinge_model, fn):
+    # a dead instance (for hinge, a non-support vector) moves neither q nor
+    # the fixed-weight state: both scorers take every dead one first, in
+    # index order, and then rank the live ones by their fixed-weight value
+    ds, _, _ = rbf_task
+    form = rc.quadratic_form(hinge_model)
+    dead = np.flatnonzero(~form.live).tolist()
+    assert 0 < len(dead) < form.n - 5
+    w_worst = worst(form, 0.4)
+    trace = fn(form, ds.labels, w_worst, len(dead) + 5)
+    assert trace.removal_order[:len(dead)] == dead
+    assert trace.gaps[:len(dead)] == [form.value(w_worst)] * len(dead)
+    if fn is rc.greedy_oneshot:
+        single = {i: form.value(np.where(np.arange(form.n) == i, 0.0,
+                                         w_worst))
+                  for i in np.flatnonzero(form.live)}
+        live = sorted(single, key=lambda i: (single[i], i))
+        assert trace.removal_order[len(dead):] == live[:5]
+    for k in range(len(dead), len(dead) + 5):
+        v = trace.kept_mask(k)
+        after = {i: form.value(np.where(np.arange(form.n) == i, 0.0, v)
+                               * w_worst) for i in np.flatnonzero(v)}
+        chosen = trace.removal_order[k]
+        assert trace.gaps[k] == pytest.approx(after[chosen], abs=1e-9)
+        if fn is rc.greedy_fixed_w:
+            assert after[chosen] <= min(after.values()) + 1e-9
+
+
 def test_trace_serialization_roundtrip():
     rng = np.random.default_rng(13)
     form = random_psd_form(rng, 5)
