@@ -6,7 +6,9 @@ LIBSVM text format (``<label> <index>:<value> ...`` with 1-based, strictly
 increasing indices per line).
 """
 
+from array import array
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -89,15 +91,27 @@ class SplitPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
-def _parse_line(line: str, lineno: int):
+def _plain(text: str) -> bool:
+    """No digit separator and no non-ASCII character: int() and float()
+    also read ``1_0`` and any Unicode digits, which the format's numbers
+    (C's strtol and strtod) do not."""
+    return "_" not in text and text.isascii()
+
+
+def _parse_line(line: str, lineno: int, cols: array, vals: array):
+    """Check one nonblank line and append each entry's index and value to
+    ``cols`` and ``vals``; return its label and its largest index (0 when
+    it stores no entry)."""
     parts = line.split()
     try:
         label = float(parts[0])
     except ValueError:
         raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
-    if not np.isfinite(label):
+    plain = _plain(line)  # most lines; then no token needs the check
+    if not plain and not _plain(parts[0]):
+        raise ParseError(f"line {lineno}: bad label {parts[0]!r}")
+    if not isfinite(label):
         raise ParseError(f"line {lineno}: label {parts[0]!r} is not finite")
-    pairs = []
     prev = 0
     for tok in parts[1:]:
         idx_s, sep, val_s = tok.partition(":")
@@ -108,15 +122,23 @@ def _parse_line(line: str, lineno: int):
             val = float(val_s)
         except ValueError:
             raise ParseError(f"line {lineno}: bad token {tok!r}") from None
-        if idx < 1:
-            raise ParseError(f"line {lineno}: index {idx} is not 1-based")
-        if idx == prev:
-            raise ParseError(f"line {lineno}: duplicate index {idx}")
-        if idx < prev:
+        if not plain and not _plain(tok):
+            raise ParseError(f"line {lineno}: bad token {tok!r}")
+        if not isfinite(val):
+            raise ParseError(f"line {lineno}: value {val_s!r} is not finite")
+        if idx <= prev:  # prev >= 0, so this also catches idx < 1
+            if idx < 1:
+                raise ParseError(f"line {lineno}: index {idx} is not 1-based")
+            if idx == prev:
+                raise ParseError(f"line {lineno}: duplicate index {idx}")
             raise ParseError(f"line {lineno}: indices not increasing at {idx}")
         prev = idx
-        pairs.append((idx, val))
-    return label, pairs
+        try:
+            cols.append(idx)
+        except OverflowError:
+            raise ParseError(f"line {lineno}: index {idx} is too large") from None
+        vals.append(val)
+    return label, prev
 
 
 def _map_labels(values):
@@ -133,30 +155,36 @@ def _map_labels(values):
 def parse_libsvm(text: str) -> Dataset:
     """Parse LIBSVM-format text into a dense Dataset with intercept column.
 
-    Raises ParseError on malformed tokens, non-finite labels, duplicate or
-    non-increasing indices (with the offending line number), and on empty
-    input.
+    Raises ParseError on malformed labels and tokens (a number with a
+    digit separator or a non-ASCII digit among them), non-finite labels
+    or values, duplicate or non-increasing indices (with the offending
+    line number), and on empty input.  Lines are numbered as ``str.splitlines`` splits
+    them.  The entries are kept in two typed buffers (16 bytes each) until
+    the dense matrix is built, so no Python object per entry outlives its
+    line.
     """
-    values, rows = [], []
+    labels = []
+    cols, vals, counts = array("q"), array("d"), array("q")
     max_idx = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        label, pairs = _parse_line(line, lineno)
-        values.append(label)
-        rows.append(pairs)
-        if pairs:
-            max_idx = max(max_idx, pairs[-1][0])
-    if not rows:
+        start = len(cols)
+        label, last = _parse_line(line, lineno, cols, vals)
+        labels.append(label)
+        counts.append(len(cols) - start)
+        max_idx = max(max_idx, last)
+    if not labels:
         raise ParseError("empty input")
-    n = len(rows)
-    X = np.zeros((n, max_idx + 1))
+    n, d = len(labels), max_idx + 1
+    X = np.zeros((n, d))
     X[:, -1] = 1.0
-    for i, pairs in enumerate(rows):
-        for idx, val in pairs:
-            X[i, idx - 1] = val
-    y = _map_labels(values)
-    return Dataset(X, y)
+    # each entry's flat position row * d + index - 1, built in the index
+    # buffer itself
+    flat = np.frombuffer(cols, dtype=np.int64)
+    flat += np.repeat(np.arange(n) * d - 1, np.frombuffer(counts, dtype=np.int64))
+    X.reshape(-1)[flat] = np.frombuffer(vals)
+    return Dataset(X, _map_labels(labels))
 
 
 def to_libsvm(ds: Dataset) -> str:

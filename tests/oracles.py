@@ -384,3 +384,69 @@ def eager_w_star(form, spectrum, S):
     w_star = np.ones(form.n)
     w_star[spectrum.solved] = 1.0 + spectrum._own[S][3]
     return w_star
+
+
+def parse_libsvm_tuples(text):
+    """LIBSVM text to (features with intercept column, labels in {-1, +1}),
+    keeping every stored entry as an (index, value) tuple until the matrix
+    is built, entry by entry.  This was the library's reader before it
+    moved to typed buffers; it also carries the two checks added with
+    them (a digit separator or non-ASCII character in a label or token,
+    and a non-finite value).  Raises the library's ParseError with the
+    same messages."""
+    from robustcoreset.data import ParseError
+
+    values, rows = [], []
+    max_idx = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
+        if "_" in parts[0] or not parts[0].isascii():
+            raise ParseError(f"line {lineno}: bad label {parts[0]!r}")
+        if not math.isfinite(label):
+            raise ParseError(f"line {lineno}: label {parts[0]!r} is not finite")
+        pairs = []
+        prev = 0
+        for tok in parts[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise ParseError(f"line {lineno}: expected index:value, got {tok!r}")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad token {tok!r}") from None
+            if "_" in tok or not tok.isascii():
+                raise ParseError(f"line {lineno}: bad token {tok!r}")
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: value {val_s!r} is not finite")
+            if idx < 1:
+                raise ParseError(f"line {lineno}: index {idx} is not 1-based")
+            if idx == prev:
+                raise ParseError(f"line {lineno}: duplicate index {idx}")
+            if idx < prev:
+                raise ParseError(f"line {lineno}: indices not increasing at {idx}")
+            prev = idx
+            pairs.append((idx, val))
+        values.append(label)
+        rows.append(pairs)
+        if pairs:
+            max_idx = max(max_idx, pairs[-1][0])
+    if not rows:
+        raise ParseError("empty input")
+    X = np.zeros((len(rows), max_idx + 1))
+    X[:, -1] = 1.0
+    for i, pairs in enumerate(rows):
+        for idx, val in pairs:
+            X[i, idx - 1] = val
+    distinct = sorted(set(values))
+    if len(distinct) > 2:
+        raise ParseError(f"more than two distinct labels: {distinct}")
+    positive = distinct[1] if len(distinct) == 2 else 1.0
+    y = np.array([1 if value == positive else -1 for value in values])
+    return X, y

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from robustcoreset.cli import main as cli_main
 from robustcoreset import data
 from robustcoreset.data import ParseError, SplitError
 
+from oracles import parse_libsvm_tuples
 from table_data import load_table_dataset
 
 
@@ -112,6 +114,151 @@ def test_round_trip_bit_exact():
     assert again.features.shape == ds.features.shape
     assert np.array_equal(again.features, ds.features)
     assert np.array_equal(again.labels, ds.labels)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1e999"])
+def test_parse_rejects_a_nonfinite_value_with_its_line(value):
+    # rejected by the reader, which knows the line; Dataset's check does not
+    with pytest.raises(ParseError, match=f"line 2: value '{value}' is not finite"):
+        rc.parse_libsvm(f"+1 1:0.5\n-1 1:1 2:{value}\n")
+
+
+# int() and float() read digit separators and any Unicode digits; the
+# format's numbers are plain ASCII, as LIBSVM's own reader (strtol and
+# strtod) takes them
+UNPLAIN = ["1_0", "٣", "１", "1٠", "1.5٠"]
+
+
+@pytest.mark.parametrize("number", UNPLAIN)
+def test_parse_rejects_digits_only_python_reads(number):
+    with pytest.raises(ParseError, match=f"line 1: bad token '{number}:5'"):
+        rc.parse_libsvm(f"+1 {number}:5\n-1 1:1\n")
+    with pytest.raises(ParseError, match=f"line 2: bad token '2:{number}'"):
+        rc.parse_libsvm(f"+1 1:5\n-1 1:1 2:{number}\n")
+    with pytest.raises(ParseError, match=f"line 2: bad label '{number}'"):
+        rc.parse_libsvm(f"0 1:5\n{number} 1:1\n")
+
+
+def test_parse_index_sign_and_range():
+    # a leading sign is plain decimal and stays accepted
+    ds = rc.parse_libsvm("+1 +3:1\n-1 1:1\n")
+    np.testing.assert_array_equal(ds.features[0], [0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ParseError, match="line 2: index -1 is not 1-based"):
+        rc.parse_libsvm("+1 1:1\n-1 -1:1\n")
+    with pytest.raises(ParseError, match=f"line 1: index {2**63} is too large"):
+        rc.parse_libsvm(f"+1 {2**63}:1\n-1 1:1\n")
+
+
+# every malformed text the tests of this file use (but the index too large
+# for the reference's dense matrix); the reader must give each one the
+# reference reader's message
+MALFORMED = [
+    "+1 3:1 2:1",
+    "+1 1:1\n-1 2:1 2:3",
+    "+1 1:1\n-1 2:1 3",
+    "+1 1:1\n-1 1:2\n+1 0:1",
+    "+1 1:abc",
+    "spam 1:1",
+    *(f"1 1:0.2\n1 1:0.5\n{label} 1:0.1\n1 1:0.9\n{label} 1:0.3\n{label} 1:0.7\n"
+      for label in ("nan", "inf", "-inf")),
+    "   \n  ",
+    "1 1:1\n2 1:2\n3 1:3",
+    *(f"+1 1:0.5\n-1 1:1 2:{value}\n" for value in ("nan", "inf", "-inf", "1e999", "-1e999")),
+    *(text for number in UNPLAIN for text in (
+        f"+1 {number}:5\n-1 1:1\n", f"+1 1:5\n-1 1:1 2:{number}\n",
+        f"0 1:5\n{number} 1:1\n")),
+    "+1 1:1\n-1 -1:1\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_errors_match_the_tuple_reader(text):
+    with pytest.raises(ParseError) as expected:
+        parse_libsvm_tuples(text)
+    with pytest.raises(ParseError) as got:
+        rc.parse_libsvm(text)
+    assert str(got.value) == str(expected.value)
+
+
+def _random_libsvm_text(rng):
+    """A valid LIBSVM text with blank lines, label-only rows, mixed line
+    endings and value spellings, whose largest index appears only on its
+    last row."""
+    labels = [("-1", "+1", "-1.0", "1"), ("0", "1", "0.0", "1e0"),
+              ("1", "2", "1.0", "2.0")][rng.integers(3)]
+    n, d = int(rng.integers(1, 25)), int(rng.integers(1, 12))
+    spellings = (lambda v: repr(v), lambda v: f"{v:.3e}", lambda v: f"{v:.2E}",
+                 lambda v: str(int(v * 10)), lambda v: "-0.0", lambda v: f"{v:g}")
+    lines = []
+    for i in range(n):
+        top = d if i == n - 1 else int(rng.integers(0, d))
+        idx = sorted(rng.choice(np.arange(1, top + 1), size=int(rng.integers(0, top + 1)),
+                                replace=False)) if top else []
+        if i == n - 1 and d not in idx:
+            idx.append(d)
+        fields = [labels[rng.integers(4)]]
+        for j in idx:
+            value = float(rng.standard_normal() * 10.0 ** rng.integers(-8, 9))
+            fields.append(f"{j}:{spellings[rng.integers(len(spellings))](value)}")
+        lines.append(("\t" if rng.random() < 0.2 else " ").join(fields))
+        if rng.random() < 0.2:
+            lines.append(("", "  ", "\t")[rng.integers(3)])
+    ends = ("\n", "\r\n", "\r")
+    return "".join(line + ends[rng.integers(3)] for line in lines)
+
+
+def test_parse_matches_the_tuple_reader():
+    rng = np.random.default_rng(2024)
+    for case in range(200):
+        text = _random_libsvm_text(rng)
+        X, y = parse_libsvm_tuples(text)
+        ds = rc.parse_libsvm(text)
+        assert ds.features.tobytes() == X.tobytes(), case
+        assert ds.features.shape == X.shape, case
+        assert np.array_equal(ds.labels, y), case
+        # to_libsvm omits zeros (-0.0 too, and so a last column of zeros):
+        # the round trip's text is compared with the reference reader
+        text = rc.to_libsvm(ds)
+        again, (X, y) = rc.parse_libsvm(text), parse_libsvm_tuples(text)
+        assert again.features.tobytes() == X.tobytes(), case
+        assert np.array_equal(again.labels, y), case
+
+
+def test_parse_peak_memory_per_stored_entry():
+    # a dense 2,000 x 64 text: the reader may hold the split lines (about
+    # len(text)) and at most 32 bytes per stored entry on top, the dense
+    # matrix included; with an (index, value) tuple per entry it peaked at
+    # about 112 bytes per entry
+    rng = np.random.default_rng(5)
+    n, d = 2000, 64
+    ds = rc.Dataset.from_arrays(rng.standard_normal((n, d)), np.resize([1, -1], n))
+    text = rc.to_libsvm(ds)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parsed = rc.parse_libsvm(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert parsed.features.tobytes() == ds.features.tobytes()
+    assert peak <= len(text) + 32 * n * d, (peak, len(text))
+
+
+def test_crlf_and_blank_lines_give_the_same_report(tmp_path):
+    runner = CliRunner()
+    lf = tmp_path / "t.svm"
+    res = runner.invoke(cli_main, ["synth", "--n", "60", "--seed", "1", "--out", str(lf)])
+    assert res.exit_code == 0, res.output
+    crlf = tmp_path / "crlf.svm"
+    crlf.write_bytes(b"\r\n" + lf.read_bytes().replace(b"\n", b"\r\n\r\n"))
+    for path in (lf, crlf):
+        res = runner.invoke(cli_main, [
+            "sweep", "--dataset", str(path), "--folds", "2", "--lambda-rule", "n",
+            "--removal-grid", "0.1", "--output-dir", str(tmp_path / path.stem)])
+        assert res.exit_code == 0, res.output
+    assert ((tmp_path / "t" / "report.csv").read_bytes()
+            == (tmp_path / "crlf" / "report.csv").read_bytes())
 
 
 def test_dataset_rejects_bad_labels():
