@@ -119,12 +119,18 @@ class QuadraticGapForm:
         return float(vw @ (self.A @ vw) + self.b @ vw + self.c)
 
     def reduced(self, active):
-        """Restrict to active coordinates and recenter at w = 1.
+        """Restrict to the coordinates of the boolean mask ``active`` and
+        recenter at w = 1.
 
         Returns (At, g, const) with q = u' At u + g' u + const for
-        u = w_active - 1.
+        u = w_active - 1.  When every coordinate is active and A has the
+        copy's layout, At is a read-only view of A, not a copy.
         """
-        At = self.A[np.ix_(active, active)]
+        if active.all() and self.A.flags.c_contiguous:
+            At = self.A.view()
+            At.flags.writeable = False
+        else:
+            At = self.A[np.ix_(active, active)]
         bt = self.b[active]
         g = 2.0 * At.sum(axis=1) + bt
         const = float(At.sum() + bt.sum() + self.c)

@@ -190,16 +190,21 @@ def parse_libsvm(text: str) -> Dataset:
 def to_libsvm(ds: Dataset) -> str:
     """Serialize a Dataset back to LIBSVM text (intercept column dropped).
 
-    Zero entries are omitted; float values use repr so a parse round-trip
-    reproduces the matrix bit-for-bit.
+    Entries of +0.0 are omitted, -0.0 is written, and the last column's
+    index is written once (on the first row) when no row stores it; float
+    values use repr, so a parse round-trip reproduces the matrix, its shape
+    included, bit-for-bit.
     """
-    lines = []
     X = ds.features[:, :-1]
+    stored = (X != 0.0) | np.signbit(X)
+    lines = []
     for i in range(ds.n):
         fields = ["+1" if ds.labels[i] > 0 else "-1"]
-        for j in np.flatnonzero(X[i] != 0.0):
+        for j in np.flatnonzero(stored[i]):
             fields.append(f"{j + 1}:{float(X[i, j])!r}")
         lines.append(" ".join(fields))
+    if X.shape[1] and not stored[:, -1].any():
+        lines[0] += f" {X.shape[1]}:0.0"
     return "\n".join(lines) + "\n"
 
 

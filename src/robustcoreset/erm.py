@@ -181,7 +181,10 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
     if not ((wa > 0.0) & (wa < math.inf)).all():
         raise ValueError("active weights must be finite and positive")
     ya = y[act]
-    Ka = K[np.ix_(act, act)]
+    # K itself when every instance is active, unless its layout differs
+    # from the copy's: a gemv's bits depend on the layout
+    Ka = (K if act.size == n and K.flags.c_contiguous
+          else K[np.ix_(act, act)])
     E = float(wa.sum())
     max_passes = _max_passes(act.size)
 

@@ -206,11 +206,13 @@ def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, rules):
     # positives: its ball is the single point w = 1.
     n_plus_va = int(np.sum(y_va == 1))
     Q = shift_radius(n_plus_va, config.q_shift) if n_plus_va else 0.0
+    algorithm = config.algorithm or (1 if len(y_tr) <= EXACT_MAX_N_TR else 2)
     models = [train(K, y_tr, resolve_lambda_rule(rule, len(y_tr)),
                     kind=config.loss) for rule in rules]
     return [FoldContext(fold=fold, tr_idx=tr_idx, y_tr=y_tr, K=K, S=S, Q=Q,
                         model=model, valset=ValidationSet(
-                            Kx, y_va, norms, y_va * decision_scores(model, Kx)))
+                            Kx, y_va, norms, y_va * decision_scores(model, Kx)),
+                        algorithm=algorithm)
             for model in models]
 
 
@@ -252,7 +254,8 @@ class ValidationSet(NamedTuple):
 @dataclass
 class FoldContext:
     """A fold at one lambda rule, built by ``_fold`` only: data, kernels,
-    radii and reference model, the validation side in ``valset`` only."""
+    radii and reference model, the validation side in ``valset`` only, and
+    the robust selector's ``algorithm`` (1 exact, 2 fixed-w, 3 one-shot)."""
 
     fold: int
     tr_idx: np.ndarray
@@ -262,6 +265,9 @@ class FoldContext:
     Q: float
     model: object
     valset: ValidationSet
+    algorithm: int
+    _full_step: bound.Spectrum | None = field(default=None, init=False,
+                                              repr=False)
 
     @functools.cached_property
     def form_cert(self) -> bound.QuadraticGapForm:
@@ -271,9 +277,14 @@ class FoldContext:
     @functools.cached_property
     def full_ball(self) -> bound.BallMax:
         """The full set's ball maximum and worst-case weight; one ball
-        solve, on first use."""
-        return bound.maximize_on_ball(self.form_cert, np.ones(self.form_cert.n),
-                                      self.S)
+        solve, on first use.  On an exact-greedy fold its spectral step,
+        which exact greedy's first removal also takes, is kept for
+        ``run_selection`` to hand on; other folds keep no eigenvectors."""
+        ones = np.ones(self.form_cert.n)
+        if self.algorithm == 1 and self.S > 0:
+            self._full_step = bound.spectral_step(self.form_cert, ones)
+        return bound.maximize_on_ball(self.form_cert, ones, self.S,
+                                      self._full_step)
 
     @property
     def weights_may_be_negative(self) -> list:
@@ -329,11 +340,15 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
     the run seed, the fold and the method, so every entry point picks the
     same coreset."""
     if method == ROBUST_METHOD:
-        algorithm = config.algorithm or (1 if len(ctx.y_tr) <= EXACT_MAX_N_TR else 2)
-        fn = {1: select.greedy_exact, 2: select.greedy_fixed_w,
-              3: select.greedy_oneshot}[algorithm]
-        ball = ctx.S if algorithm == 1 else ctx.full_ball.w_star
-        return fn(ctx.form_cert, ctx.y_tr, ball, n_del,
+        if ctx.algorithm == 1:
+            # the fold gives up the full set's step: greedy_exact holds it
+            # only until its kept set moves on, and drops it when it ends
+            step, ctx._full_step = ctx._full_step, None
+            return select.greedy_exact(ctx.form_cert, ctx.y_tr, ctx.S, n_del,
+                                       preserve_classes=config.preserve_classes,
+                                       spectrum=step)
+        fn = {2: select.greedy_fixed_w, 3: select.greedy_oneshot}[ctx.algorithm]
+        return fn(ctx.form_cert, ctx.y_tr, ctx.full_ball.w_star, n_del,
                   preserve_classes=config.preserve_classes)
     seed = int(np.random.SeedSequence(
         [config.seed, ctx.fold, ALL_METHODS.index(method)]).generate_state(1)[0])

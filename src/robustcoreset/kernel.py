@@ -35,11 +35,17 @@ def bandwidth_heuristic(X: np.ndarray) -> float:
     return body.shape[1] * var
 
 
+_BLOCK_ROWS = 128  # rows of the rbf kernel transformed per pass
+
+
 def gram(X1, X2, bandwidth: float | None = None) -> np.ndarray:
     """Kernel matrix between the rows of X1 and X2: RBF at ``bandwidth``,
     linear when it is None.  The rbf path uses ||a-b||^2 = ||a||^2 + ||b||^2
     - 2 a.b with tiny negatives clamped to zero, so a self-Gram has an exact
-    unit diagonal."""
+    unit diagonal.  It turns the one product X1 X2' into the kernel in
+    place, ``_BLOCK_ROWS`` rows at a time, so it holds the result and one
+    block on top; each entry takes the same operations in the same order
+    as the whole-array expression exp(-max(d2, 0) / bandwidth)."""
     X1 = np.asarray(X1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     if X1.ndim != 2 or X2.ndim != 2 or X1.shape[1] != X2.shape[1]:
@@ -50,11 +56,23 @@ def gram(X1, X2, bandwidth: float | None = None) -> np.ndarray:
         raise ValueError("rbf bandwidth must be positive")
     sq1 = np.einsum("ij,ij->i", X1, X1)
     sq2 = np.einsum("ij,ij->i", X2, X2)
-    d2 = sq1[:, None] + sq2[None, :] - 2.0 * (X1 @ X2.T)
-    np.maximum(d2, 0.0, out=d2)
-    if X1 is X2 or (X1.shape == X2.shape and np.array_equal(X1, X2)):
-        np.fill_diagonal(d2, 0.0)
-    return np.exp(-d2 / bandwidth)
+    same = X1 is X2 or (X1.shape == X2.shape and np.array_equal(X1, X2))
+    K = X1 @ X2.T
+    sums = np.empty((min(_BLOCK_ROWS, K.shape[0]), K.shape[1]))
+    for start in range(0, K.shape[0], _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = K[rows]
+        part = sums[:len(block)]
+        np.multiply(block, 2.0, out=block)
+        np.add(sq1[rows, None], sq2, out=part)
+        np.subtract(part, block, out=block)  # squared distances d2
+        np.maximum(block, 0.0, out=block)
+        if same:
+            np.fill_diagonal(block[:, rows], 0.0)
+        np.negative(block, out=block)
+        np.divide(block, bandwidth, out=block)
+        np.exp(block, out=block)
+    return K
 
 
 def check_rows(X, kind: str, bandwidth: float | None):

@@ -106,8 +106,8 @@ def _greedy(method, y, n_del, scores, remove=None, *,
     return trace
 
 
-def greedy_exact(form, y, S, n_del, *,
-                 preserve_classes: bool = False) -> SelectionTrace:
+def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
+                 spectrum: bound.Spectrum | None = None) -> SelectionTrace:
     """Remove one instance at a time, re-solving the ball maximization for
     every candidate and keeping the removal with the smallest worst-case
     gap (ties to the smallest index).
@@ -123,13 +123,13 @@ def greedy_exact(form, y, S, n_del, *,
     candidates, taken in one array pass; each candidate's
     ``bound.maximize_on_ball`` call reads its entry back.  So each step
     solves once, however many removals it serves.  No step is taken when
-    S = 0, where every solve is a plain evaluation of q."""
-    spectrum = None  # spectral step of the last scored kept set
+    S = 0, where every solve is a plain evaluation of q.  A given
+    ``spectrum`` (the caller's full-set step, say) serves the first removal
+    when it solves that kept set, memos included."""
 
     def scores(cand, v):
         nonlocal spectrum
-        if S > 0:
-            spectrum = bound.spectral_step(form, v, spectrum)
+        spectrum = bound.spectral_step(form, v, spectrum) if S > 0 else None
         out = np.empty(cand.size)
         for k, i in enumerate(cand):
             v[i] = 0.0

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,3 +28,20 @@ def hinge_model(rbf_task):
 def logistic_model(rbf_task):
     ds, K, lam_abs = rbf_task
     return rc.train(K, ds.labels, lam_abs, kind=rc.LOGISTIC, tol=1e-10)
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn, *args, **kwargs)``: the most bytes that numpy and
+    Python held at once during the call, above what they held before it
+    (tracemalloc)."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return measure

@@ -450,3 +450,98 @@ def parse_libsvm_tuples(text):
     positive = distinct[1] if len(distinct) == 2 else 1.0
     y = np.array([1 if value == positive else -1 for value in values])
     return X, y
+
+
+def reference_logistic_root(q0, s, a0):
+    lo, hi = 0.0, 1.0
+    a = min(max(float(a0), 1e-15), 1.0 - 1e-15)
+    for _ in range(80):
+        h = math.log(a / (1.0 - a)) + q0 + s * (a - a0)
+        if abs(h) < 1e-13:
+            break
+        if h > 0.0:
+            hi = a
+        else:
+            lo = a
+        step = h / (1.0 / (a * (1.0 - a)) + s)
+        a_new = a - step
+        if not lo < a_new < hi:
+            a_new = 0.5 * (lo + hi)
+        a_new = min(max(a_new, 1e-15), 1.0 - 1e-15)
+        if abs(a_new - a) < 1e-16:
+            a = a_new
+            break
+        a = a_new
+    return a
+
+
+def reference_train(K, y, lam_abs, v, w, kind, tol=1e-8, max_passes=1000):
+    """Plain numpy coordinate loop that ``erm.train`` must match bit for
+    bit: (alpha, rep_coef, certified_gap), or TrainingError with its best
+    gap.  It trains on the copy K[np.ix_(act, act)], C-ordered whatever K's
+    layout, as ``erm.train`` did on every call before it read an
+    all-active C-ordered K in place."""
+    from robustcoreset.erm import (HINGE, LOGISTIC, TrainingError,
+                                   conjugate_eval, loss_eval)
+
+    act = np.flatnonzero(v != 0.0)
+    wa, ya, Ka = w[act], y[act], K[np.ix_(act, act)]
+    E = float(wa.sum())
+    a = np.full(act.size, 0.5 if kind == LOGISTIC else 0.0)
+    z = wa * ya * a
+    yf = ya * (Ka @ z) / lam_abs
+
+    def current_gap():
+        f = yf * ya
+        losses = loss_eval(kind, ya, f) + conjugate_eval(kind, a)
+        return (float(wa @ losses) + float(z @ f)) / E
+
+    diag = np.diag(Ka).copy()
+    best_gap = math.inf
+    for sweep in range(max_passes):
+        for j in range(act.size):
+            cj = wa[j]
+            sj = cj * diag[j] / lam_abs
+            if kind == HINGE:
+                if sj > 0.0:
+                    a_new = min(1.0, max(0.0, a[j] + (1.0 - yf[j]) / sj))
+                else:
+                    a_new = 1.0 if yf[j] < 1.0 else 0.0
+            else:
+                a_new = reference_logistic_root(yf[j], sj, a[j])
+            delta = a_new - a[j]
+            if delta != 0.0:
+                a[j] = a_new
+                dz = cj * ya[j] * delta
+                z[j] += dz
+                yf += ya * Ka[:, j] * (dz / lam_abs)
+        if (sweep + 1) % 64 == 0:
+            yf = ya * (Ka @ z) / lam_abs
+        gap = current_gap()
+        best_gap = min(best_gap, gap)
+        if gap <= tol:
+            break
+    else:
+        raise TrainingError("pass cap", best_gap=best_gap)
+    alpha = np.zeros(len(y))
+    alpha[act] = a
+    rep_coef = np.zeros(len(y))
+    rep_coef[act] = z / lam_abs
+    return alpha, rep_coef, gap
+
+
+def gram_whole(X1, X2, bandwidth=None):
+    """``kernel.gram`` as one whole-array expression, the library's code
+    before it built the rbf kernel in place: each temporary is a new
+    n1 x n2 array, so it peaks at three of them."""
+    X1 = np.asarray(X1, dtype=float)
+    X2 = np.asarray(X2, dtype=float)
+    if bandwidth is None:
+        return X1 @ X2.T
+    sq1 = np.einsum("ij,ij->i", X1, X1)
+    sq2 = np.einsum("ij,ij->i", X2, X2)
+    d2 = sq1[:, None] + sq2[None, :] - 2.0 * (X1 @ X2.T)
+    np.maximum(d2, 0.0, out=d2)
+    if X1 is X2 or (X1.shape == X2.shape and np.array_equal(X1, X2)):
+        np.fill_diagonal(d2, 0.0)
+    return np.exp(-d2 / bandwidth)

@@ -154,6 +154,31 @@ def test_maximize_inactive_pinned_to_one():
     assert res.dg_max >= best - 1e-9
 
 
+def test_reduced_all_kept_block_is_a_read_only_view(peak_bytes):
+    # with every coordinate kept the block is A itself, read-only and not
+    # copied (O(n) allocated); the reduced problem has the copy's bytes, and
+    # a Fortran-ordered A or a partial mask still gets a copy
+    rng = np.random.default_rng(44)
+    n = 600
+    form = random_psd_form(rng, n)
+    kept = np.ones(n, dtype=bool)
+    assert peak_bytes(form.reduced, kept) <= 8 * 8 * n
+    At = form.reduced(kept)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        At[0, 0] = 1.0
+    assert form.A.flags.writeable
+    for A, active, view in ((form.A, kept, True),
+                            (np.asfortranarray(form.A), kept, False),
+                            (form.A, rng.random(n) < 0.7, False)):
+        block = np.array(A)[np.ix_(active, active)]
+        At, g, const = rc.QuadraticGapForm(A, form.b, form.c).reduced(active)
+        assert np.shares_memory(At, A) == view
+        assert At.tobytes() == block.tobytes()
+        assert g.tobytes() == (2.0 * block.sum(axis=1)
+                               + form.b[active]).tobytes()
+        assert const == float(block.sum() + form.b[active].sum() + form.c)
+
+
 def _form_with_reduced_g(A, g):
     """Form whose reduced linear term at the full mask is exactly g."""
     return rc.QuadraticGapForm(A=A, b=g - 2.0 * A.sum(axis=1), c=0.0)

@@ -116,6 +116,22 @@ def test_round_trip_bit_exact():
     assert np.array_equal(again.labels, ds.labels)
 
 
+def test_round_trip_keeps_signed_zeros_and_a_last_zero_column():
+    # -0.0 is written and +0.0 is not; a last column no row stores is
+    # written once, so the width survives
+    ds = rc.Dataset.from_arrays([[1, -0.0, 0], [2, 3, 0]], [1, -1])
+    text = rc.to_libsvm(ds)
+    assert text == "+1 1:1.0 2:-0.0 3:0.0\n-1 1:2.0 2:3.0\n"
+    again = rc.parse_libsvm(text)
+    assert again.features.shape == (2, 4)
+    assert again.features.tobytes() == ds.features.tobytes()
+    assert np.signbit(again.features[0, 1])
+    assert np.array_equal(again.labels, ds.labels)
+    # a dataset with no feature column has nothing to write
+    assert rc.to_libsvm(rc.Dataset.from_arrays(np.zeros((2, 0)),
+                                               [1, -1])) == "+1\n-1\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1e999"])
 def test_parse_rejects_a_nonfinite_value_with_its_line(value):
     # rejected by the reader, which knows the line; Dataset's check does not
@@ -216,11 +232,13 @@ def test_parse_matches_the_tuple_reader():
         assert ds.features.tobytes() == X.tobytes(), case
         assert ds.features.shape == X.shape, case
         assert np.array_equal(ds.labels, y), case
-        # to_libsvm omits zeros (-0.0 too, and so a last column of zeros):
-        # the round trip's text is compared with the reference reader
+        # the round trip gives back the matrix, shape and signed zeros
+        # included, and both readers agree on its text
         text = rc.to_libsvm(ds)
         again, (X, y) = rc.parse_libsvm(text), parse_libsvm_tuples(text)
         assert again.features.tobytes() == X.tobytes(), case
+        assert again.features.tobytes() == ds.features.tobytes(), case
+        assert again.features.shape == ds.features.shape, case
         assert np.array_equal(again.labels, y), case
 
 

@@ -166,78 +166,6 @@ def test_train_pass_cap():
     assert erm._max_passes(4_000) == erm._max_passes(10**6) == 1000
 
 
-def _reference_logistic_root(q0, s, a0):
-    lo, hi = 0.0, 1.0
-    a = min(max(float(a0), 1e-15), 1.0 - 1e-15)
-    for _ in range(80):
-        h = math.log(a / (1.0 - a)) + q0 + s * (a - a0)
-        if abs(h) < 1e-13:
-            break
-        if h > 0.0:
-            hi = a
-        else:
-            lo = a
-        step = h / (1.0 / (a * (1.0 - a)) + s)
-        a_new = a - step
-        if not lo < a_new < hi:
-            a_new = 0.5 * (lo + hi)
-        a_new = min(max(a_new, 1e-15), 1.0 - 1e-15)
-        if abs(a_new - a) < 1e-16:
-            a = a_new
-            break
-        a = a_new
-    return a
-
-
-def reference_train(K, y, lam_abs, v, w, kind, tol=1e-8, max_passes=1000):
-    """Plain numpy coordinate loop that ``rc.train`` must match bit for bit:
-    (alpha, rep_coef, certified_gap), or TrainingError with its best gap."""
-    act = np.flatnonzero(v != 0.0)
-    wa, ya, Ka = w[act], y[act], K[np.ix_(act, act)]
-    E = float(wa.sum())
-    a = np.full(act.size, 0.5 if kind == rc.LOGISTIC else 0.0)
-    z = wa * ya * a
-    yf = ya * (Ka @ z) / lam_abs
-
-    def current_gap():
-        f = yf * ya
-        losses = rc.loss_eval(kind, ya, f) + rc.conjugate_eval(kind, a)
-        return (float(wa @ losses) + float(z @ f)) / E
-
-    diag = np.diag(Ka).copy()
-    best_gap = math.inf
-    for sweep in range(max_passes):
-        for j in range(act.size):
-            cj = wa[j]
-            sj = cj * diag[j] / lam_abs
-            if kind == rc.HINGE:
-                if sj > 0.0:
-                    a_new = min(1.0, max(0.0, a[j] + (1.0 - yf[j]) / sj))
-                else:
-                    a_new = 1.0 if yf[j] < 1.0 else 0.0
-            else:
-                a_new = _reference_logistic_root(yf[j], sj, a[j])
-            delta = a_new - a[j]
-            if delta != 0.0:
-                a[j] = a_new
-                dz = cj * ya[j] * delta
-                z[j] += dz
-                yf += ya * Ka[:, j] * (dz / lam_abs)
-        if (sweep + 1) % 64 == 0:
-            yf = ya * (Ka @ z) / lam_abs
-        gap = current_gap()
-        best_gap = min(best_gap, gap)
-        if gap <= tol:
-            break
-    else:
-        raise TrainingError("pass cap", best_gap=best_gap)
-    alpha = np.zeros(len(y))
-    alpha[act] = a
-    rep_coef = np.zeros(len(y))
-    rep_coef[act] = z / lam_abs
-    return alpha, rep_coef, gap
-
-
 def _random_training_problem(seed, kind, kernel):
     rng = np.random.default_rng([seed, kind == rc.HINGE, kernel == "rbf"])
     n = int(rng.integers(5, 70))
@@ -262,8 +190,8 @@ def test_train_bit_identical_to_reference_loop(kind, kernel, monkeypatch):
         for max_passes in (2, 1000):
             monkeypatch.setattr(erm, "_max_passes", lambda n_active: max_passes)
             try:
-                ref = reference_train(K, y, lam_abs, v, w, kind,
-                                      max_passes=max_passes)
+                ref = oracles.reference_train(K, y, lam_abs, v, w, kind,
+                                              max_passes=max_passes)
             except TrainingError as exc:
                 with pytest.raises(TrainingError) as err:
                     rc.train(K, y, lam_abs, v=v, w=w, kind=kind)
@@ -273,6 +201,45 @@ def test_train_bit_identical_to_reference_loop(kind, kernel, monkeypatch):
             assert model.alpha.tobytes() == ref[0].tobytes(), seed
             assert model.rep_coef.tobytes() == ref[1].tobytes(), seed
             assert model.certified_gap == ref[2], seed
+
+
+@pytest.mark.parametrize("kind", [rc.HINGE, rc.LOGISTIC])
+def test_train_has_the_copying_trainers_bytes_in_every_layout(kind,
+                                                              monkeypatch):
+    # with every instance active the trainer reads a C-ordered K in place
+    # and copies any other layout, as the reference loop copies every K:
+    # the same model arrays for C-ordered, Fortran-ordered and strided K
+    monkeypatch.setattr(erm, "_max_passes", lambda n_active: 1000)
+    for seed in range(6):
+        K, y, _, _, lam_abs = _random_training_problem(seed, kind, "rbf")
+        n = len(y)
+        spaced = np.zeros((2 * n, 2 * n))
+        spaced[::2, ::2] = K
+        for layout in (K, np.asfortranarray(K), spaced[::2, ::2]):
+            alpha, rep_coef, gap = oracles.reference_train(
+                layout, y, lam_abs, np.ones(n), np.ones(n), kind)
+            for v in (None, np.ones(n)):
+                model = rc.train(layout, y, lam_abs, v=v, kind=kind)
+                assert model.alpha.tobytes() == alpha.tobytes(), seed
+                assert model.rep_coef.tobytes() == rep_coef.tobytes(), seed
+                assert model.certified_gap == gap, seed
+                assert model.train_scores.tobytes() == \
+                    (layout @ rep_coef).tobytes(), seed
+                assert model.gram_ref is layout
+
+
+def test_train_on_every_instance_holds_one_matrix_above_K(peak_bytes):
+    # every instance active: the trainer reads K in place, so its one n x n
+    # array is YK, and the rest is O(n); the copy of K it took before
+    # raised the peak to about 2 n^2
+    rng = np.random.default_rng(14)
+    n = 1000
+    X = rng.standard_normal((n, 4))
+    K = rc.gram(X, X, 4.0)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    # tol = inf stops after one pass
+    assert peak_bytes(rc.train, K, y, float(n), kind=rc.HINGE,
+                      tol=math.inf) <= 1.25 * 8 * n * n
 
 
 def test_evaluate_gap_at_reference(hinge_model):

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import robustcoreset as rc
-from robustcoreset import bound
+from robustcoreset import bound, select
 from robustcoreset.cli import main as cli_main
 from robustcoreset.experiment import (DEFAULT_LAMBDA_GRID, ExperimentConfig,
                                       certify_coreset, load_dataset, load_inputs,
@@ -628,6 +630,57 @@ def test_certificates_of_the_live_set_take_no_spectral_step(synth_file,
     assert certificate_steps == []
     assert len(own_steps) == config.folds
     assert all(np.all(v == 1.0) for v in own_steps)
+
+
+@pytest.mark.parametrize("algorithm", [1, 2])
+def test_exact_greedy_starts_from_the_full_sets_spectral_step(
+        synth_file, monkeypatch, algorithm):
+    # the full-set solve and exact greedy's first removal solve the same
+    # set: on an exact-greedy fold they share one eigendecomposition, which
+    # the fold hands to the selection and which is freed when it ends, with
+    # the removal order and gaps of a selection that takes its own; a
+    # fixed-w fold keeps no eigenvectors
+    config = ExperimentConfig(dataset=synth_file, loss="hinge",
+                              lambda_rule="2.0", methods=("robust",),
+                              folds=3, seed=3, algorithm=algorithm)
+    ds = load_inputs(config)
+    plan = rc.cv_split(ds, config.folds, config.seed)
+    eigh, sizes = np.linalg.eigh, []
+    step, steps = bound.spectral_step, []
+
+    def counting_eigh(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    def recording_step(*args):
+        spectrum = step(*args)
+        steps.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(bound, "spectral_step", recording_step)
+    for fold in range(config.folds):
+        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        n_del = max(config.removal_counts(len(ctx.y_tr)))
+        sizes.clear()
+        ctx.full_ball
+        assert sizes == [int(ctx.form_cert.live.sum())]
+        if algorithm == 2:
+            gc.collect()
+            assert ctx._full_step is None and steps[-1]() is None
+            continue
+        full = weakref.ref(ctx._full_step)
+        assert full() is steps[-1]() and ctx.S in full()._own
+        sizes.clear()
+        trace = run_selection(ctx, config, "robust", n_del)
+        shared = len(sizes)
+        gc.collect()
+        assert ctx._full_step is None and full() is None
+        sizes.clear()
+        fresh = select.greedy_exact(ctx.form_cert, ctx.y_tr, ctx.S, n_del)
+        assert len(sizes) == shared + 1
+        assert trace.removal_order == fresh.removal_order
+        assert np.array(trace.gaps).tobytes() == np.array(fresh.gaps).tobytes()
 
 
 def test_fixed_w_keeps_the_full_sets_certificate_over_dead_removals(

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import robustcoreset as rc
+from robustcoreset import kernel
 from robustcoreset.kernel import fold_kernels, load_precomputed
+
+import oracles
 
 
 def test_bandwidth_single_column():
@@ -64,6 +67,34 @@ def test_cross_gram_transpose_exact():
         K12 = rc.gram(X1, X2, h)
         K21 = rc.gram(X2, X1, h)
         assert np.array_equal(K12, K21.T)
+
+
+def test_gram_has_the_whole_array_expressions_bytes():
+    # the rbf kernel is built in place, a block of rows at a time, with
+    # each entry taking the whole-array expression's operations in its
+    # order: the same bytes for rbf and linear, self- and cross-Gram, with
+    # fewer rows than a block, a block's and more, bandwidth given or taken
+    # by the heuristic
+    rng = np.random.default_rng(12)
+    rows = kernel._BLOCK_ROWS
+    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 5):
+        X = np.hstack([rng.standard_normal((n, 5)) * rng.uniform(0.3, 3.0),
+                       np.ones((n, 1))])
+        Y = np.hstack([rng.standard_normal((37, 5)), np.ones((37, 1))])
+        for h in (None, 0.8, rc.bandwidth_heuristic(np.vstack([X, Y]))):
+            for X1, X2 in ((X, X), (X, X.copy()), (X, Y), (Y, X)):
+                assert rc.gram(X1, X2, h).tobytes() == \
+                    oracles.gram_whole(X1, X2, h).tobytes(), (n, h)
+
+
+def test_rbf_self_gram_holds_one_block_above_its_result(peak_bytes):
+    # the one product X X' becomes the kernel in place, so the call holds
+    # the result and a block of rows; the whole-array expression held three
+    # n x n arrays at once
+    n = 1500
+    X = np.random.default_rng(13).standard_normal((n, 8))
+    assert peak_bytes(rc.gram, X, X, 4.0) <= 1.25 * 8 * n * n
+    assert peak_bytes(oracles.gram_whole, X, X, 4.0) >= 2.5 * 8 * n * n
 
 
 def test_kernel_kind_and_bandwidth_validation():
