@@ -340,15 +340,15 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
     the run seed, the fold and the method, so every entry point picks the
     same coreset."""
     if method == ROBUST_METHOD:
+        # every selector starts from the full-set solve, and the fold gives
+        # up its step: greedy_exact holds it until its kept set moves on
+        ball, step, ctx._full_step = ctx.full_ball, ctx._full_step, None
         if ctx.algorithm == 1:
-            # the fold gives up the full set's step: greedy_exact holds it
-            # only until its kept set moves on, and drops it when it ends
-            step, ctx._full_step = ctx._full_step, None
             return select.greedy_exact(ctx.form_cert, ctx.y_tr, ctx.S, n_del,
                                        preserve_classes=config.preserve_classes,
                                        spectrum=step)
         fn = {2: select.greedy_fixed_w, 3: select.greedy_oneshot}[ctx.algorithm]
-        return fn(ctx.form_cert, ctx.y_tr, ctx.full_ball.w_star, n_del,
+        return fn(ctx.form_cert, ctx.y_tr, ball.w_star, n_del,
                   preserve_classes=config.preserve_classes)
     seed = int(np.random.SeedSequence(
         [config.seed, ctx.fold, ALL_METHODS.index(method)]).generate_state(1)[0])

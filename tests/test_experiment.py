@@ -14,8 +14,8 @@ from robustcoreset.cli import main as cli_main
 from robustcoreset.experiment import (DEFAULT_LAMBDA_GRID, ExperimentConfig,
                                       certify_coreset, load_dataset, load_inputs,
                                       min_max_scaled, prepare_fold,
-                                      resolve_lambda_rule, run_experiment,
-                                      run_selection, start_run)
+                                      resolve_lambda_rule, retrained_accuracy,
+                                      run_experiment, run_selection, start_run)
 
 import oracles
 from table_data import load_table_dataset
@@ -681,6 +681,117 @@ def test_exact_greedy_starts_from_the_full_sets_spectral_step(
         assert len(sizes) == shared + 1
         assert trace.removal_order == fresh.removal_order
         assert np.array(trace.gaps).tobytes() == np.array(fresh.gaps).tobytes()
+
+
+def dead_drop_cli(command, synth_file, *options):
+    """``command`` on fold 0 of ``dead_drop_config``'s data and split;
+    at --removal-fraction 0.2 robust selection drops only dead instances."""
+    return CliRunner().invoke(cli_main, [
+        command, "--dataset", synth_file, "--loss", "hinge", "--lambda-rule",
+        "2.0", "--folds", "3", "--seed", "3", *options])
+
+
+def test_cli_robust_certify_eigendecomposes_the_full_set_once(
+        synth_file, tmp_path, monkeypatch):
+    # the selection starts from the fold's full-set solve and its step,
+    # and a certificate of dead drops reads that solve: one eigh in all
+    config = dead_drop_config(synth_file)
+    ds = load_inputs(config)
+    ctx = prepare_fold(ds, config, 0, "2.0",
+                       rc.cv_split(ds, config.folds, config.seed))
+    eigh, sizes = np.linalg.eigh, []
+
+    def counting_eigh(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    res = dead_drop_cli("certify", synth_file, "--algorithm", "1",
+                        "--removal-fraction", "0.2", "--output-dir",
+                        str(tmp_path))
+    assert res.exit_code == 0, res.output
+    assert sizes == [int(ctx.form_cert.live.sum())]
+
+
+@pytest.mark.parametrize("command", ["select", "certify", "evaluate"])
+def test_cli_robust_commands_leave_no_spectral_step_on_the_fold(
+        synth_file, tmp_path, monkeypatch, command):
+    # whatever reads an exact-greedy fold after its selection, the fold
+    # holds no spectral step once the selection is done
+    import robustcoreset.cli as cli
+    prepare, folds = cli.prepare_fold, []
+    step, steps = bound.spectral_step, []
+
+    def recording_prepare(*args):
+        folds.append(prepare(*args))
+        return folds[-1]
+
+    def recording_step(*args):
+        spectrum = step(*args)
+        steps.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(cli, "prepare_fold", recording_prepare)
+    monkeypatch.setattr(bound, "spectral_step", recording_step)
+    output = [] if command == "evaluate" else ["--output-dir", str(tmp_path)]
+    res = dead_drop_cli(command, synth_file, "--algorithm", "1",
+                        "--removal-fraction", "0.2", *output)
+    assert res.exit_code == 0, res.output
+    gc.collect()
+    assert len(folds) == 1 and folds[0]._full_step is None
+    assert steps and all(ref() is None for ref in steps)
+
+
+@pytest.mark.parametrize("algorithm", [1, 2, 3])
+def test_cli_select_writes_a_fresh_selections_trace(synth_file, tmp_path,
+                                                    algorithm):
+    # select starts from the fold's full-set solve; its trace.json has the
+    # bytes of a selection that solves the full set on its own
+    res = dead_drop_cli("select", synth_file, "--algorithm", str(algorithm),
+                        "--removal-fraction", "0.6", "--output-dir",
+                        str(tmp_path))
+    assert res.exit_code == 0, res.output
+    config = dead_drop_config(synth_file)
+    ds = load_inputs(config)
+    ctx = prepare_fold(ds, config, 0, "2.0",
+                       rc.cv_split(ds, config.folds, config.seed))
+    form, n = ctx.form_cert, len(ctx.y_tr)
+    n_del = int(round(0.6 * n))
+    if algorithm == 1:
+        fresh = select.greedy_exact(form, ctx.y_tr, ctx.S, n_del)
+    else:
+        w_star = bound.maximize_on_ball(form, np.ones(n), ctx.S).w_star
+        fresh = {2: select.greedy_fixed_w, 3: select.greedy_oneshot}[
+            algorithm](form, ctx.y_tr, w_star, n_del)
+    assert form.live[fresh.removal_order].any()
+    payload = {**fresh.to_dict(), "fold": 0,
+               "train_index_map": ctx.tr_idx.tolist(),
+               "kept_original_indices":
+                   ctx.tr_idx[fresh.kept_indices()].tolist()}
+    assert ((tmp_path / "trace.json").read_text()
+            == json.dumps(payload, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+def test_all_kept_score_is_the_reference_models_bit_for_bit(synth_file,
+                                                            loss):
+    # training on every instance gives the reference model's bits, so a
+    # 0.0 row reports the reference model's own score
+    config = ExperimentConfig(dataset=synth_file, loss=loss,
+                              lambda_rule="2.0", folds=3, seed=3)
+    ds = load_inputs(config)
+    plan = rc.cv_split(ds, config.folds, config.seed)
+    for fold in range(config.folds):
+        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        ones = np.ones(len(ctx.y_tr))
+        model = rc.train(ctx.K, ctx.y_tr, ctx.model.lam_abs, v=ones,
+                         kind=loss)
+        for name in ("alpha", "rep_coef", "train_scores"):
+            assert (getattr(model, name).tobytes()
+                    == getattr(ctx.model, name).tobytes())
+        reference = bound.worst_case_accuracy(ctx.valset.margins > 0, ctx.Q)
+        assert 0.0 < reference < 1.0
+        assert retrained_accuracy(ctx, ones).hex() == reference.hex()
 
 
 def test_fixed_w_keeps_the_full_sets_certificate_over_dead_removals(
