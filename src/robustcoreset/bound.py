@@ -171,13 +171,14 @@ class BallMax:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Spectral step of a kept mask: the mask ``solved`` of its kept live
-    coordinates, their reduced problem (At, g, const) from
-    ``QuadraticGapForm.reduced`` and At = V diag(eigval) V' with
-    gamma = V'g/2.  By radius S, ``_own`` memoizes the secular step on
-    ``solved`` itself and ``_bordered`` that of ``solved`` less each of its
-    coordinates, both filled by ``maximize_on_ball`` on first use, which
-    reads a coordinate's batch row at its ``_position`` in ``solved``."""
+    """Spectral step of a kept mask under the gap quadratic ``form``: the
+    mask ``solved`` of its kept live coordinates, their reduced problem
+    (At, g, const) from ``QuadraticGapForm.reduced`` and
+    At = V diag(eigval) V' with gamma = V'g/2.  By radius S, ``_own``
+    memoizes the secular step on ``solved`` itself and ``_bordered`` that
+    of ``solved`` less each of its coordinates, both filled by
+    ``maximize_on_ball`` on first use, which reads a coordinate's batch
+    row at its ``_position`` in ``solved``."""
 
     solved: np.ndarray
     eigval: np.ndarray
@@ -185,6 +186,7 @@ class Spectrum:
     gamma: np.ndarray
     g: np.ndarray
     const: float
+    form: QuadraticGapForm = field(repr=False, compare=False)
     _own: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
     _bordered: dict = field(default_factory=dict, init=False, repr=False,
@@ -200,8 +202,11 @@ def spectral_step(form: QuadraticGapForm, v,
     """Reduce q to the kept live coordinates of the 0/1 mask v and
     eigendecompose that block, the one O(m^3) part of a ball solve;
     ``reuse`` is returned as it is when it already solves that set (an
-    empty one included).  Any other mask entry raises ValueError."""
+    empty one included).  Any other mask entry, or a ``reuse`` taken of
+    another form, raises ValueError."""
     solved = form.solved(v)
+    if reuse is not None and reuse.form is not form:
+        raise ValueError("spectrum is of another gap form")
     if reuse is not None and np.array_equal(reuse.solved, solved):
         return reuse
     At, g, const = form.reduced(solved)
@@ -210,7 +215,7 @@ def spectral_step(form: QuadraticGapForm, v,
     except np.linalg.LinAlgError as exc:
         raise BallMaximizationError(f"eigendecomposition failed: {exc}") from exc
     return Spectrum(solved=solved, eigval=eigval, V=V, gamma=V.T @ (g / 2.0),
-                    g=g, const=const)
+                    g=g, const=const, form=form)
 
 
 def _rowdot(a, b):
@@ -424,24 +429,26 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     spectral step.  Its solved set must be v's, which gives a fresh solve's
     result bit for bit, or v's plus one coordinate i (v is v0 less a
     candidate i).  Then dg_max, mu and hard_case are the bordered secular
-    step's with w_i = 1 from v0's eigenpairs.  Any other mask raises
-    ValueError.  The spectrum memoizes both steps by S (its own, and in one
-    ``_bordered_batch`` those of its whole solved set), so every later call
-    with that spectrum and S reads its row back.  A result builds w_star on
-    first read and keeps no eigenvectors: a bordered one takes a fresh
-    solve's of its solved set, so every spectrum given yields the same bits.
+    step's with w_i = 1 from v0's eigenpairs.  Any other mask, or a
+    spectrum of another form, raises ValueError.  The spectrum memoizes
+    both steps by S (its own, and in one ``_bordered_batch`` those of its
+    whole solved set), so every later call with that spectrum and S reads
+    its row back.  A result builds w_star on first read and keeps no
+    eigenvectors: a bordered one takes a fresh solve's of its solved set,
+    so every spectrum given yields the same bits.
     """
     if not S >= 0:
         raise ValueError("S must be nonnegative")
-    v = np.asarray(v, dtype=float)
     solved = form.solved(v)
     removed = ()  # once checked, the one the spectrum solves and v does not
     if spectrum is not None:
-        removed = np.flatnonzero(spectrum.solved ^ solved)
+        if spectrum.form is not form:
+            raise ValueError("spectrum is of another gap form")
+        removed = (spectrum.solved ^ solved).nonzero()[0]
         if len(removed) > 1 or (len(removed) and solved[removed[0]]):
             raise ValueError("spectrum's solved set is neither v's nor v's "
                              "plus one coordinate")
-    if S == 0.0 or not solved.any():
+    if S == 0.0 or not np.count_nonzero(solved):
         return BallMax(form.value(v), 0.0, False,
                        functools.partial(_lift, form.n, solved, 0.0))
     if spectrum is None:

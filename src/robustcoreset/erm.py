@@ -62,7 +62,7 @@ def check_mask(v, n: int) -> np.ndarray:
     if v.shape != (n,):
         raise ValueError("mask length mismatch")
     kept = v != 0.0
-    if (v != kept).any():
+    if np.count_nonzero(v != kept):
         raise ValueError("v must be a 0/1 mask")
     return kept
 
@@ -201,36 +201,43 @@ def train(K, y, lam_abs: float, *, v=None, w=None, kind: str = LOGISTIC,
 
     # Same bits as a numpy-scalar loop: YK[j] is ya * Ka[:, j] entry by
     # entry, Python floats round alike, comparisons clip as min/max would.
-    YK = np.multiply(Ka.T, ya, order="C")
+    # A memoryview of a float64 array reads an entry as the Python float
+    # float(yf[j]) gives and stores a float as it is, so a and z stay
+    # current in place.  YK[j] * step, with the 0-d array step holding
+    # dz / lam_abs, rounds as YK[j] * (dz / lam_abs) does but converts no
+    # Python float.  The views, step and YK's row list are built once.
+    YK = list(np.multiply(Ka.T, ya, order="C"))
+    yf_m, a_m, z_m = memoryview(yf), memoryview(a), memoryview(z)
     w_l, y_l = wa.tolist(), ya.tolist()
     s_l = [wj * d / lam_abs for wj, d in zip(w_l, np.diag(Ka).tolist())]
-    a_l, z_l = a.tolist(), z.tolist()
+    a_l = a.tolist()
+    step = np.empty(())
     hinge = kind == HINGE
     best_gap = math.inf
     for sweep in range(max_passes):
-        for j in range(act.size):
+        for j, sj in enumerate(s_l):
             aj = a_l[j]
-            sj = s_l[j]
             if hinge:
                 if sj > 0.0:
-                    a_new = aj + (1.0 - float(yf[j])) / sj
+                    a_new = aj + (1.0 - yf_m[j]) / sj
                     if not a_new > 0.0:
                         a_new = 0.0
                     elif not a_new < 1.0:
                         a_new = 1.0
                 else:
-                    a_new = 1.0 if yf[j] < 1.0 else 0.0
+                    a_new = 1.0 if yf_m[j] < 1.0 else 0.0
             else:
-                a_new = _logistic_coord_root(float(yf[j]), sj, aj)
+                a_new = _logistic_coord_root(yf_m[j], sj, aj)
             delta = a_new - aj
             if delta != 0.0:
-                a_l[j] = a_new
+                a_l[j] = a_m[j] = a_new
                 dz = w_l[j] * y_l[j] * delta
-                z_l[j] += dz
-                yf += YK[j] * (dz / lam_abs)
-        a, z = np.array(a_l), np.array(z_l)
+                z_m[j] += dz
+                step[()] = dz / lam_abs
+                yf += YK[j] * step
         if (sweep + 1) % 64 == 0:
             yf = ya * (Ka @ z) / lam_abs
+            yf_m = memoryview(yf)
         gap = current_gap()
         best_gap = min(best_gap, gap)
         if gap <= tol:

@@ -539,15 +539,51 @@ def test_masks_outside_0_1_are_rejected():
     ds = rc.gaussian_task(40, 3, seed=1)
     K = rc.gram(ds.features, ds.features, rc.bandwidth_heuristic(ds.features))
     form = rc.quadratic_form(rc.train(K, ds.labels, 2.0, kind=rc.HINGE))
+    # a step whose bordered batch is filled: a read of its memo checks the
+    # mask as a fresh solve does
+    spectrum = rc.spectral_step(form, np.ones(ds.n))
+    rc.maximize_on_ball(form, np.where(np.arange(ds.n) == np.flatnonzero(
+        form.live)[0], 0.0, 1.0), 0.3, spectrum)
+    assert 0.3 in spectrum._bordered
     for v in (np.full(ds.n, 0.5), np.append(np.ones(ds.n - 1), 2.0),
               np.append(np.ones(ds.n - 1), math.nan)):
         for S in (0.3, 0.0):
             with pytest.raises(ValueError, match="0/1"):
                 rc.maximize_on_ball(form, v, S)
         with pytest.raises(ValueError, match="0/1"):
+            rc.maximize_on_ball(form, v, 0.3, spectrum)
+        with pytest.raises(ValueError, match="0/1"):
             rc.spectral_step(form, v)
+    with pytest.raises(ValueError, match="length"):
+        rc.maximize_on_ball(form, np.ones(ds.n - 1), 0.3, spectrum)
     assert rc.maximize_on_ball(form, np.ones(ds.n), 0.0).dg_max == \
         form.value(np.ones(ds.n))
+
+
+def test_a_spectrum_serves_only_its_own_form():
+    # a step of one form read by another form's solve would report the
+    # first form's maximum (0.1447 here, against 0.0466 for a fresh solve
+    # of the second); both entry points reject it
+    ds = rc.gaussian_task(40, 3, seed=1)
+    K = rc.gram(ds.features, ds.features, rc.bandwidth_heuristic(ds.features))
+    form_a, form_b = (rc.quadratic_form(rc.train(K, ds.labels, lam,
+                                                 kind=rc.LOGISTIC))
+                      for lam in (2.0, 8.0))
+    ones = np.ones(ds.n)
+    spec_a = rc.spectral_step(form_a, ones)
+    fresh_b = rc.maximize_on_ball(form_b, ones, 0.5)
+    assert rc.maximize_on_ball(form_a, ones, 0.5, spec_a).dg_max != \
+        fresh_b.dg_max
+    less_one = np.where(np.arange(ds.n) == np.flatnonzero(form_b.live)[0],
+                        0.0, 1.0)
+    for v in (ones, less_one):
+        with pytest.raises(ValueError, match="another gap form"):
+            rc.maximize_on_ball(form_b, v, 0.5, spec_a)
+    with pytest.raises(ValueError, match="another gap form"):
+        rc.spectral_step(form_b, ones, spec_a)
+    spec_b = rc.spectral_step(form_b, ones)
+    assert rc.maximize_on_ball(form_b, ones, 0.5, spec_b).dg_max == \
+        fresh_b.dg_max
 
 
 def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task):
