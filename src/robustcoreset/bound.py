@@ -339,7 +339,7 @@ def _shrunk_top(eigval: np.ndarray, r: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _bordered_batch(spec: Spectrum, form: QuadraticGapForm, S: float):
+def _bordered_batch(spec: Spectrum, S: float):
     """Secular step of the spectrum's solved set less each of its
     coordinates, from the same eigenpairs, all rows in one array pass:
     (mu, hard, D(mu)), row p for the p-th coordinate.
@@ -363,7 +363,7 @@ def _bordered_batch(spec: Spectrum, form: QuadraticGapForm, S: float):
     eigval, V = spec.eigval, spec.V
     index = np.flatnonzero(spec.solved)
     gamma = spec.gamma - eigval * V  # row p: V'g_i/2
-    const = spec.const - spec.g + form.A[index, index]
+    const = spec.const - spec.g + spec.form.A[index, index]
     # the other eigenpairs' eigenvalues, r and gamma, then the top one's
     lam, rr, gg = eigval[:-1], V[:, :-1], gamma[:, :-1]
     lam_m, r_m, g_m = eigval[-1], V[:, -1], gamma[:, -1]
@@ -464,7 +464,7 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
                        functools.partial(_lift, form.n, solved, u))
     if S not in spectrum._bordered:
         with np.errstate(**_QUIET):
-            spectrum._bordered[S] = _bordered_batch(spectrum, form, S)
+            spectrum._bordered[S] = _bordered_batch(spectrum, S)
     mu, hard, value = spectrum._bordered[S]
     p = int(spectrum._position[removed[0]])
     return BallMax(float(value[p]), float(mu[p]), bool(hard[p]),

@@ -188,8 +188,8 @@ def _fold_context(kwargs, fold, removal_fraction, output_dir=None):
     config = ExperimentConfig(**kwargs, removal_grid=(removal_fraction,),
                               output_dir=output_dir)
     config.check_fold(fold)
-    ds, plan, rule, folds = start_run(config)
-    ctx = prepare_fold(ds, config, fold, rule, plan, folds)
+    _, folds = start_run(config)
+    ctx = prepare_fold(config, fold, folds)
     _warn_if_negative_weights(ctx.S, ctx.Q, ctx.weights_may_be_negative)
     return config, ctx
 
@@ -319,8 +319,8 @@ def sweep_cmd(methods, removal_grid, timing, output_dir, **kwargs):
 @_guard
 def lambda_cv_cmd(grid, **kwargs):
     """Print the cross-validated lambda rule, usable as --lambda-rule."""
-    _, _, rule, _ = start_run(ExperimentConfig(**kwargs, lambda_rule="cv-best"),
-                              grid.split(","))
+    rule, _ = start_run(ExperimentConfig(**kwargs, lambda_rule="cv-best"),
+                        grid.split(","))
     click.echo(rule)
 
 

@@ -14,11 +14,9 @@ once by ``start_run``).  Each fold resolves the rule at its own training
 size, so the lambda a fold reports is the one it trained with.
 Retraining on a coreset keeps the reference model's strength.
 
-Each fold is built once, as one ``FoldContext`` per rule (``_fold``).
-Under "cv-best", ``lambda_cv`` builds every fold at every grid rule and
-``start_run`` hands on each fold's record at the winning rule, which
-``prepare_fold`` returns as it is, so the run holds every fold's kernels
-at once; under a fixed rule ``prepare_fold`` builds its own fold.
+Each fold is built as one ``FoldContext`` per rule (``_fold``), and
+``start_run``'s ``folds`` hands it over once: "cv-best" keeps
+``lambda_cv``'s winner of each fold until it is taken.
 """
 
 import csv
@@ -34,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bound, select
-from .data import Dataset, SplitPlan, cv_split, parse_libsvm, shift_radius
+from .data import Dataset, cv_split, parse_libsvm, shift_radius
 from .erm import LOGISTIC, LOSSES, decision_scores, train
 from .kernel import KINDS, check_rows, fold_kernels, load_precomputed
 
@@ -217,7 +215,7 @@ def _fold(ds: Dataset, config: ExperimentConfig, plan, fold: int, rules):
 
 
 def lambda_cv(ds: Dataset, plan, grid, config: ExperimentConfig):
-    """(rule, folds): the grid rule maximizing mean unweighted validation
+    """(rule, records): the grid rule maximizing mean unweighted validation
     accuracy over the config's folds of ``plan``, each resolving every rule
     at its own training size (ties break toward the smaller lambda at n),
     and each fold's ``FoldContext`` at that rule, from ``_fold``.  A
@@ -301,11 +299,12 @@ class FoldContext:
 
 
 def start_run(config: ExperimentConfig, grid=DEFAULT_LAMBDA_GRID):
-    """(ds, plan, rule, folds), settled before any report exists: make the
-    output directory, read the inputs once, check that a kernel can be
-    built from them and a fixed rule at ``ds.n`` (no fold is larger), split
-    once and, for "cv-best", pick the rule from ``grid`` on that split and
-    keep ``lambda_cv``'s folds for ``prepare_fold`` (else folds is None)."""
+    """(rule, folds), settled before any report exists: make the output
+    directory, read the inputs once, check that a kernel can be built from
+    them and a fixed rule at ``ds.n`` (no fold is larger), split once and,
+    for "cv-best", pick the rule from ``grid`` on that split.  ``folds(k)``
+    hands over fold k's ``FoldContext`` at the rule and drops its own hold:
+    ``lambda_cv``'s record the first time, else a new ``_fold``."""
     if config.output_dir is not None:
         try:
             Path(config.output_dir).mkdir(parents=True, exist_ok=True)
@@ -314,24 +313,23 @@ def start_run(config: ExperimentConfig, grid=DEFAULT_LAMBDA_GRID):
                              f"created: {exc}") from exc
     ds = load_inputs(config)
     check_rows(ds.features, config.kernel, config.bandwidth)
-    rule, folds = config.lambda_rule.strip(), None
+    rule, built = config.lambda_rule.strip(), [None] * config.folds
     if rule != "cv-best":
         resolve_lambda_rule(rule, ds.n)
     plan = cv_split(ds, config.folds, config.seed)
     if rule == "cv-best":
-        rule, folds = lambda_cv(ds, plan, grid, config)
-    return ds, plan, rule, folds
+        rule, built = lambda_cv(ds, plan, grid, config)
+
+    def folds(k: int) -> FoldContext:
+        ctx, built[k] = built[k], None
+        return ctx if ctx is not None else _fold(ds, config, plan, k, [rule])[0]
+    return rule, folds
 
 
-def prepare_fold(ds: Dataset, config: ExperimentConfig, fold: int,
-                 rule: str, plan: SplitPlan, folds=None) -> FoldContext:
-    """The ``FoldContext`` of one fold at ``rule``: ``folds[fold]`` when
-    given, else built by ``_fold``; ``ds``, ``rule``, ``plan`` and
-    ``folds`` come from ``start_run``."""
+def prepare_fold(config: ExperimentConfig, fold: int, folds) -> FoldContext:
+    """The ``FoldContext`` of one fold, from ``start_run``'s ``folds``."""
     config.check_fold(fold)
-    if folds is not None:
-        return folds[fold]
-    return _fold(ds, config, plan, fold, [rule])[0]
+    return folds(fold)
 
 
 def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
@@ -455,16 +453,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     error, rows computed so far are flushed with a trailing status row
     before the exception propagates.
     """
-    ds, plan, rule, folds = start_run(config)
+    rule, folds = start_run(config)
     report = RunReport(lambda_rule=rule)
     try:
         for fold in range(config.folds):
-            ctx = prepare_fold(ds, config, fold, rule, plan, folds)
+            ctx = prepare_fold(config, fold, folds)
             report.gap_diagnostics.append(_gap_diagnostics(ctx))
             n_del_grid = config.removal_counts(len(ctx.y_tr))
             for method in config.methods:
-                trace = run_selection(ctx, config, method,
-                                      max(n_del_grid, default=0))
+                trace = run_selection(ctx, config, method, max(n_del_grid))
                 for frac, n_del in zip(config.removal_grid, n_del_grid):
                     t0 = time.perf_counter()
                     v = trace.kept_mask(n_del)

@@ -514,7 +514,7 @@ def test_spectrum_solves_the_bordered_batch_once_per_radius(hinge_model,
     batch, batches = bound._bordered_batch, []
 
     def counting_batch(*args):
-        batches.append(args[2])
+        batches.append(args[1])
         return batch(*args)
 
     monkeypatch.setattr(bound, "_bordered_batch", counting_batch)

@@ -207,9 +207,9 @@ def test_direct_gap_matches_quadratic_at_worst_weight(synth_file, loss):
                               lambda_rule="n*10^-1.5", a=1.2,
                               methods=("random",), removal_grid=(0.5,),
                               folds=3, seed=3)
-    ds, plan, rule, folds = start_run(config)
+    _, folds = start_run(config)
     for fold in range(config.folds):
-        ctx = prepare_fold(ds, config, fold, rule, plan, folds)
+        ctx = prepare_fold(config, fold, folds)
         model, w_worst = ctx.model, ctx.full_ball.w_star
         q = ctx.form_cert.value(w_worst)
         direct = oracles.sum_form_gap(ctx.K.tolist(), model.y.tolist(),
@@ -514,8 +514,8 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
     for algorithm in (2, 3):
         cfg = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                                folds=2, algorithm=algorithm)
-        ds = load_inputs(cfg)
-        ctx = prepare_fold(ds, cfg, 0, "2.0", rc.cv_split(ds, 2, cfg.seed))
+        _, folds = start_run(cfg)
+        ctx = prepare_fold(cfg, 0, folds)
         run_selection(ctx, cfg, "robust", 20)
         fresh = bound.maximize_on_ball(ctx.form_cert, np.ones(len(ctx.y_tr)),
                                        ctx.S).w_star
@@ -546,7 +546,8 @@ def test_certificates_build_no_w_star(synth_file, monkeypatch, algorithm):
 def test_cv_best_prepare_fold_returns_lambda_cvs_record(synth_file,
                                                        monkeypatch):
     # lambda_cv builds each fold once, one record per grid rule, and
-    # prepare_fold hands on the winning rule's record itself
+    # prepare_fold hands over the winning rule's record itself; a fold
+    # asked for again is built anew at that rule, with the same bits
     import robustcoreset.experiment as experiment
     fold, built = experiment._fold, []
 
@@ -556,15 +557,50 @@ def test_cv_best_prepare_fold_returns_lambda_cvs_record(synth_file,
 
     monkeypatch.setattr(experiment, "_fold", recording_fold)
     config = ExperimentConfig(dataset=synth_file, folds=3, seed=3)
-    ds, plan, rule, folds = start_run(config)
+    rule, folds = start_run(config)
     assert [len(ctxs) for ctxs in built] == [len(DEFAULT_LAMBDA_GRID)] * 3
-    for k, ctxs in enumerate(built):
-        ctx = prepare_fold(ds, config, k, rule, plan, folds)
-        assert ctx is folds[k]
+    for k, ctxs in enumerate(built[:config.folds]):
+        ctx = prepare_fold(config, k, folds)
         assert [c is ctx for c in ctxs].count(True) == 1
         assert ctx.fold == k
         assert ctx.model.lam_abs == resolve_lambda_rule(rule, len(ctx.y_tr))
-    assert len(built) == config.folds
+        again = prepare_fold(config, k, folds)
+        assert again is not ctx and again.fold == k
+        assert len(built[-1]) == 1 and built[-1][0] is again
+        for name in ("alpha", "rep_coef"):
+            assert (getattr(again.model, name).tobytes()
+                    == getattr(ctx.model, name).tobytes())
+        assert again.valset.margins.tobytes() == ctx.valset.margins.tobytes()
+    assert ([len(ctxs) for ctxs in built]
+            == [len(DEFAULT_LAMBDA_GRID)] * 3 + [1] * 3)
+
+
+@pytest.mark.parametrize("lambda_rule", ["cv-best", "n"])
+def test_sweep_keeps_no_finished_fold(synth_file, monkeypatch, lambda_rule):
+    # folds(k) hands each fold over once and keeps no hold on it: as each
+    # fold starts, only the previous fold's gap quadratic is alive, under
+    # cv-best as under a fixed rule
+    import robustcoreset.experiment as experiment
+    quadratic_form, forms = bound.quadratic_form, []
+    prepare, live = experiment.prepare_fold, []
+
+    def recording_form(model):
+        form = quadratic_form(model)
+        forms.append(weakref.ref(form))
+        return form
+
+    def counting_prepare(*args):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in forms))
+        return prepare(*args)
+
+    monkeypatch.setattr(bound, "quadratic_form", recording_form)
+    monkeypatch.setattr(experiment, "prepare_fold", counting_prepare)
+    run_experiment(ExperimentConfig(dataset=synth_file,
+                                    lambda_rule=lambda_rule, folds=5, seed=1,
+                                    methods=("robust", "random"),
+                                    removal_grid=(0.1,)))
+    assert live == [0, 1, 1, 1, 1]
 
 
 def test_cv_best_sweep_builds_one_quadratic_per_fold(synth_file,
@@ -599,10 +635,9 @@ def test_certificates_of_the_live_set_take_no_spectral_step(synth_file,
     # solve: its certificate takes no spectral step of its own
     import robustcoreset.experiment as experiment
     config = dead_drop_config(synth_file)
-    ds = load_inputs(config)
-    plan = rc.cv_split(ds, config.folds, config.seed)
+    _, folds = start_run(config)
     for fold in range(config.folds):
-        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        ctx = prepare_fold(config, fold, folds)
         trace = run_selection(ctx, config, "robust",
                               max(config.removal_counts(len(ctx.y_tr))))
         assert not ctx.form_cert.live[trace.removal_order].any()
@@ -643,8 +678,7 @@ def test_exact_greedy_starts_from_the_full_sets_spectral_step(
     config = ExperimentConfig(dataset=synth_file, loss="hinge",
                               lambda_rule="2.0", methods=("robust",),
                               folds=3, seed=3, algorithm=algorithm)
-    ds = load_inputs(config)
-    plan = rc.cv_split(ds, config.folds, config.seed)
+    _, folds = start_run(config)
     eigh, sizes = np.linalg.eigh, []
     step, steps = bound.spectral_step, []
 
@@ -660,7 +694,7 @@ def test_exact_greedy_starts_from_the_full_sets_spectral_step(
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(bound, "spectral_step", recording_step)
     for fold in range(config.folds):
-        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        ctx = prepare_fold(config, fold, folds)
         n_del = max(config.removal_counts(len(ctx.y_tr)))
         sizes.clear()
         ctx.full_ball
@@ -696,9 +730,8 @@ def test_cli_robust_certify_eigendecomposes_the_full_set_once(
     # the selection starts from the fold's full-set solve and its step,
     # and a certificate of dead drops reads that solve: one eigh in all
     config = dead_drop_config(synth_file)
-    ds = load_inputs(config)
-    ctx = prepare_fold(ds, config, 0, "2.0",
-                       rc.cv_split(ds, config.folds, config.seed))
+    _, folds = start_run(config)
+    ctx = prepare_fold(config, 0, folds)
     eigh, sizes = np.linalg.eigh, []
 
     def counting_eigh(a):
@@ -752,9 +785,8 @@ def test_cli_select_writes_a_fresh_selections_trace(synth_file, tmp_path,
                         str(tmp_path))
     assert res.exit_code == 0, res.output
     config = dead_drop_config(synth_file)
-    ds = load_inputs(config)
-    ctx = prepare_fold(ds, config, 0, "2.0",
-                       rc.cv_split(ds, config.folds, config.seed))
+    _, folds = start_run(config)
+    ctx = prepare_fold(config, 0, folds)
     form, n = ctx.form_cert, len(ctx.y_tr)
     n_del = int(round(0.6 * n))
     if algorithm == 1:
@@ -779,10 +811,9 @@ def test_all_kept_score_is_the_reference_models_bit_for_bit(synth_file,
     # 0.0 row reports the reference model's own score
     config = ExperimentConfig(dataset=synth_file, loss=loss,
                               lambda_rule="2.0", folds=3, seed=3)
-    ds = load_inputs(config)
-    plan = rc.cv_split(ds, config.folds, config.seed)
+    _, folds = start_run(config)
     for fold in range(config.folds):
-        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        ctx = prepare_fold(config, fold, folds)
         ones = np.ones(len(ctx.y_tr))
         model = rc.train(ctx.K, ctx.y_tr, ctx.model.lam_abs, v=ones,
                          kind=loss)
@@ -802,10 +833,9 @@ def test_fixed_w_keeps_the_full_sets_certificate_over_dead_removals(
     config = ExperimentConfig(dataset=synth_file, loss="hinge",
                               lambda_rule="2.0", methods=("robust",),
                               folds=3, seed=3, algorithm=2)
-    ds = load_inputs(config)
-    plan = rc.cv_split(ds, config.folds, config.seed)
+    _, folds = start_run(config)
     for fold in range(config.folds):
-        ctx = prepare_fold(ds, config, fold, "2.0", plan)
+        ctx = prepare_fold(config, fold, folds)
         n = len(ctx.y_tr)
         dead = np.flatnonzero(~ctx.form_cert.live).tolist()
         assert dead
@@ -848,9 +878,8 @@ def test_cli_certify_of_dead_drops_writes_a_fresh_solves_bytes(
     # writes the bytes that a fresh ball solve of the kept set gives
     import robustcoreset.cli as cli
     config = dead_drop_config(synth_file)
-    ds = load_inputs(config)
-    ctx = prepare_fold(ds, config, 0, "2.0",
-                       rc.cv_split(ds, config.folds, config.seed))
+    _, folds = start_run(config)
+    ctx = prepare_fold(config, 0, folds)
     dead = np.flatnonzero(~ctx.form_cert.live)
     assert dead.size >= 2
     indices = tmp_path / "kept.txt"
@@ -888,9 +917,8 @@ def test_certify_coreset_rejects_a_mask_outside_0_1(synth_file):
     # a fractional mask whose nonzero entries cover the live set is no
     # full-set coreset: it is rejected, as maximize_on_ball rejects it
     config = dead_drop_config(synth_file)
-    ds = load_inputs(config)
-    ctx = prepare_fold(ds, config, 0, "2.0",
-                       rc.cv_split(ds, config.folds, config.seed))
+    _, folds = start_run(config)
+    ctx = prepare_fold(config, 0, folds)
     n = len(ctx.y_tr)
     dead = np.flatnonzero(~ctx.form_cert.live)
     for v in (np.full(n, 0.5), np.where(ctx.form_cert.live, 1.0, 2.0),
@@ -907,21 +935,25 @@ def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
     # n_tr = 40 and 45 on fold 0; at the odd size round(0.5 * 45) = 22
     # removals must hold for the CLI as for the sweep row.  The third input
     # has 5 positives in 36 rows: at 0.9 removed, every method would keep a
-    # single class on fold 0 without --preserve-classes
-    inputs = (("60", [], [], [method], "0.5"),
-              ("68", [], [], [method], "0.5"),
+    # single class on fold 0 without --preserve-classes.  The last runs at
+    # the default cv-best rule
+    inputs = (("60", [], [], [method], "0.5", "2.0"),
+              ("68", [], [], [method], "0.5", "2.0"),
               ("36", ["--n-plus", "5"], ["--preserve-classes"],
                [method] if method == "robust" else ["herding", "kcenter",
-                                                    "margin"], "0.9"))
-    for n, synth_options, options, methods, fraction in inputs:
+                                                    "margin"], "0.9", "2.0"),
+              ("50", [], [], [method], "0.3", "cv-best"))
+    for n, synth_options, options, methods, fraction, rule in inputs:
         work = tmp_path / n
         data = work / "task.svm"
         work.mkdir()
         runner.invoke(cli_main, ["synth", "--n", n, "--d", "3", *synth_options,
                                  "--seed", "9", "--out", str(data)])
         labels = load_dataset(str(data)).labels
-        common = ["--dataset", str(data), "--loss", loss, "--lambda-rule",
-                  "2.0", "--folds", "3", "--seed", "4", *options]
+        if rule != "cv-best":
+            options = ["--lambda-rule", rule, *options]
+        common = ["--dataset", str(data), "--loss", loss, "--folds", "3",
+                  "--seed", "4", *options]
         res = runner.invoke(cli_main, ["sweep", *common,
                                        "--methods", ",".join(methods),
                                        "--removal-grid", fraction,
@@ -949,9 +981,9 @@ def test_cli_certify_matches_sweep_row(tmp_path, loss, method):
             assert cert["dg_max"] == pytest.approx(row["dg_max"], abs=1e-9)
             # the certificate reports the maximizer of its own ball solve
             config = ExperimentConfig(dataset=str(data), loss=loss,
-                                      lambda_rule="2.0", folds=3, seed=4)
-            ds = load_inputs(config)
-            ctx = prepare_fold(ds, config, 0, "2.0", rc.cv_split(ds, 3, 4))
+                                      lambda_rule=rule, folds=3, seed=4)
+            _, folds = start_run(config)
+            ctx = prepare_fold(config, 0, folds)
             v = np.isin(ctx.tr_idx, kept).astype(float)
             assert cert["w_star"] == bound.maximize_on_ball(
                 ctx.form_cert, v, ctx.S).w_star.tolist(), (n, m)
@@ -1086,8 +1118,8 @@ def test_sweep_fold_without_validation_positives(tmp_path):
     assert all(row["status"] == "ok" for row in rows)
     config = ExperimentConfig(dataset=str(data), folds=3, seed=4,
                               lambda_rule="n")
-    ds = load_inputs(config)
-    ctx = prepare_fold(ds, config, 2, "n", rc.cv_split(ds, 3, 4))
+    _, folds = start_run(config)
+    ctx = prepare_fold(config, 2, folds)
     assert (ctx.valset.y == -1).all() and ctx.Q == 0.0
     for method in config.methods:
         n_dels = config.removal_counts(len(ctx.y_tr))

@@ -165,7 +165,7 @@ def test_greedy_exact_takes_one_eigh_per_changed_kept_set(hinge_model, rbf_task,
         return own_secular(*args)
 
     def counting_batch(*args):
-        batches.append(args[2])
+        batches.append(args[1])
         return bordered_batch(*args)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
