@@ -40,11 +40,12 @@ weights:
    arrays of independent problems, each row taking the steps a search
    over that problem alone would take: the kept set's own step is one
    row, and the first request for the kept set less any coordinate solves
-   the bordered steps of every coordinate of the set as one batch.  A
-   spectrum keeps both per radius S, so each runs once per spectral step
-   however many callers (exact greedy's candidates at every removal the
-   step serves among them) read it.  w_star, built only when read, is its
-   solved set's own maximizer.
+   the bordered steps of every coordinate of the set as one batch.  The
+   gap form keeps each own step by radius S and solved set, a spectrum
+   its batch by S, so each runs once however many callers (a fold's
+   selector, diagnostics and certificates; exact greedy's candidates at
+   every removal a step serves) read it.  w_star, built only when read,
+   is its solved set's own maximizer.
 3. The maximal gap gives a parameter-ball radius R = sqrt(2 dg / lam);
    every retrained optimum stays within R of the reference coefficients.
 4. A validation point whose reference margin y f(x) exceeds R ||phi(x)||
@@ -91,11 +92,15 @@ class BallMaximizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadraticGapForm:
-    """Quadratic surrogate of the duality gap in the combined vector v*w."""
+    """Quadratic surrogate of the duality gap in the combined vector v*w.
+    ``_own`` memoizes the own-set secular step of every solved set
+    ``maximize_on_ball`` solves, keyed by (S, the solved mask's bytes)."""
 
     A: np.ndarray
     b: np.ndarray
     c: float
+    _own: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @functools.cached_property
     def live(self) -> np.ndarray:
@@ -174,11 +179,10 @@ class Spectrum:
     """Spectral step of a kept mask under the gap quadratic ``form``: the
     mask ``solved`` of its kept live coordinates, their reduced problem
     (At, g, const) from ``QuadraticGapForm.reduced`` and
-    At = V diag(eigval) V' with gamma = V'g/2.  By radius S, ``_own``
-    memoizes the secular step on ``solved`` itself and ``_bordered`` that
-    of ``solved`` less each of its coordinates, both filled by
-    ``maximize_on_ball`` on first use, which reads a coordinate's batch
-    row at its ``_position`` in ``solved``."""
+    At = V diag(eigval) V' with gamma = V'g/2.  By radius S, ``_bordered``
+    memoizes the secular step of ``solved`` less each of its coordinates,
+    filled by ``maximize_on_ball`` on first use, which reads a
+    coordinate's batch row at its ``_position`` in ``solved``."""
 
     solved: np.ndarray
     eigval: np.ndarray
@@ -187,8 +191,6 @@ class Spectrum:
     g: np.ndarray
     const: float
     form: QuadraticGapForm = field(repr=False, compare=False)
-    _own: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
     _bordered: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -430,12 +432,13 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     result bit for bit, or v's plus one coordinate i (v is v0 less a
     candidate i).  Then dg_max, mu and hard_case are the bordered secular
     step's with w_i = 1 from v0's eigenpairs.  Any other mask, or a
-    spectrum of another form, raises ValueError.  The spectrum memoizes
-    both steps by S (its own, and in one ``_bordered_batch`` those of its
-    whole solved set), so every later call with that spectrum and S reads
-    its row back.  A result builds w_star on first read and keeps no
-    eigenvectors: a bordered one takes a fresh solve's of its solved set,
-    so every spectrum given yields the same bits.
+    spectrum of another form, raises ValueError.  The form memoizes the
+    own-set step by S and solved set, the spectrum the bordered steps of
+    its whole solved set by S (one ``_bordered_batch``), so a later call
+    reads its entry back.  Each call's result builds its own w_star on
+    first read and keeps no eigenvectors: a bordered one takes a fresh
+    solve's of its solved set, so every spectrum given yields the same
+    bits.
     """
     if not S >= 0:
         raise ValueError("S must be nonnegative")
@@ -451,13 +454,13 @@ def maximize_on_ball(form: QuadraticGapForm, v, S: float,
     if S == 0.0 or not np.count_nonzero(solved):
         return BallMax(form.value(v), 0.0, False,
                        functools.partial(_lift, form.n, solved, 0.0))
-    if spectrum is None:
-        spectrum = spectral_step(form, v)
     if not len(removed):
-        if S not in spectrum._own:
+        key = (S, solved.tobytes())
+        if key not in form._own:
             with np.errstate(**_QUIET):
-                spectrum._own[S] = _own_secular(spectrum, S)
-        mu, hard, value, u = spectrum._own[S]
+                form._own[key] = _own_secular(
+                    spectral_step(form, v, spectrum), S)
+        mu, hard, value, u = form._own[key]
         # binds n, not the form, so that a result held past its fold (a
         # sweep's last certificate) keeps no form alive
         return BallMax(float(value), float(mu), bool(hard),

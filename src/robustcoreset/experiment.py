@@ -264,25 +264,11 @@ class FoldContext:
     model: object
     valset: ValidationSet
     algorithm: int
-    _full_step: bound.Spectrum | None = field(default=None, init=False,
-                                              repr=False)
 
     @functools.cached_property
     def form_cert(self) -> bound.QuadraticGapForm:
         """The reference model's gap quadratic, on first use."""
         return bound.quadratic_form(self.model)
-
-    @functools.cached_property
-    def full_ball(self) -> bound.BallMax:
-        """The full set's ball maximum and worst-case weight; one ball
-        solve, on first use.  On an exact-greedy fold its spectral step,
-        which exact greedy's first removal also takes, is kept for
-        ``run_selection`` to hand on; other folds keep no eigenvectors."""
-        ones = np.ones(self.form_cert.n)
-        if self.algorithm == 1 and self.S > 0:
-            self._full_step = bound.spectral_step(self.form_cert, ones)
-        return bound.maximize_on_ball(self.form_cert, ones, self.S,
-                                      self._full_step)
 
     @property
     def weights_may_be_negative(self) -> list:
@@ -338,15 +324,18 @@ def run_selection(ctx: FoldContext, config: ExperimentConfig, method: str,
     the run seed, the fold and the method, so every entry point picks the
     same coreset."""
     if method == ROBUST_METHOD:
-        # every selector starts from the full-set solve, and the fold gives
-        # up its step: greedy_exact holds it until its kept set moves on
-        ball, step, ctx._full_step = ctx.full_ball, ctx._full_step, None
+        # every selector starts from the full-set solve; exact greedy's
+        # first removal reads its step, which no fold holds
+        form, ones = ctx.form_cert, np.ones(len(ctx.y_tr))
+        step = (bound.spectral_step(form, ones)
+                if ctx.algorithm == 1 and ctx.S > 0 else None)
+        ball = bound.maximize_on_ball(form, ones, ctx.S, step)
         if ctx.algorithm == 1:
-            return select.greedy_exact(ctx.form_cert, ctx.y_tr, ctx.S, n_del,
+            return select.greedy_exact(form, ctx.y_tr, ctx.S, n_del,
                                        preserve_classes=config.preserve_classes,
                                        spectrum=step)
         fn = {2: select.greedy_fixed_w, 3: select.greedy_oneshot}[ctx.algorithm]
-        return fn(ctx.form_cert, ctx.y_tr, ball.w_star, n_del,
+        return fn(form, ctx.y_tr, ball.w_star, n_del,
                   preserve_classes=config.preserve_classes)
     seed = int(np.random.SeedSequence(
         [config.seed, ctx.fold, ALL_METHODS.index(method)]).generate_state(1)[0])
@@ -364,11 +353,10 @@ def retrained_accuracy(ctx: FoldContext, v) -> float:
 
 def certify_coreset(ctx: FoldContext, v) -> bound.BoundReport:
     """Certificate of the kept 0/1 mask ``v`` against the fold's reference
-    model; a mask that keeps every live instance reads the full-set solve,
-    as dead ones do not move q.  Any other mask entry raises ValueError."""
-    form = ctx.form_cert
-    ball = (ctx.full_ball if np.array_equal(form.solved(v), form.live)
-            else bound.maximize_on_ball(form, v, ctx.S))
+    model.  The ball solve reads the form's memo when the fold has solved
+    v's kept live set before (the full set's, for a mask that drops only
+    dead instances).  Any other mask entry raises ValueError."""
+    ball = bound.maximize_on_ball(ctx.form_cert, v, ctx.S)
     return bound.certificate(ball, ctx.model.lam_abs, ctx.Q,
                              ctx.valset.margins, ctx.valset.norms)
 
@@ -385,11 +373,13 @@ def _gap_diagnostics(ctx: FoldContext):
     """Gap quadratic at the full set and at the worst-case weight, the
     training and validation ball radii and the balls that reach negative
     weights; logged per fold."""
+    form, ones = ctx.form_cert, np.ones(len(ctx.y_tr))
     return {
         "fold": ctx.fold,
         "lambda": ctx.model.lam_abs,
-        "q_exact_full": ctx.form_cert.value(np.ones(ctx.form_cert.n)),
-        "q_exact_worst_w": ctx.form_cert.value(ctx.full_ball.w_star),
+        "q_exact_full": form.value(ones),
+        "q_exact_worst_w": form.value(
+            bound.maximize_on_ball(form, ones, ctx.S).w_star),
         "S": ctx.S,
         "Q": ctx.Q,
         "weights_may_be_negative": ctx.weights_may_be_negative,
@@ -449,19 +439,21 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     """Full sweep; writes report.csv / report.json when output_dir is set.
 
     ``start_run`` settles the inputs, the split and the lambda rule
-    before any report exists, so a bad one writes none.  On a later
-    error, rows computed so far are flushed with a trailing status row
-    before the exception propagates.
+    before any report exists, so a bad one writes none.  A fold selects
+    every coreset before its diagnostics and rows, which so read the robust
+    selector's full-set solve.  On a later error, rows computed so far are
+    flushed with a trailing status row before the exception propagates.
     """
     rule, folds = start_run(config)
     report = RunReport(lambda_rule=rule)
     try:
         for fold in range(config.folds):
             ctx = prepare_fold(config, fold, folds)
-            report.gap_diagnostics.append(_gap_diagnostics(ctx))
             n_del_grid = config.removal_counts(len(ctx.y_tr))
-            for method in config.methods:
-                trace = run_selection(ctx, config, method, max(n_del_grid))
+            traces = [run_selection(ctx, config, method, max(n_del_grid))
+                      for method in config.methods]
+            report.gap_diagnostics.append(_gap_diagnostics(ctx))
+            for method, trace in zip(config.methods, traces):
                 for frac, n_del in zip(config.removal_grid, n_del_grid):
                     t0 = time.perf_counter()
                     v = trace.kept_mask(n_del)

@@ -118,14 +118,14 @@ def greedy_exact(form, y, S, n_del, *, preserve_classes: bool = False,
     and an inert one's is the current set's own solve, so every inert
     candidate scores the current maximum exactly.  Removing an inert
     instance leaves the solved set as it was, and ``spectral_step`` hands
-    the step back unchanged.  The step memoizes its own solve and, from
-    the first live candidate on, the bordered solves of all its live
-    candidates, taken in one array pass; each candidate's
+    the step back unchanged.  The form memoizes the kept set's own solve
+    and the step, from the first live candidate on, the bordered solves of
+    all its live candidates, taken in one array pass; each candidate's
     ``bound.maximize_on_ball`` call reads its entry back.  So each step
     solves once, however many removals it serves.  No step is taken when
     S = 0, where every solve is a plain evaluation of q.  A given
     ``spectrum`` (the caller's full-set step, say) serves the first removal
-    when it solves that kept set, memos included."""
+    when it solves that kept set."""
 
     def scores(cand, v):
         nonlocal spectrum

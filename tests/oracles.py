@@ -209,11 +209,18 @@ def grid_max_dual_2d(K, y, lam, kind, steps=400):
     return best_alpha, best
 
 
+def memo_free(form):
+    """The gap form ``form`` again, with an empty solve memo: a ball solve
+    on it starts afresh, sharing no entry with one made on ``form``."""
+    return type(form)(form.A, form.b, form.c)
+
+
 def greedy_exact_fresh(maximize, form, y, S, n_del, preserve_classes=False):
     """Exact greedy (Algorithm 1) as straight-line code: each step scores
-    every kept candidate by a fresh ``maximize(form, v, S)`` solve and
-    removes the smallest score, ties to the smallest index; with
-    ``preserve_classes`` the last kept instance of a class is skipped.
+    every kept candidate by a fresh ``maximize(form, v, S)`` solve, on a
+    ``memo_free`` copy of the form, and removes the smallest score, ties to
+    the smallest index; with ``preserve_classes`` the last kept instance of
+    a class is skipped.
     Returns the removal order and the winning scores."""
     n = len(y)
     v = np.ones(n)
@@ -227,7 +234,7 @@ def greedy_exact_fresh(maximize, form, y, S, n_del, preserve_classes=False):
                     1 for j in range(n) if v[j] != 0.0 and y[j] == y[i]) == 1:
                 continue
             v[i] = 0.0
-            score = maximize(form, v, S).dg_max
+            score = maximize(memo_free(form), v, S).dg_max
             v[i] = 1.0
             if score < best:
                 best_i, best = i, score
@@ -378,11 +385,11 @@ def bordered_secular(spec, form, i, S):
 
 def eager_w_star(form, spectrum, S):
     """w_star of an own-set ``maximize_on_ball(form, v, S, spectrum)``
-    built eagerly from the spectrum's memoized u, in the operations the
-    solver used when it built one on every call: 1 + u on the solved
-    coordinates and 1 elsewhere."""
+    built eagerly from the form's memoized u of the spectrum's solved set,
+    in the operations the solver used when it built one on every call:
+    1 + u on the solved coordinates and 1 elsewhere."""
     w_star = np.ones(form.n)
-    w_star[spectrum.solved] = 1.0 + spectrum._own[S][3]
+    w_star[spectrum.solved] = 1.0 + form._own[S, spectrum.solved.tobytes()][3]
     return w_star
 
 

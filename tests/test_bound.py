@@ -304,7 +304,8 @@ def test_inert_removal_leaves_the_maximum_bit_identical(hinge_model, rbf_task):
     base = rc.maximize_on_ball(form, v, S).dg_max
     for i in inert:
         v[i] = 0.0
-        assert rc.maximize_on_ball(form, v, S).dg_max == base, i
+        assert rc.maximize_on_ball(oracles.memo_free(form), v,
+                                   S).dg_max == base, i
         v[i] = 1.0
 
 
@@ -316,7 +317,7 @@ def assert_bordered_solve(form, v0, i, S):
     v = np.array(v0, dtype=float)
     v[i] = 0.0
     res = rc.maximize_on_ball(form, v, S, spectrum)
-    ref = rc.maximize_on_ball(form, v, S)
+    ref = rc.maximize_on_ball(oracles.memo_free(form), v, S)
     assert abs(res.dg_max - ref.dg_max) <= 1e-12 * max(1.0, abs(ref.dg_max))
     q = form.value(v * res.w_star)
     assert res.dg_max >= q - 2.5e-14 * max(1.0, abs(q))
@@ -401,8 +402,8 @@ def assert_batch_is_the_scalar_search(form, v0, S):
         mu, hard, value = oracles.bordered_secular(spectrum, form, i, S)
         assert (res.mu, res.hard_case, res.dg_max) == \
             (float(mu), bool(hard), float(value)), (i, S)
-        assert res.w_star.tobytes() == \
-            rc.maximize_on_ball(form, v, S).w_star.tobytes(), (i, S)
+        assert res.w_star.tobytes() == rc.maximize_on_ball(
+            oracles.memo_free(form), v, S).w_star.tobytes(), (i, S)
         solves.append(res)
     return solves
 
@@ -509,8 +510,9 @@ def test_spectrum_solves_the_bordered_batch_once_per_radius(hinge_model,
         for i in live[3:]:
             v = v0.copy()
             v[i] = 0.0
+            other = oracles.memo_free(form)
             fresh[radius, i] = rc.maximize_on_ball(
-                form, v, radius, rc.spectral_step(form, v0))
+                other, v, radius, rc.spectral_step(other, v0))
     batch, batches = bound._bordered_batch, []
 
     def counting_batch(*args):
@@ -571,7 +573,7 @@ def test_a_spectrum_serves_only_its_own_form():
                       for lam in (2.0, 8.0))
     ones = np.ones(ds.n)
     spec_a = rc.spectral_step(form_a, ones)
-    fresh_b = rc.maximize_on_ball(form_b, ones, 0.5)
+    fresh_b = rc.maximize_on_ball(oracles.memo_free(form_b), ones, 0.5)
     assert rc.maximize_on_ball(form_a, ones, 0.5, spec_a).dg_max != \
         fresh_b.dg_max
     less_one = np.where(np.arange(ds.n) == np.flatnonzero(form_b.live)[0],
@@ -598,7 +600,7 @@ def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task)
     spectrum = rc.spectral_step(form, v0)
     for v in (v0, np.where(form.live, v0, 0.0)):
         res = rc.maximize_on_ball(form, v, S, spectrum)
-        ref = rc.maximize_on_ball(form, v, S)
+        ref = rc.maximize_on_ball(oracles.memo_free(form), v, S)
         assert (res.dg_max, res.mu, res.hard_case) == \
             (ref.dg_max, ref.mu, ref.hard_case)
         assert res.w_star.tobytes() == ref.w_star.tobytes()
@@ -615,13 +617,16 @@ def test_spectrum_of_the_same_solved_set_is_a_fresh_solve(hinge_model, rbf_task)
 
 def test_spectrum_solves_its_own_set_once_per_radius(hinge_model, rbf_task,
                                                     monkeypatch):
-    # repeated own-set solves on one spectrum read its memo: each returns a
-    # fresh solve's result bit for bit, in a w_star of its own
+    # repeated own-set solves, with the spectrum or without, read the
+    # form's memo: each returns a fresh form's solve bit for bit, in a
+    # w_star of its own
     ds, _, _ = rbf_task
     form = rc.quadratic_form(hinge_model)
     S = rc.shift_radius(ds.n_plus, 1.05)
     v = np.ones(ds.n)
     v[np.flatnonzero(form.live)[:3]] = 0.0
+    refs = {radius: rc.maximize_on_ball(rc.quadratic_form(hinge_model), v,
+                                        radius) for radius in (S, 2.0 * S)}
     own_secular, own = bound._own_secular, []
 
     def counting_own(*args):
@@ -630,16 +635,14 @@ def test_spectrum_solves_its_own_set_once_per_radius(hinge_model, rbf_task,
 
     monkeypatch.setattr(bound, "_own_secular", counting_own)
     spectrum = rc.spectral_step(form, v)
-    for radius in (S, 2.0 * S):
-        ref = rc.maximize_on_ball(form, v, radius)
-        own.clear()
-        for _ in range(3):
-            res = rc.maximize_on_ball(form, v, radius, spectrum)
+    for radius, ref in refs.items():
+        for given in (spectrum, spectrum, None, spectrum):
+            res = rc.maximize_on_ball(form, v, radius, given)
             assert (res.dg_max, res.mu, res.hard_case) == \
                 (ref.dg_max, ref.mu, ref.hard_case)
             assert res.w_star.tobytes() == ref.w_star.tobytes()
             res.w_star[:] = -1.0
-        assert own == [radius]
+    assert own == [S, 2.0 * S]
 
 
 def solves_on_one_step(form, v0, S):
@@ -687,7 +690,8 @@ def test_w_star_is_the_eager_build_bit_for_bit(hinge_model):
                 own = bool(np.array_equal(spectrum.solved,
                                           (v != 0.0) & form.live))
                 ref = (oracles.eager_w_star(form, spectrum, S) if own
-                       else rc.maximize_on_ball(form, v, S).w_star)
+                       else rc.maximize_on_ball(oracles.memo_free(form), v,
+                                                S).w_star)
                 assert res.w_star.tobytes() == ref.tobytes(), (form.n, S)
                 hard.add((res.hard_case, own))
     assert hard == {(False, False), (False, True), (True, False), (True, True)}
@@ -721,22 +725,24 @@ def test_overwritten_w_star_does_not_leak(hinge_model):
     v0[np.flatnonzero(form.live)[:3]] = 0.0
     spectrum, first = solves_on_one_step(form, v0, S)
     kept = [res.w_star.copy() for _, res in first]
-    memo = spectrum._own[S][3].copy()
+    entry = form._own[S, spectrum.solved.tobytes()][3]
+    memo = entry.copy()
     for _, res in first:
         res.w_star[:] = -1.0
     for (v, res), ref in zip(first, kept):
         again = rc.maximize_on_ball(form, v, S, spectrum)
         assert again.w_star.tobytes() == ref.tobytes()
-        assert again.w_star.tobytes() == \
-            rc.maximize_on_ball(form, v, S).w_star.tobytes()
+        assert again.w_star.tobytes() == rc.maximize_on_ball(
+            oracles.memo_free(form), v, S).w_star.tobytes()
         assert np.all(res.w_star == -1.0)
-    assert spectrum._own[S][3].tobytes() == memo.tobytes()
+    assert form._own[S, spectrum.solved.tobytes()][3] is entry
+    assert entry.tobytes() == memo.tobytes()
 
 
 def test_own_result_keeps_no_spectrum_alive(hinge_model, monkeypatch):
-    # a solve without a given step (FoldContext.full_ball's) frees its
+    # a solve without a given step (a fold's diagnostics', say) frees its
     # eigenvectors once it returns, its w_star read or not; an own-set
-    # result keeps no form alive either
+    # result keeps no form, and so no memo, alive either
     step, steps = bound.spectral_step, []
 
     def recording_step(*args):
@@ -750,15 +756,17 @@ def test_own_result_keeps_no_spectrum_alive(hinge_model, monkeypatch):
     gc.collect()
     assert len(steps) == 1 and steps[0]() is None
     monkeypatch.undo()
-    spectrum = rc.spectral_step(form, np.ones(form.n))
-    rc.maximize_on_ball(form, np.ones(form.n), 1.5, spectrum)
+    # the eager build from another form's solve, through a given step
+    other = oracles.memo_free(form)
+    spectrum = rc.spectral_step(other, np.ones(form.n))
+    rc.maximize_on_ball(other, np.ones(form.n), 1.5, spectrum)
     assert res.w_star.tobytes() == oracles.eager_w_star(
-        form, spectrum, 1.5).tobytes()
-    unread = rc.maximize_on_ball(form, np.ones(form.n), 1.5, spectrum)
-    forms = weakref.ref(form)
-    del form, spectrum
+        other, spectrum, 1.5).tobytes()
+    unread = rc.maximize_on_ball(other, np.ones(form.n), 1.5, spectrum)
+    forms = [weakref.ref(form), weakref.ref(other)]
+    del form, other, spectrum
     gc.collect()
-    assert forms() is None
+    assert [ref() for ref in forms] == [None, None]
     assert unread.w_star.tobytes() == res.w_star.tobytes()
 
 
@@ -778,8 +786,8 @@ def test_bordered_result_keeps_no_eigenvectors_alive(hinge_model):
     gc.collect()
     assert eigenvectors() is None
     for v, res in bordered:
-        assert res.w_star.tobytes() == \
-            rc.maximize_on_ball(form, v, S).w_star.tobytes()
+        assert res.w_star.tobytes() == rc.maximize_on_ball(
+            oracles.memo_free(form), v, S).w_star.tobytes()
 
 
 def test_spectral_step_reuses_a_step_of_the_same_solved_set(hinge_model):
@@ -844,7 +852,7 @@ def test_maximize_raises_no_floating_point_warning():
         plain = rc.maximize_on_ball(form, v, S)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            strict = rc.maximize_on_ball(form, v, S)
+            strict = rc.maximize_on_ball(oracles.memo_free(form), v, S)
         assert plain.hard_case == strict.hard_case == hard
         assert strict.w_star.tobytes() == plain.w_star.tobytes()
         assert (strict.dg_max, strict.mu) == (plain.dg_max, plain.mu)

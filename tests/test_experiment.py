@@ -210,7 +210,8 @@ def test_direct_gap_matches_quadratic_at_worst_weight(synth_file, loss):
     _, folds = start_run(config)
     for fold in range(config.folds):
         ctx = prepare_fold(config, fold, folds)
-        model, w_worst = ctx.model, ctx.full_ball.w_star
+        model, w_worst = ctx.model, bound.maximize_on_ball(
+            ctx.form_cert, np.ones(len(ctx.y_tr)), ctx.S).w_star
         q = ctx.form_cert.value(w_worst)
         direct = oracles.sum_form_gap(ctx.K.tolist(), model.y.tolist(),
                                       model.alpha.tolist(), model.lam_abs,
@@ -480,26 +481,27 @@ def test_cli_trace_json_is_strict(tmp_path):
 
 
 def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
-    # the 0.0 rows keep every instance and certify with the fold's solve;
-    # every fold of the run shares one split, which cv-best picks on too
+    # the selector, the diagnostics and the 0.0 rows, which keep every
+    # instance, all read the fold's one full-set solve; every fold of the
+    # run shares one split, which cv-best picks on too
     import robustcoreset.experiment as experiment
     config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                               methods=("robust", "random"),
                               removal_grid=(0.0, 0.3, 0.5), folds=2, seed=3,
                               algorithm=2)
     full_set_solves, splits = [], []
-    orig = bound.maximize_on_ball
+    orig = bound._own_secular
 
-    def counting(form, v, S, *args, **kwargs):
-        if np.all(np.asarray(v) == 1.0):
-            full_set_solves.append(form.n)
-        return orig(form, v, S, *args, **kwargs)
+    def counting(spectrum, S):
+        if np.array_equal(spectrum.solved, spectrum.form.live):
+            full_set_solves.append(spectrum.form.n)
+        return orig(spectrum, S)
 
     def counting_split(*args):
         splits.append(args)
         return rc.cv_split(*args)
 
-    monkeypatch.setattr(bound, "maximize_on_ball", counting)
+    monkeypatch.setattr(bound, "_own_secular", counting)
     monkeypatch.setattr(experiment, "cv_split", counting_split)
     run_experiment(config)
     assert len(full_set_solves) == config.folds
@@ -510,23 +512,25 @@ def test_one_full_set_ball_solve_per_fold(synth_file, monkeypatch):
                                     folds=2, seed=3))
     assert [args[1:] for args in splits] == [(2, 3)]
     monkeypatch.undo()
-    # the selectors must not zero the cached worst-case weight in place
+    # the selectors must not zero the memoized worst-case weight in place
     for algorithm in (2, 3):
         cfg = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
                                folds=2, algorithm=algorithm)
         _, folds = start_run(cfg)
         ctx = prepare_fold(cfg, 0, folds)
         run_selection(ctx, cfg, "robust", 20)
-        fresh = bound.maximize_on_ball(ctx.form_cert, np.ones(len(ctx.y_tr)),
+        ones = np.ones(len(ctx.y_tr))
+        fresh = bound.maximize_on_ball(bound.quadratic_form(ctx.model), ones,
                                        ctx.S).w_star
-        np.testing.assert_array_equal(ctx.full_ball.w_star, fresh)
+        np.testing.assert_array_equal(
+            bound.maximize_on_ball(ctx.form_cert, ones, ctx.S).w_star, fresh)
 
 
 @pytest.mark.parametrize("algorithm", [1, 2])
 def test_certificates_build_no_w_star(synth_file, monkeypatch, algorithm):
     # a sweep row reads a certificate's ub and dg_max, never its w_star:
-    # the only maximizer built is each fold's full-set one, which the gap
-    # diagnostics (and the fixed-w selector) read
+    # the only maximizers built are each fold's full-set ones, one that the
+    # gap diagnostics read and, on a fixed-w fold, one for the selector
     lift, built = bound._lift, []
 
     def counting_lift(*args):
@@ -540,7 +544,7 @@ def test_certificates_build_no_w_star(synth_file, monkeypatch, algorithm):
                               algorithm=algorithm)
     report = run_experiment(config)
     assert len(report.rows) == 18
-    assert len(built) == config.folds
+    assert len(built) == config.folds * (1 if algorithm == 1 else 2)
 
 
 def test_cv_best_prepare_fold_returns_lambda_cvs_record(synth_file,
@@ -671,10 +675,10 @@ def test_certificates_of_the_live_set_take_no_spectral_step(synth_file,
 def test_exact_greedy_starts_from_the_full_sets_spectral_step(
         synth_file, monkeypatch, algorithm):
     # the full-set solve and exact greedy's first removal solve the same
-    # set: on an exact-greedy fold they share one eigendecomposition, which
-    # the fold hands to the selection and which is freed when it ends, with
-    # the removal order and gaps of a selection that takes its own; a
-    # fixed-w fold keeps no eigenvectors
+    # set: on an exact-greedy fold the selection takes one
+    # eigendecomposition for both, freed when it returns, with the removal
+    # order and gaps of a greedy that takes its own; on any fold a later
+    # full-set solve reads the memo, and no step outlives the selection
     config = ExperimentConfig(dataset=synth_file, loss="hinge",
                               lambda_rule="2.0", methods=("robust",),
                               folds=3, seed=3, algorithm=algorithm)
@@ -696,23 +700,26 @@ def test_exact_greedy_starts_from_the_full_sets_spectral_step(
     for fold in range(config.folds):
         ctx = prepare_fold(config, fold, folds)
         n_del = max(config.removal_counts(len(ctx.y_tr)))
-        sizes.clear()
-        ctx.full_ball
-        assert sizes == [int(ctx.form_cert.live.sum())]
-        if algorithm == 2:
-            gc.collect()
-            assert ctx._full_step is None and steps[-1]() is None
-            continue
-        full = weakref.ref(ctx._full_step)
-        assert full() is steps[-1]() and ctx.S in full()._own
+        full, ones = int(ctx.form_cert.live.sum()), np.ones(len(ctx.y_tr))
         sizes.clear()
         trace = run_selection(ctx, config, "robust", n_del)
         shared = len(sizes)
         gc.collect()
-        assert ctx._full_step is None and full() is None
+        assert sizes[0] == full and sizes.count(full) == 1
+        assert steps and all(ref() is None for ref in steps)
+        if algorithm == 2:
+            assert sizes == [full]
         sizes.clear()
-        fresh = select.greedy_exact(ctx.form_cert, ctx.y_tr, ctx.S, n_del)
-        assert len(sizes) == shared + 1
+        bound.maximize_on_ball(ctx.form_cert, ones, ctx.S)
+        assert sizes == []
+        if algorithm == 2:
+            continue
+        # a fresh greedy, on a new form, takes its own full-set eigh:
+        # alone, it takes as many as the selection's full-set solve and
+        # greedy together
+        fresh = select.greedy_exact(bound.quadratic_form(ctx.model), ctx.y_tr,
+                                    ctx.S, n_del)
+        assert len(sizes) == shared
         assert trace.removal_order == fresh.removal_order
         assert np.array(trace.gaps).tobytes() == np.array(fresh.gaps).tobytes()
 
@@ -746,11 +753,89 @@ def test_cli_robust_certify_eigendecomposes_the_full_set_once(
     assert sizes == [int(ctx.form_cert.live.sum())]
 
 
+@pytest.fixture(scope="module")
+def synth200_file(tmp_path_factory):
+    # the file ``robustcoreset synth --n 200 --seed 3`` writes: 160
+    # training instances per fold of 5
+    path = tmp_path_factory.mktemp("data") / "synth200.svm"
+    path.write_text(rc.to_libsvm(rc.gaussian_task(200, 5, seed=3)))
+    return str(path)
+
+
+def sweep_eighs(monkeypatch, tmp_path, path, loss, algorithm, grid, methods):
+    """``np.linalg.eigh`` calls of one 5-fold CLI sweep of ``path`` at
+    lambda n*10^-1.5, which writes its report to ``tmp_path``."""
+    eigh, calls = np.linalg.eigh, []
+
+    def counting_eigh(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counting_eigh)
+        res = CliRunner().invoke(cli_main, [
+            "sweep", "--dataset", path, "--loss", loss, "--lambda-rule",
+            "n*10^-1.5", "--folds", "5", "--methods", methods,
+            "--removal-grid", grid, "--algorithm", str(algorithm),
+            "--output-dir", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    return len(calls)
+
+
+@pytest.mark.parametrize("algorithm, eighs", [(1, 90), (2, 15)])
+def test_a_repeated_kept_set_is_solved_once(synth200_file, tmp_path,
+                                            monkeypatch, algorithm, eighs):
+    # 0.102 removes as many instances as 0.1 (16 of 160), so its rows
+    # certify the kept sets of the 0.1 rows and read their solves
+    assert [sweep_eighs(monkeypatch, tmp_path, synth200_file, "logistic",
+                        algorithm, grid, "robust,random")
+            for grid in ("0.1", "0.1,0.102")] == [eighs, eighs]
+
+
+def test_certify_coreset_twice_takes_one_spectral_step(synth_file,
+                                                       monkeypatch):
+    # the second certificate of a kept set reads the first one's solve,
+    # in a ball maximum of its own
+    config = ExperimentConfig(dataset=synth_file, lambda_rule="2.0",
+                              folds=3, seed=3)
+    _, folds = start_run(config)
+    ctx = prepare_fold(config, 0, folds)
+    v = np.ones(len(ctx.y_tr))
+    v[::3] = 0.0
+    step, steps = bound.spectral_step, []
+
+    def counting_step(*args):
+        steps.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(bound, "spectral_step", counting_step)
+    first, second = certify_coreset(ctx, v), certify_coreset(ctx, v)
+    assert len(steps) == 1
+    assert first.ball is not second.ball and same_ball(first.ball,
+                                                       second.ball)
+
+
+@pytest.mark.parametrize("loss, eighs", [("hinge", 10), ("logistic", 90)])
+def test_methods_order_does_not_change_the_solves(synth200_file, tmp_path,
+                                                  monkeypatch, loss, eighs):
+    # a fold selects every method's coreset before its diagnostics and
+    # rows, so the 0.0 rows read the robust selector's full-set solve
+    # whichever method comes first; the order moves rows, not their bytes
+    orders = ("robust,random", "random,robust")
+    assert [sweep_eighs(monkeypatch, tmp_path / methods, synth200_file, loss,
+                        1, "0.0,0.1", methods)
+            for methods in orders] == [eighs, eighs]
+    robust_first, random_first = (
+        sorted((tmp_path / methods / "report.csv").read_text().splitlines())
+        for methods in orders)
+    assert robust_first == random_first
+
+
 @pytest.mark.parametrize("command", ["select", "certify", "evaluate"])
 def test_cli_robust_commands_leave_no_spectral_step_on_the_fold(
         synth_file, tmp_path, monkeypatch, command):
-    # whatever reads an exact-greedy fold after its selection, the fold
-    # holds no spectral step once the selection is done
+    # whatever reads an exact-greedy fold after its selection, no spectral
+    # step outlives the command, though the fold is still held
     import robustcoreset.cli as cli
     prepare, folds = cli.prepare_fold, []
     step, steps = bound.spectral_step, []
@@ -771,7 +856,7 @@ def test_cli_robust_commands_leave_no_spectral_step_on_the_fold(
                         "--removal-fraction", "0.2", *output)
     assert res.exit_code == 0, res.output
     gc.collect()
-    assert len(folds) == 1 and folds[0]._full_step is None
+    assert len(folds) == 1
     assert steps and all(ref() is None for ref in steps)
 
 
@@ -825,6 +910,12 @@ def test_all_kept_score_is_the_reference_models_bit_for_bit(synth_file,
         assert retrained_accuracy(ctx, ones).hex() == reference.hex()
 
 
+def same_ball(a, b):
+    """Whether two ball maxima have the same dg_max, mu and w_star bytes."""
+    return ((a.dg_max, a.mu, a.w_star.tobytes())
+            == (b.dg_max, b.mu, b.w_star.tobytes()))
+
+
 def test_fixed_w_keeps_the_full_sets_certificate_over_dead_removals(
         synth_file):
     # fixed-w removes the fold's dead set first, and no dead removal moves
@@ -842,14 +933,15 @@ def test_fixed_w_keeps_the_full_sets_certificate_over_dead_removals(
         trace = run_selection(ctx, config, "robust", len(dead))
         assert trace.removal_order == dead
         full = certify_coreset(ctx, np.ones(n))
+        ball = bound.maximize_on_ball(ctx.form_cert, np.ones(n), ctx.S)
         for n_del in range(len(dead) + 1):
             v = trace.kept_mask(n_del)
             cert = certify_coreset(ctx, v)
-            assert cert.ball is ctx.full_ball
+            assert same_ball(cert.ball, ball)
             assert (cert.ub, cert.zeta.tolist()) == (full.ub,
                                                     full.zeta.tolist())
-            assert rc.maximize_on_ball(ctx.form_cert, v, ctx.S).dg_max == \
-                ctx.full_ball.dg_max
+            fresh = rc.maximize_on_ball(rc.quadratic_form(ctx.model), v, ctx.S)
+            assert fresh.dg_max == ball.dg_max
 
 
 def test_paper_size_breast_cancer_cell(tmp_path):
@@ -874,8 +966,8 @@ def test_paper_size_breast_cancer_cell(tmp_path):
 
 def test_cli_certify_of_dead_drops_writes_a_fresh_solves_bytes(
         synth_file, tmp_path, monkeypatch):
-    # dropping only dead instances, certify reads the full-set solve and
-    # writes the bytes that a fresh ball solve of the kept set gives
+    # dropping only dead instances, certify solves the kept set once and
+    # writes the bytes that the full set's certificate gives
     import robustcoreset.cli as cli
     config = dead_drop_config(synth_file)
     _, folds = start_run(config)
@@ -891,8 +983,9 @@ def test_cli_certify_of_dead_drops_writes_a_fresh_solves_bytes(
         masks.append(np.asarray(v).copy())
         return maximize_on_ball(form, v, S, *args)
 
-    def fresh_certificate(ctx, v):
-        ball = bound.maximize_on_ball(ctx.form_cert, v, ctx.S)
+    def full_set_certificate(ctx, v):
+        ball = bound.maximize_on_ball(bound.quadratic_form(ctx.model),
+                                      np.ones(len(v)), ctx.S)
         return bound.certificate(ball, ctx.model.lam_abs, ctx.Q,
                                  ctx.valset.margins, ctx.valset.norms)
 
@@ -903,14 +996,14 @@ def test_cli_certify_of_dead_drops_writes_a_fresh_solves_bytes(
     res = CliRunner().invoke(cli_main, [*common, "--output-dir",
                                         str(tmp_path / "read")])
     assert res.exit_code == 0, res.output
-    assert len(masks) == 1 and np.all(masks[0] == 1.0)
-    monkeypatch.setattr(cli, "certify_coreset", fresh_certificate)
+    assert len(masks) == 1 and masks[0].sum() == len(ctx.y_tr) - len(dead[::2])
+    monkeypatch.setattr(cli, "certify_coreset", full_set_certificate)
     res = CliRunner().invoke(cli_main, [*common, "--output-dir",
-                                        str(tmp_path / "fresh")])
+                                        str(tmp_path / "full")])
     assert res.exit_code == 0, res.output
-    assert len(masks) == 2 and masks[1].sum() == len(ctx.y_tr) - len(dead[::2])
+    assert len(masks) == 2 and np.all(masks[1] == 1.0)
     assert ((tmp_path / "read" / "bound_report.json").read_bytes()
-            == (tmp_path / "fresh" / "bound_report.json").read_bytes())
+            == (tmp_path / "full" / "bound_report.json").read_bytes())
 
 
 def test_certify_coreset_rejects_a_mask_outside_0_1(synth_file):
@@ -925,7 +1018,8 @@ def test_certify_coreset_rejects_a_mask_outside_0_1(synth_file):
               np.where(np.arange(n) == dead[0], np.nan, 1.0)):
         with pytest.raises(ValueError, match="0/1"):
             certify_coreset(ctx, v)
-    assert certify_coreset(ctx, np.ones(n)).ball is ctx.full_ball
+    assert same_ball(certify_coreset(ctx, np.ones(n)).ball,
+                     bound.maximize_on_ball(ctx.form_cert, np.ones(n), ctx.S))
 
 
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -1428,6 +1522,33 @@ def test_cli_sweep_error_mid_run_keeps_earlier_rows(synth_file, tmp_path,
             assert agg["folds"] == 1
             assert agg["wc_accuracy_mean"] == row["wc_accuracy"]
             assert agg["certified_lb_mean"] == row["certified_lb"]
+    assert [d["fold"] for d in report["gap_diagnostics"]] == [0]
+    # fold 1's robust selection fails: a fold selects every coreset before
+    # its diagnostics and rows, so none of fold 1's is reported, even the
+    # rows of a method listed before robust
+    monkeypatch.undo()
+    greedy_exact = select.greedy_exact
+    for methods in ("robust,random", "random,robust"):
+        selections = []
+
+        def failing_greedy(*args, **kwargs):
+            selections.append(args)
+            if len(selections) == 2:
+                raise bound.BallMaximizationError("no root on fold 1")
+            return greedy_exact(*args, **kwargs)
+
+        monkeypatch.setattr(select, "greedy_exact", failing_greedy)
+        out = tmp_path / methods
+        res = CliRunner().invoke(cli_main, [
+            "sweep", "--dataset", synth_file, "--lambda-rule", "2.0",
+            "--folds", "3", "--methods", methods,
+            "--removal-grid", "0.1,0.3", "--output-dir", str(out)])
+        assert res.exit_code == 3, res.output
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert [row["fold"] for row in report["rows"]] == [0] * 4 + [-1]
+        assert report["rows"][-1]["status"] == "error: no root on fold 1"
+        assert [d["fold"] for d in report["gap_diagnostics"]] == [0]
 
 
 def test_cli_sweep_timing_changes_only_wall_ms(synth_file, tmp_path):

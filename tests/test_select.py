@@ -71,7 +71,7 @@ def test_greedy_exact_step_is_minimal():
     for step, chosen in enumerate(trace.removal_order):
         for j in np.flatnonzero(v > 0):
             v[j] = 0.0
-            dg_j = rc.maximize_on_ball(form, v, S).dg_max
+            dg_j = rc.maximize_on_ball(oracles.memo_free(form), v, S).dg_max
             v[j] = 1.0
             assert trace.gaps[step] <= dg_j + 1e-9
         v[chosen] = 0.0
@@ -97,7 +97,8 @@ def test_greedy_exact_removes_inert_instances_by_index(hinge_model, rbf_task):
     S = rc.shift_radius(ds.n_plus, 1.05)
     trace = rc.greedy_exact(form, ds.labels, S, inert.size)
     assert trace.removal_order == inert.tolist()
-    full = rc.maximize_on_ball(form, np.ones(ds.n), S).dg_max
+    full = rc.maximize_on_ball(oracles.memo_free(form), np.ones(ds.n),
+                               S).dg_max
     assert trace.gaps == [full] * inert.size
 
 
